@@ -56,30 +56,6 @@ void BM_ScenarioQuarter(benchmark::State& state) {
 BENCHMARK(BM_ScenarioQuarter)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-// Sharded-execution scaling: the same quarter-horizon scenario under each
-// execution mode of the partitioned engine — merged oracle (shards=0),
-// inline windows (1, isolates the window/staging overhead from threading),
-// and pooled windows (2, 4). Identical simulation output by construction
-// (the golden_shards tests enforce it); this measures only wall time.
-void BM_ShardScaling(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  std::uint64_t events = 0;
-  std::uint64_t rounds = 0;
-  for (auto _ : state) {
-    Scenario scenario(scaled_config(16).with_shards(shards));
-    scenario.run();
-    events += scenario.engine().events_processed();
-    rounds = scenario.engine().shard_stats().window_rounds.value();
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-  // Rounds per run: zero at shards >= 1 would mean windows never engaged
-  // and the row silently measured the oracle.
-  state.counters["window_rounds"] = static_cast<double>(rounds);
-}
-BENCHMARK(BM_ShardScaling)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_FullYearDefault(benchmark::State& state) {
   for (auto _ : state) {
     Scenario scenario(

@@ -23,11 +23,10 @@ double workflow_recall(const Scenario& scenario,
   return cm.recall(Modality::kWorkflowEnsemble);
 }
 
-Scenario make_scenario(double engine_prob, bool plan_cache, int shards) {
+Scenario make_scenario(double engine_prob, bool plan_cache) {
   ScenarioConfig config;
   config.seed = 42;
   config.sched.plan_cache = plan_cache;
-  config.shards = shards;
   config.horizon = 120 * kDay;
   config.archetypes.workflow.engine_prob = engine_prob;
   return Scenario(std::move(config));
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
                "the tagged engine:\n";
   Table a({"Tagged fraction", "Recall (tags+bursts)", "Recall (tags only)"});
   for (const double engine_prob : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    Scenario scenario = make_scenario(engine_prob, plan_cache, options.shards);
+    Scenario scenario = make_scenario(engine_prob, plan_cache);
     scenario.run();
     // Tags + bursts: the default classifier.
     const double with_bursts =
@@ -80,8 +79,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(b) Recall vs burst-size threshold (half of campaigns "
                "tagged):\n";
   Table b({"burst_min_jobs", "Workflow recall", "Overall accuracy"});
-  Scenario scenario =
-      make_scenario(0.5, !options.exact_replan, options.shards);
+  Scenario scenario = make_scenario(0.5, !options.exact_replan);
   scenario.run();
   for (const int min_jobs : {4, 8, 16, 32, 64}) {
     ScenarioConfig probe_cfg;  // only FeatureConfig matters below

@@ -17,11 +17,10 @@ struct SeedResult {
   std::vector<tg::Modality> predicted;
 };
 
-SeedResult run_seed(std::uint64_t seed, bool plan_cache, int shards) {
+SeedResult run_seed(std::uint64_t seed, bool plan_cache) {
   tg::ScenarioConfig config;
   config.seed = seed;
   config.sched.plan_cache = plan_cache;
-  config.shards = shards;
   config.horizon = 180 * tg::kDay;
   tg::Scenario scenario(std::move(config));
   scenario.run();
@@ -43,9 +42,8 @@ int main(int argc, char** argv) {
   Replicator pool(options.jobs);
   const auto results = obsv.replicate(
       pool, kSeeds,
-      [plan_cache = !options.exact_replan,
-       shards = options.shards](std::size_t i) {
-        return run_seed(1000 + i, plan_cache, shards);
+      [plan_cache = !options.exact_replan](std::size_t i) {
+        return run_seed(1000 + i, plan_cache);
       });
 
   ConfusionMatrix aggregate;

@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "bench/exp_common.hpp"
+#include "infra/platform.hpp"
 #include "meta/coalloc.hpp"
 #include "util/distributions.hpp"
 #include "util/stats.hpp"
@@ -50,11 +51,12 @@ struct LoadResult {
   int probes = 0;
 };
 
-LoadResult run_load(double load, int shards) {
+LoadResult run_load(double load) {
   const Platform platform = teragrid_2010();
   Engine engine;
-  const exp::Sharding sharding(engine, platform, shards);
-  SchedulerPool pool(engine, platform, {}, sharding.plan());
+  const ShardPlan plan = make_shard_plan(platform);
+  engine.configure_partitions(plan.partitions);
+  SchedulerPool pool(engine, platform, {}, &plan);
   CoAllocator coalloc(engine, pool);
   const ResourceId a = platform.compute_by_name("Kraken").id;
   const ResourceId b = platform.compute_by_name("Ranger").id;
@@ -107,7 +109,7 @@ int main(int argc, char** argv) {
                        {"load", "single_wait_h", "coalloc_wait_h",
                         "penalty_factor"});
   for (const double load : {0.2, 0.4, 0.6, 0.8}) {
-    const LoadResult r = run_load(load, options.shards);
+    const LoadResult r = run_load(load);
     const double penalty =
         r.single_wait_h > 1e-6 ? r.coalloc_wait_h / r.single_wait_h : 0.0;
     t.add_row({Table::pct(load, 0),

@@ -9,26 +9,28 @@
 // byte-stable whether or not observability is enabled.
 #pragma once
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "des/engine.hpp"
-#include "des/shard.hpp"
 #include "fault/invariants.hpp"
-#include "infra/platform.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "parallel/replicate.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/csv.hpp"
 #include "util/memstats.hpp"
 #include "util/table.hpp"
@@ -37,9 +39,9 @@ namespace tg::exp {
 
 /// The declarative flag surface shared by every experiment and benchmark
 /// binary. parse() replaces the old per-binary argv scans: it recognizes
-/// exactly the flags below, prints usage and exits(2) on anything else
-/// (and exits(0) on --help), so a typo can no longer silently run the
-/// default configuration.
+/// exactly the flags below, prints usage and exits(2) on anything else —
+/// an unknown flag or a malformed numeric value — and exits(0) on --help,
+/// so a typo can no longer silently run the default configuration.
 struct Options {
   /// --jobs=N: worker count for replication/analytics fan-out. 0 = one
   /// worker per hardware thread; 1 = inline, no threads. Output is
@@ -56,13 +58,6 @@ struct Options {
   /// outputs must be byte-identical with or without this flag — CI diffs
   /// the two (see tests/golden_determinism.cmake).
   bool exact_replan = false;
-  /// --shards=N / --no-shard: execution mode of the partitioned DES core.
-  /// 0 (and --no-shard) runs the merged sequential loop — the reference
-  /// oracle; 1 runs conservative time windows inline; N >= 2 runs the
-  /// windows on N worker threads. Primary outputs must be byte-identical
-  /// at every value — CI diffs --shards=1 and --shards=4 against the
-  /// default (tests/golden_determinism.cmake).
-  int shards = 0;
   /// --audit-every=DAYS: run the mid-run invariant audit
   /// (AuditPhase::kMidRun — families 1-5 plus node-accounting bounds)
   /// every DAYS of sim time while the scenario runs. The scenario throws
@@ -105,17 +100,21 @@ struct Options {
   }
 
   /// Parses argv. `name` seeds the default output filenames and the usage
-  /// text. Unknown flags (or positional arguments) are fatal.
+  /// text. Unknown flags, positional arguments and malformed values are
+  /// fatal (exit 2 with usage).
   static Options parse(int argc, char** argv, const std::string& name) {
     Options out;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
+      const std::size_t eq = arg.find('=');
+      const std::string_view value =
+          eq == std::string::npos ? std::string_view()
+                                  : std::string_view(arg).substr(eq + 1);
       if (arg == "--help" || arg == "-h") {
         print_usage(std::cout, name);
         std::exit(0);
       } else if (arg.rfind("--jobs=", 0) == 0) {
-        const long n = std::strtol(arg.c_str() + 7, nullptr, 10);
-        out.jobs = n > 0 ? static_cast<std::size_t>(n) : 1;
+        out.jobs = require(whole_number<std::size_t>(value), arg, name);
       } else if (arg == "--engine-stats") {
         out.engine_stats = true;
       } else if (arg == "--stats") {
@@ -124,24 +123,17 @@ struct Options {
         out.check_invariants = true;
       } else if (arg == "--exact-replan") {
         out.exact_replan = true;
-      } else if (arg.rfind("--shards=", 0) == 0) {
-        const long n = std::strtol(arg.c_str() + 9, nullptr, 10);
-        out.shards = n > 0 ? static_cast<int>(n) : 0;
-      } else if (arg == "--no-shard") {
-        out.shards = 0;
       } else if (arg.rfind("--audit-every=", 0) == 0) {
-        out.audit_every = std::strtod(arg.c_str() + 14, nullptr);
-        if (out.audit_every < 0.0) out.audit_every = 0.0;
+        out.audit_every = require(non_negative_number(value), arg, name);
       } else if (arg.rfind("--mc-random=", 0) == 0) {
-        const long n = std::strtol(arg.c_str() + 12, nullptr, 10);
-        out.mc_random = n > 0 ? static_cast<std::size_t>(n) : 0;
+        out.mc_random = require(whole_number<std::size_t>(value), arg, name);
       } else if (arg.rfind("--mc-seed=", 0) == 0) {
-        out.mc_seed = std::strtoull(arg.c_str() + 10, nullptr, 10);
+        out.mc_seed = require(whole_number<std::uint64_t>(value), arg, name);
       } else if (arg == "--streaming") {
         out.streaming = true;
       } else if (arg.rfind("--segment-cap=", 0) == 0) {
-        const long n = std::strtol(arg.c_str() + 14, nullptr, 10);
-        out.segment_cap = n > 0 ? static_cast<std::uint32_t>(n) : 0;
+        out.segment_cap =
+            require(whole_number<std::uint32_t>(value), arg, name);
       } else if (arg.rfind("--spill-dir=", 0) == 0) {
         out.spill_dir = arg.substr(12);
       } else if (arg == "--csv") {
@@ -157,9 +149,7 @@ struct Options {
       } else if (arg.rfind("--metrics=", 0) == 0) {
         out.metrics = arg.substr(10);
       } else {
-        std::cerr << name << ": unknown option '" << arg << "'\n";
-        print_usage(std::cerr, name);
-        std::exit(2);
+        reject(name, "unknown option '" + arg + "'");
       }
     }
     return out;
@@ -178,10 +168,6 @@ struct Options {
        << "  --check-invariants  audit the run; non-zero exit on violation\n"
        << "  --exact-replan      disable the incremental plan cache "
           "(reference planner)\n"
-       << "  --shards=N          windowed DES execution: 1 = inline windows, "
-          "N >= 2 = N workers\n"
-       << "  --no-shard          merged sequential loop (default; the "
-          "reference oracle)\n"
        << "  --audit-every=DAYS  mid-run invariant audit every DAYS of sim "
           "time (0 = off)\n"
        << "  --mc-random=N       N random tie-break replays instead of the "
@@ -196,39 +182,48 @@ struct Options {
           "to PATH (mmap reads)\n"
        << "  --help              show this help\n";
   }
-};
-
-/// Applies Options::shards to a hand-built Engine, for the binaries that
-/// construct their own Engine + SchedulerPool instead of going through
-/// Scenario. The engine is always partitioned by topology — the canonical
-/// event order must not depend on the execution mode — and windowed
-/// execution is enabled when shards > 0 (1 = inline windows, N >= 2 = N
-/// worker threads). Construct right after the Engine and pass plan() to
-/// the SchedulerPool constructor.
-class Sharding {
- public:
-  Sharding(Engine& engine, const Platform& platform, int shards)
-      : Sharding(engine, make_shard_plan(platform), shards) {}
-
-  /// Same, from an explicit plan — for binaries without an infra Platform
-  /// (e.g. a hand-built single machine partitioned via plan_shards(1, {})).
-  Sharding(Engine& engine, ShardPlan plan, int shards)
-      : plan_(std::move(plan)) {
-    engine.configure_partitions(plan_.partitions);
-    if (shards > 0) {
-      if (shards >= 2) {
-        workers_ =
-            std::make_unique<ThreadPool>(static_cast<std::size_t>(shards));
-      }
-      engine.set_window_execution(true, workers_.get());
-    }
-  }
-
-  [[nodiscard]] const ShardPlan* plan() const { return &plan_; }
 
  private:
-  ShardPlan plan_;
-  std::unique_ptr<ThreadPool> workers_;
+  /// A non-negative whole number that fits in T: digits only, no sign,
+  /// blank or trailing text.
+  template <class T>
+  [[nodiscard]] static std::optional<T> whole_number(std::string_view text) {
+    std::uint64_t v = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || ptr != end ||
+        v > std::numeric_limits<T>::max()) {
+      return std::nullopt;
+    }
+    return static_cast<T>(v);
+  }
+
+  /// A finite number >= 0, written without a sign.
+  [[nodiscard]] static std::optional<double> non_negative_number(
+      std::string_view text) {
+    double v = 0.0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || ptr != end || text.front() == '-' ||
+        !std::isfinite(v)) {
+      return std::nullopt;
+    }
+    return v;
+  }
+
+  [[noreturn]] static void reject(const std::string& name,
+                                  const std::string& message) {
+    std::cerr << name << ": " << message << "\n";
+    print_usage(std::cerr, name);
+    std::exit(2);
+  }
+
+  template <class T>
+  static T require(std::optional<T> value, const std::string& arg,
+                   const std::string& name) {
+    if (!value) reject(name, "invalid value in '" + arg + "'");
+    return *value;
+  }
 };
 
 /// Owns the per-process observability state an experiment needs: the trace

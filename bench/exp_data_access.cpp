@@ -6,7 +6,7 @@
 // same quarter under one cache configuration and reports cache hit rates,
 // WAN stage-in volume and latency, and the classifier's data-centric
 // accuracy against ground truth. Sweep points run in parallel; output is
-// byte-identical at every --jobs and --shards level.
+// byte-identical at every --jobs level.
 #include <algorithm>
 #include <cstddef>
 #include <iostream>
@@ -49,13 +49,12 @@ struct RunResult {
   std::size_t users = 0;
 };
 
-RunResult run_one(const SweepPoint& point, bool plan_cache, int shards) {
+RunResult run_one(const SweepPoint& point, bool plan_cache) {
   Scenario scenario(
       ScenarioConfig::defaults()
           .with_seed(777)
           .with_horizon(kQuarter)
           .with_plan_cache(plan_cache)
-          .with_shards(shards)
           .with_archetype(ArchetypeSpec::data_intensive())
           .with_data_grid(DataGridConfig::enabled_defaults()
                               .with_cache_bytes(point.cache_tb * 1e12)
@@ -120,9 +119,8 @@ int main(int argc, char** argv) {
   Replicator pool(options.jobs);
   const bool plan_cache = !options.exact_replan;
   const auto results = obsv.replicate(
-      pool, kPoints, [plan_cache, shards = options.shards](std::size_t i) {
-        return run_one(kSweep[i], plan_cache, shards);
-      });
+      pool, kPoints,
+      [plan_cache](std::size_t i) { return run_one(kSweep[i], plan_cache); });
 
   Table table({"config", "cache TB", "policy", "hit rate", "byte hits",
                "evictions", "staged TB", "local %", "stage-in h",

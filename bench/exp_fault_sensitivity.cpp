@@ -47,12 +47,11 @@ struct RunResult {
 };
 
 RunResult run_one(double mtbf_hours, std::uint64_t seed, bool plan_cache,
-                  int shards, Duration audit_every) {
+                  Duration audit_every) {
   ScenarioConfig config;
   config.seed = seed;
   config.horizon = 120 * kDay;
   config.sched.plan_cache = plan_cache;
-  config.shards = shards;
   config.audit_every = audit_every;
   if (mtbf_hours > 0.0) {
     config.faults.outage.mtbf_hours = mtbf_hours;
@@ -118,11 +117,9 @@ int main(int argc, char** argv) {
   const bool plan_cache = !options.exact_replan;
   const auto results = obsv.replicate(
       pool, kLevelCount * kSeedsPerLevel,
-      [plan_cache, shards = options.shards,
-       audit_every = options.audit_period()](std::size_t i) {
+      [plan_cache, audit_every = options.audit_period()](std::size_t i) {
         return run_one(kLevels[i / kSeedsPerLevel].mtbf_hours,
-                       4200 + i % kSeedsPerLevel, plan_cache, shards,
-                       audit_every);
+                       4200 + i % kSeedsPerLevel, plan_cache, audit_every);
       });
 
   // Per-level means; level 0 (fault-free) is the drift baseline.

@@ -18,12 +18,10 @@
 
 namespace {
 
-tg::ScenarioConfig config_with_coverage(double coverage, bool plan_cache,
-                                        int shards) {
+tg::ScenarioConfig config_with_coverage(double coverage, bool plan_cache) {
   tg::ScenarioConfig c;
   c.seed = 42;
   c.sched.plan_cache = plan_cache;
-  c.shards = shards;
   c.horizon = 180 * tg::kDay;
   c.gateway_attribute_coverage = coverage;
   c.gateway_adoption_ramp = 0.0;  // everyone active; isolates the gap
@@ -42,7 +40,7 @@ int main(int argc, char** argv) {
 
   // --- (a) per-modality recall of the proposed mechanisms ---
   {
-    Scenario scenario(config_with_coverage(0.9, plan_cache, options.shards));
+    Scenario scenario(config_with_coverage(0.9, plan_cache));
     scenario.run();
     const RuleClassifier classifier;
     const auto labelled = scenario.predictions(classifier);
@@ -79,8 +77,7 @@ int main(int argc, char** argv) {
   Replicator pool(options.jobs);
   const auto rows =
       obsv.replicate(pool, coverages.size(), [&](std::size_t i) {
-        Scenario scenario(
-            config_with_coverage(coverages[i], plan_cache, options.shards));
+        Scenario scenario(config_with_coverage(coverages[i], plan_cache));
         scenario.run();
         const RuleClassifier classifier;
         const ModalityReport report = scenario.report(classifier);

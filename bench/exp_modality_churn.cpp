@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
                         .with_horizon(2 * kYear)
                         .with_gateway_adoption_ramp(0.8)
                         .with_plan_cache(!options.exact_replan)
-                        .with_shards(options.shards)
                         .with_trace(obsv.trace()));
   scenario.run();
 

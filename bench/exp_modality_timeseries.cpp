@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
                         // most portal users adopt over time
                         .with_gateway_adoption_ramp(0.8)
                         .with_plan_cache(!options.exact_replan)
-                        .with_shards(options.shards)
                         .with_streaming(streaming)
                         .with_trace(obsv.trace()));
   // Under --streaming the series accumulates push-style through the

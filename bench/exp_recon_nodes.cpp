@@ -57,9 +57,7 @@ RunResult run_cluster(int recon_nodes, Duration reconfig_time,
 
 int main(int argc, char** argv) {
   // The reconfigurable cluster has no site topology (one machine, no
-  // Platform), so there is nothing to partition: --shards parses for
-  // interface uniformity and execution is always merged — outputs are
-  // trivially byte-identical at every value.
+  // Platform), so there is nothing to partition.
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_recon_nodes");
   exp::Observability obsv(options);

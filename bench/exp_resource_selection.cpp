@@ -11,6 +11,7 @@
 #include <numeric>
 
 #include "bench/exp_common.hpp"
+#include "infra/platform.hpp"
 #include "meta/selector.hpp"
 #include "util/distributions.hpp"
 #include "util/stats.hpp"
@@ -62,8 +63,9 @@ int main(int argc, char** argv) {
   for (const double load : {0.3, 0.6, 0.85}) {
     const Platform platform = teragrid_2010();
     Engine engine;
-    const exp::Sharding sharding(engine, platform, options.shards);
-    SchedulerPool pool(engine, platform, {}, sharding.plan());
+    const ShardPlan plan = make_shard_plan(platform);
+    engine.configure_partitions(plan.partitions);
+    SchedulerPool pool(engine, platform, {}, &plan);
     pool.set_trace_all(obsv.trace());
     const ResourceSelector selector;
     Rng rng(31337);

@@ -30,12 +30,10 @@ struct CellResult {
   bool invariants_ok = false;
 };
 
-CellResult run_cell(int retry_limit, Duration backoff, bool plan_cache,
-                    int shards) {
+CellResult run_cell(int retry_limit, Duration backoff, bool plan_cache) {
   ScenarioConfig config;
   config.seed = 4242;
   config.sched.plan_cache = plan_cache;
-  config.shards = shards;
   config.horizon = 120 * kDay;
   // Heavy pressure (per-resource MTBF ~3.5 days, frequent partial outages)
   // so that jobs can be preempted repeatedly and the retry budget matters.
@@ -84,11 +82,9 @@ int main(int argc, char** argv) {
   Replicator pool(options.jobs);
   const auto results = obsv.replicate(
       pool, kCells,
-      [plan_cache = !options.exact_replan,
-       shards = options.shards](std::size_t i) {
+      [plan_cache = !options.exact_replan](std::size_t i) {
         return run_cell(kRetryLimits[i / std::size(kBackoffs)],
-                        kBackoffs[i % std::size(kBackoffs)], plan_cache,
-                        shards);
+                        kBackoffs[i % std::size(kBackoffs)], plan_cache);
       });
 
   Table table({"retries", "backoff", "delivered NU", "lost core-h",

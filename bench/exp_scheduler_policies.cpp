@@ -8,6 +8,7 @@
 #include <map>
 
 #include "bench/exp_common.hpp"
+#include "des/shard.hpp"
 #include "sched/scheduler.hpp"
 #include "util/distributions.hpp"
 #include "util/stats.hpp"
@@ -74,7 +75,7 @@ struct PolicyResult {
   std::size_t jobs = 0;
 };
 
-PolicyResult run_policy(const SchedulerConfig& cfg, double load, int shards) {
+PolicyResult run_policy(const SchedulerConfig& cfg, double load) {
   ComputeResource res;
   res.id = ResourceId{0};
   res.site = SiteId{0};
@@ -84,14 +85,12 @@ PolicyResult run_policy(const SchedulerConfig& cfg, double load, int shards) {
   res.max_walltime = 24 * kHour;
 
   Engine engine;
-  // One hand-built machine, so the plan is coordinator + one site. A lone
-  // site partition never reaches the >= 2 eligible-partition threshold, so
-  // execution stays merged at any --shards — but partitioning keeps the
-  // canonical event order (and the flag's byte-identity contract) uniform
-  // with the multi-site binaries.
-  const exp::Sharding sharding(engine, plan_shards(1, {}), shards);
-  ResourceScheduler sched(engine, res, cfg,
-                          sharding.plan()->partition_of_site(0));
+  // One hand-built machine, so the plan is coordinator + one site;
+  // partitioning keeps the canonical event order uniform with the
+  // multi-site binaries.
+  const ShardPlan plan = plan_shards(1);
+  engine.configure_partitions(plan.partitions);
+  ResourceScheduler sched(engine, res, cfg, plan.partition_of_site(0));
   std::vector<double> slowdowns;
   RunningStats wait;
   RunningStats capability_wait;
@@ -172,7 +171,7 @@ int main(int argc, char** argv) {
                         "capability_wait_h", "light_user_slowdown"});
   for (const double load : {0.7, 0.9}) {
     for (const Row& row : rows) {
-      const PolicyResult r = run_policy(row.cfg, load, options.shards);
+      const PolicyResult r = run_policy(row.cfg, load);
       t.add_row({Table::num(load, 1), row.name,
                  Table::num(static_cast<std::int64_t>(r.jobs)),
                  Table::pct(r.utilization), Table::num(r.makespan_days, 1),

@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
                         .with_seed(42)
                         .with_horizon(180 * kDay)
                         .with_plan_cache(!options.exact_replan)
-                        .with_shards(options.shards)
                         .with_trace(obsv.trace()));
   scenario.run();
 

@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "bench/exp_common.hpp"
+#include "infra/platform.hpp"
 #include "net/flow.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
@@ -30,9 +31,9 @@ int main(int argc, char** argv) {
     p.add_link(s1, s2, 10.0, 10 * kMillisecond);
     Engine engine;
     // Flow machinery is coordinator-resident (every event is a partition-0
-    // wall), so windows never engage — partitioning just keeps the
-    // canonical order and the --shards byte-identity contract uniform.
-    const exp::Sharding sharding(engine, p, options.shards);
+    // wall); partitioning just keeps the canonical order uniform with the
+    // scheduler binaries.
+    engine.configure_partitions(make_shard_plan(p).partitions);
     FlowManager flows(engine, p, /*host_gbps=*/40.0);
     std::vector<TransferId> ids;
     for (int i = 0; i < n; ++i) {
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
   for (const int per_hour : {0, 10, 40, 160}) {
     const Platform p = teragrid_2010();
     Engine engine;
-    const exp::Sharding sharding(engine, p, options.shards);
+    engine.configure_partitions(make_shard_plan(p).partitions);
     FlowManager flows(engine, p, 10.0);
     Rng rng(5);
     const auto nsites = static_cast<std::int64_t>(p.sites().size());

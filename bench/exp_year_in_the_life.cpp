@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
                         .with_horizon(kYear)
                         .with_gateway_adoption_ramp(0.5)
                         .with_plan_cache(!options.exact_replan)
-                        .with_shards(options.shards)
                         .with_streaming(streaming)
                         .with_archetype(ArchetypeSpec::data_intensive())
                         .with_data_grid(DataGridConfig::enabled_defaults())

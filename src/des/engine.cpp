@@ -1,89 +1,48 @@
 #include "des/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <future>
 
-#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace tg {
 
-namespace detail {
-thread_local EngineFireCtx* t_engine_fire_ctx = nullptr;
-}  // namespace detail
-
-namespace {
-
-/// RAII installer for the thread-local fire context (exception-safe: a
-/// throwing callback must not leave a dangling context on a pool thread).
-class ScopedFireCtx {
- public:
-  explicit ScopedFireCtx(detail::EngineFireCtx* ctx)
-      : prev_(detail::t_engine_fire_ctx) {
-    detail::t_engine_fire_ctx = ctx;
-  }
-  ~ScopedFireCtx() { detail::t_engine_fire_ctx = prev_; }
-  ScopedFireCtx(const ScopedFireCtx&) = delete;
-  ScopedFireCtx& operator=(const ScopedFireCtx&) = delete;
-
- private:
-  detail::EngineFireCtx* prev_;
-};
-
-class ScopedTraceRedirect {
- public:
-  explicit ScopedTraceRedirect(obs::TraceRedirect* redirect) {
-    obs::TraceBuffer::set_thread_redirect(redirect);
-  }
-  ~ScopedTraceRedirect() { obs::TraceBuffer::set_thread_redirect(nullptr); }
-  ScopedTraceRedirect(const ScopedTraceRedirect&) = delete;
-  ScopedTraceRedirect& operator=(const ScopedTraceRedirect&) = delete;
-};
-
-}  // namespace
-
-std::uint32_t Engine::acquire_slot(Partition& p, SimTime t) {
-  TG_REQUIRE(t >= now(), "cannot schedule in the past: t=" << t << " now="
-                                                           << now());
-  if (!p.free_slots.empty()) {
-    const std::uint32_t slot = p.free_slots.back();
-    p.free_slots.pop_back();
-    return slot;
-  }
-  TG_CHECK(p.slab_size < (1u << kSlotBits), "event slab exhausted");
-  if ((p.slab_size >> kChunkShift) == p.chunks.size()) {
-    p.chunks.push_back(std::make_unique<Slot[]>(std::size_t{1} << kChunkShift));
-  }
-  return p.slab_size++;
+void Engine::check_locality(std::uint32_t shard, const char* op) const {
+  TG_CHECK(!fire_local_ || shard == fire_shard_,
+           "a kLocal event of unserialized partition "
+               << fire_shard_ << " may not " << op << " on partition "
+               << shard);
 }
 
-EventId Engine::commit_slot(Partition& p, std::uint32_t shard, SimTime t,
-                            std::uint32_t slot, EventPriority priority,
-                            EventClass cls) {
-  if (const detail::EngineFireCtx* c = detail::t_engine_fire_ctx;
-      c != nullptr && c->engine == this) {
-    // Window workers may only extend their own partition's local stream;
-    // anything cross-partition (or wall-class, which would tighten a cut
-    // already handed to other workers) must come from a wall. Staged
-    // effects run after their window closed and may not schedule at all.
-    TG_CHECK(!c->replay, "staged effects must not schedule events");
-    if (c->staging) {
-      TG_CHECK(shard == c->shard && cls == EventClass::kLocal,
-               "window events may only schedule kLocal events on their own "
-               "partition (tried shard "
-                   << shard << " from " << c->shard << ")");
-    }
+std::uint32_t Engine::acquire_slot(SimTime t, std::uint32_t shard) {
+  TG_REQUIRE(t >= now_, "cannot schedule in the past: t=" << t << " now="
+                                                          << now_);
+  TG_REQUIRE(shard < parts_.size(), "event binding names partition "
+                                        << shard << " of " << parts_.size());
+  check_locality(shard, "schedule");
+  if (!free_slots_.empty()) {
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
   }
-  Slot& s = slot_ref(p, slot);
+  TG_CHECK(slab_size_ < (1u << kSlotBits), "event slab exhausted");
+  if ((slab_size_ >> kChunkShift) == chunks_.size()) {
+    chunks_.push_back(std::make_unique<Slot[]>(std::size_t{1} << kChunkShift));
+  }
+  return slab_size_++;
+}
+
+EventId Engine::commit_slot(std::uint32_t slot, SimTime t,
+                            EventPriority priority, EventBinding binding) {
+  Slot& s = slot_ref(slot);
   s.armed = true;
-  heap_push(p.heap[cls == EventClass::kLocal ? 1 : 0],
-            Item{t, p.next_seq++, slot, static_cast<std::int32_t>(priority)});
-  ++p.live;
-  ++p.scheduled;
-  const std::size_t depth = p.heap[0].size() + p.heap[1].size();
-  if (depth > p.heap_high_water) p.heap_high_water = depth;
-  return make_id(shard, slot, s.generation);
+  s.cls = binding.cls;
+  const std::uint64_t seq = parts_[binding.shard].next_seq++;
+  heap_push(Item{t, std::uint64_t{binding.shard} << kSeqBits | seq, slot,
+                 static_cast<std::int32_t>(priority)});
+  ++live_;
+  stats_.scheduled.inc();
+  stats_.heap_high_water.max_of(static_cast<double>(heap_.size()));
+  return make_id(binding.shard, slot, s.generation);
 }
 
 EventId Engine::schedule_at(SimTime t, Callback cb, EventPriority priority) {
@@ -93,10 +52,9 @@ EventId Engine::schedule_at(SimTime t, Callback cb, EventPriority priority) {
 EventId Engine::schedule_at(SimTime t, Callback cb, EventPriority priority,
                             EventBinding binding) {
   TG_REQUIRE(static_cast<bool>(cb), "event callback must not be null");
-  Partition& p = partition_for(binding.shard);
-  const std::uint32_t slot = acquire_slot(p, t);
-  slot_ref(p, slot).cb = std::move(cb);
-  return commit_slot(p, binding.shard, t, slot, priority, binding.cls);
+  const std::uint32_t slot = acquire_slot(t, binding.shard);
+  slot_ref(slot).cb = std::move(cb);
+  return commit_slot(slot, t, priority, binding);
 }
 
 EventId Engine::schedule_in(Duration dt, Callback cb, EventPriority priority) {
@@ -110,151 +68,93 @@ EventId Engine::schedule_in(Duration dt, Callback cb, EventPriority priority,
 }
 
 bool Engine::cancel(EventId id) {
-  const std::uint32_t shard = shard_of(id);
-  if (shard >= parts_.size()) return false;
-  Partition& p = parts_[shard];
   const std::uint32_t slot = slot_of(id);
-  if (slot >= p.slab_size) return false;
-  Slot& s = slot_ref(p, slot);
+  if (slot >= slab_size_) return false;
+  Slot& s = slot_ref(slot);
   if (!s.armed || s.generation != generation_of(id)) return false;
-  if (const detail::EngineFireCtx* c = detail::t_engine_fire_ctx;
-      c != nullptr && c->engine == this) {
-    TG_CHECK(!c->replay, "staged effects must not cancel events");
-    TG_CHECK(!c->staging || shard == c->shard,
-             "window events may only cancel events on their own partition");
-  }
+  check_locality(shard_of(id), "cancel");
   // Tombstone: the heap entry stays and is reclaimed when it surfaces, but
   // the callback (and its captures) dies now.
   s.armed = false;
   s.cb.reset();
-  --p.live;
-  ++p.cancelled;
+  --live_;
+  stats_.cancelled.inc();
   return true;
 }
 
-void Engine::release(Partition& p, std::uint32_t slot) {
-  Slot& s = slot_ref(p, slot);
+void Engine::release(std::uint32_t slot) {
+  Slot& s = slot_ref(slot);
   s.cb.reset();
   ++s.generation;  // invalidate any handle still pointing here
-  p.free_slots.push_back(slot);
+  free_slots_.push_back(slot);
 }
 
-void Engine::heap_push(std::vector<Item>& heap, const Item& item) {
-  heap.push_back(item);  // grows capacity; the value is overwritten below
-  std::size_t hole = heap.size() - 1;
+void Engine::heap_push(const Item& item) {
+  heap_.push_back(item);  // grows capacity; the value is overwritten below
+  std::size_t hole = heap_.size() - 1;
   while (hole > 0) {
     const std::size_t parent = (hole - 1) >> 2;
-    if (!before(item, heap[parent])) break;
-    heap[hole] = heap[parent];
+    if (!before(item, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
     hole = parent;
   }
-  heap[hole] = item;
+  heap_[hole] = item;
 }
 
-Engine::Item Engine::heap_pop(std::vector<Item>& heap) {
-  const Item top = heap.front();
-  const Item last = heap.back();
-  heap.pop_back();
-  const std::size_t n = heap.size();
-  if (n > 0) {
+Engine::Item Engine::heap_remove(std::size_t pos) {
+  const Item removed = heap_[pos];
+  const Item last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (pos < n) {
     // Bottom-up deletion (Wegener): walk the hole down to a leaf along the
     // best-child path without comparing against `last` (it nearly always
     // belongs near the bottom anyway), then sift `last` up from the leaf.
     // Saves one comparison per level and its branch misprediction, and the
     // upward phase terminates after O(1) expected steps.
-    std::size_t hole = 0;
-    std::size_t first;
-    while ((first = (hole << 2) + 1) < n) {
-      const std::size_t end = first + 4 < n ? first + 4 : n;
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (before(heap[c], heap[best])) best = c;
-      }
-      heap[hole] = heap[best];
-      hole = best;
-    }
-    while (hole > 0) {
-      const std::size_t parent = (hole - 1) >> 2;
-      if (!before(last, heap[parent])) break;
-      heap[hole] = heap[parent];
-      hole = parent;
-    }
-    heap[hole] = last;
-  }
-  return top;
-}
-
-Engine::Item Engine::heap_remove(std::vector<Item>& heap, std::size_t pos) {
-  const Item removed = heap[pos];
-  const Item last = heap.back();
-  heap.pop_back();
-  const std::size_t n = heap.size();
-  if (pos < n) {
     std::size_t hole = pos;
     std::size_t first;
     while ((first = (hole << 2) + 1) < n) {
       const std::size_t end = first + 4 < n ? first + 4 : n;
       std::size_t best = first;
       for (std::size_t c = first + 1; c < end; ++c) {
-        if (before(heap[c], heap[best])) best = c;
+        if (before(heap_[c], heap_[best])) best = c;
       }
-      heap[hole] = heap[best];
+      heap_[hole] = heap_[best];
       hole = best;
     }
     while (hole > 0) {
       const std::size_t parent = (hole - 1) >> 2;
-      if (!before(last, heap[parent])) break;
-      heap[hole] = heap[parent];
+      if (!before(last, heap_[parent])) break;
+      heap_[hole] = heap_[parent];
       hole = parent;
     }
-    heap[hole] = last;
+    heap_[hole] = last;
   }
   return removed;
 }
 
-void Engine::skim(Partition& p, int h) {
-  std::vector<Item>& heap = p.heap[h];
-  while (!heap.empty()) {
-    const std::uint32_t slot = heap.front().slot;
-    if (slot_ref(p, slot).armed) return;
-    heap_pop(heap);
-    ++p.tombstones;
-    release(p, slot);
+void Engine::skim() {
+  while (!heap_.empty()) {
+    const std::uint32_t slot = heap_.front().slot;
+    if (slot_ref(slot).armed) return;
+    heap_remove(0);
+    stats_.tombstones.inc();
+    release(slot);
   }
 }
 
-bool Engine::merged_step(SimTime bound) {
-  // Pop the globally-minimal live event across every partition heap. The
-  // scan is O(partitions); partition counts are small (a platform has ~a
-  // dozen sites) and the single-partition case reduces to the classic
-  // two-heap peek.
-  Partition* best_p = nullptr;
-  std::vector<Item>* best_heap = nullptr;
-  Key best{};
-  std::uint32_t best_shard = 0;
-  for (std::uint32_t shard = 0; shard < parts_.size(); ++shard) {
-    Partition& p = parts_[shard];
-    for (int h = 0; h < 2; ++h) {
-      skim(p, h);
-      if (p.heap[h].empty()) continue;
-      const Key k = key_of(p.heap[h].front(), shard);
-      if (best_heap == nullptr || key_before(k, best)) {
-        best = k;
-        best_p = &p;
-        best_heap = &p.heap[h];
-        best_shard = shard;
-      }
-    }
-  }
-  if (best_heap == nullptr || best.time > bound) return false;
+bool Engine::step(SimTime bound) {
+  skim();
+  if (heap_.empty() || heap_.front().time > bound) return false;
 
   Item item;
   if (choice_hook_ != nullptr) {
     // Model-checking path: present the whole (time, priority) tie set and
-    // fire whichever member the hook picks. key_before already fixes the
+    // fire whichever member the hook picks. before() already fixes the
     // full order, so the unhooked engine never consults anything but the
-    // global min; the hook is how the explorer reaches the other orders.
-    collect_tie_set(best);
+    // heap top; the hook is how the explorer reaches the other orders.
+    collect_tie_set();
     std::size_t pick = 0;
     if (tie_view_.size() > 1) {
       pick = choice_hook_->choose(tie_view_);
@@ -263,254 +163,75 @@ bool Engine::merged_step(SimTime bound) {
                                               << tie_view_.size());
     }
     const TieEntry& chosen = tie_entries_[pick];
-    best_shard = chosen.cand.shard;
-    best_p = &parts_[best_shard];
-    item = heap_remove(best_p->heap[chosen.h], chosen.pos);
+    item = heap_remove(chosen.pos);
     choice_hook_->on_fire(chosen.cand);
   } else {
-    item = heap_pop(*best_heap);
+    item = heap_remove(0);
   }
-  Partition& p = *best_p;
-  Slot& s = slot_ref(p, item.slot);
+  Slot& s = slot_ref(item.slot);
   TG_CHECK(item.time >= now_, "event queue went backwards");
   now_ = item.time;
   s.armed = false;
-  --p.live;
-  ++p.fired;
+  --live_;
+  stats_.fired.inc();
   // Invoke in place: chunk storage is stable, so `s` stays valid even if
   // the callback schedules (growing the slab) or cancels other events.
   // The slot itself is released only afterwards, so a handle to this
   // event stays stale (armed == false) rather than aliasing a new one.
+  const std::uint32_t shard = shard_of(item);
   in_event_ = true;
-  seq_fire_shard_ = best_shard;
+  fire_shard_ = shard;
+  fire_local_ = s.cls == EventClass::kLocal &&
+                parts_[shard].serialize_count == 0;
   s.cb();
   in_event_ = false;
-  seq_fire_shard_ = 0;
-  s.cb.reset();
-  release(p, item.slot);
+  fire_shard_ = 0;
+  fire_local_ = false;
+  release(item.slot);
   return true;
 }
 
-void Engine::collect_tie_set(const Key& best) {
+void Engine::collect_tie_set() {
+  const SimTime time = heap_.front().time;
+  const std::int32_t priority = heap_.front().priority;
   tie_entries_.clear();
-  for (std::uint32_t shard = 0; shard < parts_.size(); ++shard) {
-    Partition& p = parts_[shard];
-    for (int h = 0; h < 2; ++h) {
-      std::vector<Item>& heap = p.heap[h];
-      if (heap.empty() || heap[0].time != best.time ||
-          heap[0].priority != best.priority) {
-        continue;
-      }
-      // Heap order is (time, priority, seq), so an entry matching the top
-      // in (time, priority) has ancestors that all match too: the matches
-      // are one connected subtree and the walk below never visits a
-      // non-matching node's children.
-      tie_walk_.clear();
-      tie_walk_.push_back(0);
-      while (!tie_walk_.empty()) {
-        const std::size_t pos = tie_walk_.back();
-        tie_walk_.pop_back();
-        const Item& it = heap[pos];
-        if (it.time != best.time || it.priority != best.priority) continue;
-        if (slot_ref(p, it.slot).armed) {  // tombstones link, never fire
-          tie_entries_.push_back(TieEntry{
-              ChoiceHook::Candidate{
-                  it.time, it.priority, shard, it.seq,
-                  h == 1 ? EventClass::kLocal : EventClass::kBarrier,
-                  p.serialize_count > 0},
-              h, pos});
-        }
-        const std::size_t first = (pos << 2) + 1;
-        const std::size_t end =
-            first + 4 < heap.size() ? first + 4 : heap.size();
-        for (std::size_t c = first; c < end; ++c) tie_walk_.push_back(c);
-      }
+  // Heap order starts with (time, priority), so an entry matching the top
+  // in (time, priority) has ancestors that all match too: the matches are
+  // one connected subtree and the walk below never visits a non-matching
+  // node's children.
+  tie_walk_.clear();
+  tie_walk_.push_back(0);
+  while (!tie_walk_.empty()) {
+    const std::size_t pos = tie_walk_.back();
+    tie_walk_.pop_back();
+    const Item& it = heap_[pos];
+    if (it.time != time || it.priority != priority) continue;
+    if (const Slot& s = slot_ref(it.slot); s.armed) {
+      // Tombstones link the subtree but never fire.
+      const std::uint32_t shard = shard_of(it);
+      tie_entries_.push_back(TieEntry{
+          ChoiceHook::Candidate{it.time, it.priority, shard, seq_of(it),
+                                s.cls, parts_[shard].serialize_count > 0},
+          pos});
     }
+    const std::size_t first = (pos << 2) + 1;
+    const std::size_t end = std::min(first + 4, heap_.size());
+    for (std::size_t c = first; c < end; ++c) tie_walk_.push_back(c);
   }
   std::sort(tie_entries_.begin(), tie_entries_.end(),
-            [](const TieEntry& a, const TieEntry& b) {
-              if (a.cand.shard != b.cand.shard) {
-                return a.cand.shard < b.cand.shard;
-              }
-              return a.cand.seq < b.cand.seq;
+            [this](const TieEntry& a, const TieEntry& b) {
+              return heap_[a.pos].order < heap_[b.pos].order;
             });
   tie_view_.clear();
   for (const TieEntry& e : tie_entries_) tie_view_.push_back(e.cand);
 }
 
 void Engine::set_choice_hook(ChoiceHook* hook) {
-  TG_REQUIRE(hook == nullptr || !windows_enabled_,
-             "choice hook requires merged execution (disable windows)");
-  TG_REQUIRE(!in_event(), "cannot swap the choice hook from inside an event");
+  TG_REQUIRE(!in_event_, "cannot swap the choice hook from inside an event");
   choice_hook_ = hook;
 }
 
-void Engine::stage_trace_thunk(void* ctx, obs::TraceBuffer* target,
-                               const obs::TraceEvent& event) {
-  auto* c = static_cast<detail::EngineFireCtx*>(ctx);
-  Partition& p = c->engine->parts_[c->shard];
-  p.staged.push_back(Effect{Key{c->now, c->priority, c->shard, c->seq},
-                            c->ordinal++, target, event, {}});
-}
-
-void Engine::stage_effect(std::function<void()> effect) {
-  detail::EngineFireCtx* c = detail::t_engine_fire_ctx;
-  TG_REQUIRE(c != nullptr && c->engine == this && c->staging,
-             "stage_effect is only valid inside a window");
-  Partition& p = parts_[c->shard];
-  p.staged.push_back(Effect{Key{c->now, c->priority, c->shard, c->seq},
-                            c->ordinal++, nullptr, obs::TraceEvent{},
-                            std::move(effect)});
-}
-
-std::size_t Engine::run_window_partition(std::uint32_t shard,
-                                         const Key& cut) {
-  Partition& p = parts_[shard];
-  detail::EngineFireCtx ctx;
-  ctx.engine = this;
-  ctx.shard = shard;
-  ctx.staging = true;
-  obs::TraceRedirect redirect{&Engine::stage_trace_thunk, &ctx, 0};
-  ScopedFireCtx ctx_guard(&ctx);
-  ScopedTraceRedirect redirect_guard(&redirect);
-
-  std::size_t fired = 0;
-  std::vector<Item>& local = p.heap[1];
-  for (;;) {
-    skim(p, 1);
-    if (local.empty()) break;
-    if (!key_before(key_of(local.front(), shard), cut)) break;
-    const Item item = heap_pop(local);
-    Slot& s = slot_ref(p, item.slot);
-    ctx.now = item.time;
-    ctx.priority = item.priority;
-    ctx.seq = item.seq;
-    ctx.ordinal = 0;
-    s.armed = false;
-    --p.live;
-    ++p.fired;
-    ++fired;
-    s.cb();
-    s.cb.reset();
-    release(p, item.slot);
-  }
-  // Only this worker writes its partition; the driver reads after the
-  // join, so the clock sync below is race-free.
-  if (fired > 0) p.window_last = ctx.now;
-  p.window_fired.add(fired);
-  return fired;
-}
-
-void Engine::replay_staged() {
-  std::size_t total = 0;
-  for (Partition& p : parts_) total += p.staged.size();
-  if (total == 0) return;
-  replay_scratch_.clear();
-  replay_scratch_.reserve(total);
-  for (Partition& p : parts_) {
-    for (Effect& e : p.staged) replay_scratch_.push_back(std::move(e));
-    p.staged.clear();
-  }
-  // (key, ordinal) is a strict total order: keys are unique per event and
-  // ordinals number the emissions within one event.
-  std::sort(replay_scratch_.begin(), replay_scratch_.end(),
-            [](const Effect& a, const Effect& b) {
-              if (key_before(a.key, b.key)) return true;
-              if (key_before(b.key, a.key)) return false;
-              return a.ordinal < b.ordinal;
-            });
-  detail::EngineFireCtx ctx;
-  ctx.engine = this;
-  ctx.replay = true;
-  ScopedFireCtx ctx_guard(&ctx);
-  for (Effect& e : replay_scratch_) {
-    if (e.trace_target != nullptr) {
-      e.trace_target->append_prestamped(e.trace);
-    } else {
-      ctx.now = e.key.time;
-      ctx.shard = e.key.shard;
-      e.sink();
-    }
-  }
-  shard_stats_.staged_effects.add(total);
-  replay_scratch_.clear();
-}
-
-bool Engine::try_window_round(SimTime t, std::size_t& fired) {
-  // The cut: strictly below the earliest wall, and never past the end of
-  // the run_until target (the first canonical key with time > t bounds the
-  // round when no wall does).
-  Key cut{t < kMaxSimTime ? t + 1 : kMaxSimTime, INT32_MIN, 0, 0};
-  for (std::uint32_t shard = 0; shard < parts_.size(); ++shard) {
-    Partition& p = parts_[shard];
-    skim(p, 0);
-    if (!p.heap[0].empty()) {
-      const Key k = key_of(p.heap[0].front(), shard);
-      if (key_before(k, cut)) cut = k;
-    }
-    if (p.serialize_count > 0) {
-      // A serialized partition's locals fire on the merged loop, where
-      // they may schedule cross-partition — so, like walls, nothing may
-      // run past them.
-      skim(p, 1);
-      if (!p.heap[1].empty()) {
-        const Key k = key_of(p.heap[1].front(), shard);
-        if (key_before(k, cut)) cut = k;
-      }
-    }
-  }
-  eligible_.clear();
-  for (std::uint32_t shard = 0; shard < parts_.size(); ++shard) {
-    Partition& p = parts_[shard];
-    if (p.serialize_count > 0) continue;
-    skim(p, 1);
-    if (p.heap[1].empty()) continue;
-    if (key_before(key_of(p.heap[1].front(), shard), cut)) {
-      eligible_.push_back(shard);
-    }
-  }
-  // A round needs >= 2 partitions to overlap; a lone eligible partition is
-  // cheaper on the merged loop (same canonical order either way).
-  if (eligible_.size() < 2) return false;
-
-  shard_stats_.window_rounds.inc();
-  shard_stats_.window_horizon_ms.observe(
-      static_cast<double>(cut.time - now_));
-  std::size_t round_fired = 0;
-  if (pool_ != nullptr) {
-    std::vector<std::future<std::size_t>> futures;
-    futures.reserve(eligible_.size());
-    for (const std::uint32_t shard : eligible_) {
-      futures.push_back(pool_->submit(
-          [this, shard, cut] { return run_window_partition(shard, cut); }));
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    for (auto& f : futures) round_fired += f.get();
-    const auto t1 = std::chrono::steady_clock::now();
-    shard_stats_.barrier_wait_ns.add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count()));
-  } else {
-    for (const std::uint32_t shard : eligible_) {
-      round_fired += run_window_partition(shard, cut);
-    }
-  }
-  shard_stats_.window_events.add(round_fired);
-  // Sync the driver clock to the round's last fired event — the merged
-  // oracle would have advanced now_ through exactly these events, and
-  // callers read now() after the run (e.g. the report window end).
-  // Every eligible partition fired at least one event (eligibility
-  // checked a live local below the cut), so window_last is fresh.
-  for (const std::uint32_t shard : eligible_) {
-    now_ = std::max(now_, parts_[shard].window_last);
-  }
-  replay_staged();
-  fired += round_fired;
-  return true;
-}
-
 void Engine::bind_metrics(obs::MetricsRegistry& registry) const {
-  refresh_stats();
   registry.bind_counter("engine.events_scheduled", stats_.scheduled);
   registry.bind_counter("engine.events_cancelled", stats_.cancelled);
   registry.bind_counter("engine.events_fired", stats_.fired);
@@ -518,113 +239,36 @@ void Engine::bind_metrics(obs::MetricsRegistry& registry) const {
   registry.bind_gauge("engine.heap_high_water", stats_.heap_high_water);
 }
 
-void Engine::bind_shard_metrics(obs::MetricsRegistry& registry) const {
-  registry.bind_counter("shard.window_rounds", shard_stats_.window_rounds);
-  registry.bind_counter("shard.window_events", shard_stats_.window_events);
-  registry.bind_counter("shard.staged_effects", shard_stats_.staged_effects);
-  registry.bind_counter("shard.barrier_wait_ns",
-                        shard_stats_.barrier_wait_ns);
-  registry.bind_histogram("shard.window_horizon_ms",
-                          shard_stats_.window_horizon_ms);
-  for (std::size_t i = 0; i < parts_.size(); ++i) {
-    std::string name = "shard.p";
-    name += static_cast<char>('0' + i / 10);
-    name += static_cast<char>('0' + i % 10);
-    name += ".window_events";
-    registry.bind_counter(name, parts_[i].window_fired);
-  }
-}
-
-void Engine::refresh_stats() const {
-  std::uint64_t scheduled = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t fired = 0;
-  std::uint64_t tombstones = 0;
-  std::size_t high_water = 0;
-  for (const Partition& p : parts_) {
-    scheduled += p.scheduled;
-    cancelled += p.cancelled;
-    fired += p.fired;
-    tombstones += p.tombstones;
-    high_water += p.heap_high_water;
-  }
-  stats_.scheduled.set(scheduled);
-  stats_.cancelled.set(cancelled);
-  stats_.fired.set(fired);
-  stats_.tombstones.set(tombstones);
-  stats_.heap_high_water.set(static_cast<double>(high_water));
-}
-
-std::size_t Engine::pending() const {
-  std::size_t live = 0;
-  for (const Partition& p : parts_) live += p.live;
-  return live;
-}
-
-std::uint64_t Engine::events_processed() const {
-  std::uint64_t fired = 0;
-  for (const Partition& p : parts_) fired += p.fired;
-  return fired;
-}
-
-const Engine::Stats& Engine::stats() const {
-  refresh_stats();
-  return stats_;
-}
-
 void Engine::configure_partitions(std::uint32_t count) {
   TG_REQUIRE(count >= 1 && count <= kMaxPartitions,
              "partition count " << count << " outside 1.." << kMaxPartitions);
-  TG_REQUIRE(now_ == 0 && !in_event_ && pending() == 0 &&
-                 events_processed() == 0,
+  TG_REQUIRE(stats_.scheduled == 0,
              "configure_partitions requires a pristine engine: the "
              "partition id is part of the canonical event order");
-  parts_.clear();
-  parts_.resize(count);
-}
-
-void Engine::set_window_execution(bool enabled, ThreadPool* pool) {
-  TG_REQUIRE(!enabled || choice_hook_ == nullptr,
-             "windowed execution is incompatible with a choice hook");
-  windows_enabled_ = enabled;
-  pool_ = enabled ? pool : nullptr;
+  parts_.assign(count, Partition{});
 }
 
 void Engine::serialize_partition(std::uint32_t shard, bool on) {
-  if (const detail::EngineFireCtx* c = detail::t_engine_fire_ctx;
-      c != nullptr && c->engine == this) {
-    TG_CHECK(!c->staging && !c->replay,
-             "serialize_partition is sequential-context only");
-  }
-  Partition& p = partition_for(shard);
+  TG_REQUIRE(shard < parts_.size(),
+             "partition " << shard << " of " << parts_.size());
+  Partition& p = parts_[shard];
   p.serialize_count += on ? 1 : -1;
   TG_CHECK(p.serialize_count >= 0, "unbalanced serialize_partition calls");
 }
 
-std::size_t Engine::drain(SimTime t) {
-  std::size_t n = 0;
-  const bool windowed = windows_enabled_ && parts_.size() > 1;
-  while (!stopped_) {
-    if (windowed && try_window_round(t, n)) continue;
-    if (!merged_step(t)) break;
-    ++n;
-  }
-  return n;
-}
-
 std::size_t Engine::run() {
   stopped_ = false;
-  const std::size_t n = drain(kMaxSimTime);
-  refresh_stats();
+  std::size_t n = 0;
+  while (!stopped_ && step(kMaxSimTime)) ++n;
   return n;
 }
 
 std::size_t Engine::run_until(SimTime t) {
   TG_REQUIRE(t >= now_, "run_until into the past");
   stopped_ = false;
-  const std::size_t n = drain(t);
+  std::size_t n = 0;
+  while (!stopped_ && step(t)) ++n;
   if (!stopped_) now_ = std::max(now_, t);
-  refresh_stats();
   return n;
 }
 

@@ -1,48 +1,31 @@
-// The discrete-event simulation engine, partitioned for sharded execution.
+// The discrete-event simulation engine.
 //
-// Events live in per-partition queues and are processed in one canonical
-// total order: (time, priority, partition, local sequence). Ties at equal
-// time break by priority (lower runs first), then by partition id (the
-// coordinator, partition 0, before any site), then by scheduling order
-// within the partition — so a given seed always produces an identical
-// trace, whether the engine runs the partitions merged on one thread or in
-// parallel time windows (DESIGN.md §5.7).
+// Events are processed in one canonical total order: (time, priority,
+// partition, local sequence). Ties at equal time break by priority (lower
+// runs first), then by partition id (the coordinator, partition 0, before
+// any site), then by scheduling order within the partition — so a given
+// seed always produces an identical trace (DESIGN.md §5.7).
 //
 // Partitioning is *logical* and fixed by the caller (one partition per
-// site plus coordinator 0 for cross-site machinery); it defines the
-// canonical order for every execution mode. Execution is chosen
-// separately:
+// site plus coordinator 0 for cross-site machinery). It does not change
+// how events execute — one loop pops them all from one heap — but it fixes
+// tie order, and each event's EventClass plus serialize_partition() are
+// the synchronization facts the model checker's independence relation
+// reads (DESIGN.md §5.8). The engine enforces what they promise: while a
+// kLocal event of an unserialized partition fires, scheduling or
+// cancelling on any other partition throws InvariantError.
 //
-//  * merged (default): one loop pops the globally-minimal event across all
-//    partition heaps — the sequential reference oracle.
-//  * windowed (set_window_execution): events carry an EventClass. kBarrier
-//    events ("walls") are synchronization points — anything whose effects
-//    may cross partitions. kLocal events are provably partition-local.
-//    Each round the driver computes the cut C = min over all wall keys;
-//    every partition may run its kLocal events with key < C concurrently
-//    (on a parallel::ThreadPool, or inline for --shards=1), because no
-//    wall — the only cross-partition influence — separates them. Side
-//    effects that must interleave deterministically across partitions
-//    (trace emissions, observer callbacks) are staged per partition and
-//    replayed at the barrier in canonical key order, so a windowed run is
-//    byte-identical to the merged loop by construction.
-//
-// Window events may only schedule kLocal events on their own partition —
-// enforced by TG_CHECK. Anything cross-partition must be scheduled from a
-// wall (which runs sequentially, totally ordered with everything).
-//
-// Internals (see DESIGN.md "DES event core"): callbacks live in chunked
-// per-partition slabs of recycled slots addressed by generation-tagged
-// EventId handles. 4-ary implicit heaps order 24-byte POD keys only,
-// cancel() is an O(1) tombstone flag checked when the heap entry surfaces,
-// and the common schedule path does zero heap allocations (EventCallback
-// stores small captures inline, constructed directly in the slab slot).
-// Chunks never move, so a firing callback is invoked in place.
+// Internals (see DESIGN.md "DES event core"): callbacks live in a chunked
+// slab of recycled slots addressed by generation-tagged EventId handles. A
+// 4-ary implicit heap orders 24-byte POD keys only, cancel() is an O(1)
+// tombstone flag checked when the heap entry surfaces, and the common
+// schedule path does zero heap allocations (EventCallback stores small
+// captures inline, constructed directly in the slab slot). Chunks never
+// move, so a firing callback is invoked in place.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -51,18 +34,14 @@
 #include "des/callback.hpp"
 #include "des/time.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace tg {
 
-class Engine;
-class ThreadPool;
-
 /// Handle for cancelling a scheduled event. Encodes
-/// ((partition << 26 | slot) << 32 | generation) into the engine's
-/// per-partition slabs; a slot's generation is bumped on every reuse, so
-/// stale handles (already fired or cancelled) are recognized and rejected.
+/// ((partition << 26 | slot) << 32 | generation) into the engine's slab; a
+/// slot's generation is bumped on every reuse, so stale handles (already
+/// fired or cancelled) are recognized and rejected.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
@@ -79,14 +58,16 @@ enum class EventPriority : int {
   kReporting = 100,
 };
 
-/// Synchronization class of an event under windowed execution.
+/// Synchronization class of an event: what the model checker may assume
+/// about its effects (DESIGN.md §5.7).
 enum class EventClass : std::uint8_t {
-  /// A wall: firing it may influence other partitions (submit across
-  /// sites, start WAN flows, touch coordinator state). Walls bound every
-  /// time window and always run sequentially. This is the safe default.
+  /// May influence other partitions (submit across sites, start WAN flows,
+  /// touch coordinator state). This is the safe default.
   kBarrier = 0,
-  /// Provably partition-local: fires concurrently inside windows. The
-  /// scheduler marks completions, wakeups, requeues and replan passes
+  /// Partition-local: while its partition is unserialized, the event
+  /// schedules and cancels only on its own partition (the engine's
+  /// locality check), so two such events on different partitions commute.
+  /// The scheduler marks completions, wakeups, requeues and replan passes
   /// kLocal only when their effects cannot leave the partition.
   kLocal = 1,
 };
@@ -99,14 +80,14 @@ struct EventBinding {
   EventClass cls = EventClass::kBarrier;
 };
 
-/// Observer/controller for tie-set resolution on the merged loop — the
-/// model-checking hook (DESIGN.md §5.8). When installed, every merged step
-/// first collects the *tie set*: all armed events sharing the minimal
-/// (time, priority) across every partition heap. If the set has >= 2
-/// members the hook picks which fires first; the engine then fires exactly
-/// that event and re-collects, so a pick vector addresses every reachable
-/// interleaving of same-key events. The hook also observes each fired
-/// event (tied or forced), which is what trace signatures hash.
+/// Observer/controller for tie-set resolution — the model-checking hook
+/// (DESIGN.md §5.8). When installed, every step first collects the *tie
+/// set*: all armed events sharing the minimal (time, priority) across
+/// every partition. If the set has >= 2 members the hook picks which fires
+/// first; the engine then fires exactly that event and re-collects, so a
+/// pick vector addresses every reachable interleaving of same-key events.
+/// The hook also observes each fired event (tied or forced), which is what
+/// trace signatures hash.
 class ChoiceHook {
  public:
   /// One armed event inside a tie set, identified by its canonical key
@@ -133,31 +114,10 @@ class ChoiceHook {
   /// stay pending and (if still tied) reappear in the next tie set.
   virtual std::size_t choose(const std::vector<Candidate>& tie) = 0;
 
-  /// Called for every event the merged loop fires, immediately before its
+  /// Called for every event the engine fires, immediately before its
   /// callback runs, in execution order.
   virtual void on_fire(const Candidate& fired) { (void)fired; }
 };
-
-namespace detail {
-/// Thread-local fire context: installed while a callback runs on a window
-/// worker (staging) or while a staged effect replays at the barrier.
-/// Engine::now()/in_event()/default bindings consult it so component code
-/// is oblivious to which thread fires it.
-struct EngineFireCtx {
-  Engine* engine = nullptr;
-  SimTime now = 0;
-  std::uint32_t shard = 0;
-  bool staging = false;  ///< inside a window worker: effects must stage
-  bool replay = false;   ///< inside barrier replay: scheduling forbidden
-  // Canonical identity of the firing event ((now, priority, shard, seq))
-  // plus the running emission ordinal, stamped onto staged effects so the
-  // barrier replay can reproduce the merged loop's exact effect order.
-  std::int32_t priority = 0;
-  std::uint64_t seq = 0;
-  std::uint32_t ordinal = 0;
-};
-extern thread_local EngineFireCtx* t_engine_fire_ctx;
-}  // namespace detail
 
 class Engine {
  public:
@@ -166,19 +126,14 @@ class Engine {
   /// Partition id fits in 6 EventId bits.
   static constexpr std::uint32_t kMaxPartitions = 64;
 
-  /// Lightweight event-core counters, cheap enough to maintain always.
-  /// Counts are kept per partition (single-writer under windowed
-  /// execution) and aggregated into these obs cells when a run finishes or
-  /// an accessor reads them; bind_metrics() hands the cells to a
-  /// MetricsRegistry by reference. All values are deterministic across
-  /// execution modes; heap_high_water is the *sum* of per-partition heap
-  /// high-water marks.
+  /// Lightweight event-core counters, cheap enough to maintain always;
+  /// bind_metrics() hands the cells to a MetricsRegistry by reference.
   struct Stats {
     obs::Counter scheduled;   ///< schedule_at/schedule_in calls
     obs::Counter cancelled;   ///< successful cancel() calls
     obs::Counter fired;       ///< callbacks actually run
     obs::Counter tombstones;  ///< cancelled entries popped off the heap
-    obs::Gauge heap_high_water;  ///< summed per-partition max heap sizes
+    obs::Gauge heap_high_water;  ///< max event-heap depth, tombstones included
 
     /// Fraction of heap pops that were dead entries (cancellation churn).
     [[nodiscard]] double tombstone_ratio() const {
@@ -189,29 +144,12 @@ class Engine {
     }
   };
 
-  /// Windowed-execution counters (`shard.*` under --metrics). Everything
-  /// here is a deterministic function of the simulation except
-  /// barrier_wait_ns, which reads the wall clock like obs::PhaseProfiler's
-  /// phases and exists purely for performance diagnosis.
-  struct ShardStats {
-    obs::Counter window_rounds;   ///< synchronization rounds run windowed
-    obs::Counter window_events;   ///< events fired inside windows
-    obs::Counter staged_effects;  ///< effects replayed at barriers
-    obs::Counter barrier_wait_ns;  ///< wall-clock spent joining workers
-    obs::Histogram window_horizon_ms;  ///< per-round safe horizon - now
-  };
-
   Engine() { parts_.resize(1); }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Current simulation time. Inside a window worker this is the firing
-  /// event's time (partitions at different points of the window disagree,
-  /// which is the point); everywhere else it is the global clock.
-  [[nodiscard]] SimTime now() const {
-    const detail::EngineFireCtx* c = detail::t_engine_fire_ctx;
-    return (c != nullptr && c->engine == this) ? c->now : now_;
-  }
+  /// Current simulation time.
+  [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `cb` at absolute time `t` (must be >= now()).
   EventId schedule_at(SimTime t, Callback cb,
@@ -241,10 +179,9 @@ class Engine {
     if constexpr (std::is_constructible_v<bool, const D&>) {
       TG_REQUIRE(static_cast<bool>(f), "event callback must not be null");
     }
-    Partition& p = partition_for(binding.shard);
-    const std::uint32_t slot = acquire_slot(p, t);
-    slot_ref(p, slot).cb.emplace(std::forward<F>(f));
-    return commit_slot(p, binding.shard, t, slot, priority, binding.cls);
+    const std::uint32_t slot = acquire_slot(t, binding.shard);
+    slot_ref(slot).cb.emplace(std::forward<F>(f));
+    return commit_slot(slot, t, priority, binding);
   }
 
   /// Schedules `cb` after `dt` ticks (must be >= 0).
@@ -277,105 +214,61 @@ class Engine {
   /// Cancels a pending event in O(1). Returns false if already fired or
   /// cancelled. The callback (and any heap block behind its captures) is
   /// destroyed immediately; the heap entry is reclaimed when it surfaces.
-  /// Inside a window, only events of the worker's own partition may be
-  /// cancelled.
   bool cancel(EventId id);
 
-  /// Runs until the queue drains or stop() is called. Uses windowed
-  /// execution when enabled (the cut is simply unbounded by a target
-  /// time), the merged loop otherwise; both fire the identical event
-  /// sequence. Returns #events fired.
+  /// Runs until the queue drains or stop() is called. Returns #events
+  /// fired.
   std::size_t run();
 
   /// Processes every event with time <= `t`, then advances the clock to
-  /// `t`. Uses windowed execution when enabled, the merged loop otherwise;
-  /// both fire the identical event sequence.
+  /// `t`.
   std::size_t run_until(SimTime t);
 
   /// Requests the current run()/run_until() to return after the in-flight
-  /// callback (or window round) completes. Call from walls or from outside
-  /// the loop, not from events firing inside a window.
+  /// callback completes.
   void stop() { stopped_ = true; }
 
-  /// True while a callback is being run by the event loop (including
-  /// window workers and barrier replay). Components use this to pick
-  /// between synchronous work (direct API calls, e.g. from tests, expect
-  /// immediate effects) and deferring to a same-tick event (so
-  /// same-timestamp triggers batch into one pass).
-  [[nodiscard]] bool in_event() const {
-    const detail::EngineFireCtx* c = detail::t_engine_fire_ctx;
-    return (c != nullptr && c->engine == this) ? true : in_event_;
+  /// True while a callback is being run by the event loop. Components use
+  /// this to pick between synchronous work (direct API calls, e.g. from
+  /// tests, expect immediate effects) and deferring to a same-tick event
+  /// (so same-timestamp triggers batch into one pass).
+  [[nodiscard]] bool in_event() const { return in_event_; }
+
+  [[nodiscard]] std::size_t pending() const { return live_; }
+  [[nodiscard]] std::uint64_t events_processed() const {
+    return stats_.fired.value();
   }
-
-  /// True while the calling thread is firing events inside a time window.
-  /// Effects that must interleave deterministically with other partitions
-  /// (observer callbacks, anything ordered against other partitions'
-  /// output) must then be deferred via stage_effect().
-  [[nodiscard]] bool in_window() const {
-    const detail::EngineFireCtx* c = detail::t_engine_fire_ctx;
-    return c != nullptr && c->engine == this && c->staging;
-  }
-
-  /// Defers `effect` to the next barrier, where all partitions' staged
-  /// effects run on the driver thread in canonical event order — exactly
-  /// the order a merged sequential run would have produced them in. Only
-  /// valid while in_window(). Staged effects must not schedule or cancel
-  /// events (TG_CHECKed): an effect that needs to schedule belongs on a
-  /// wall instead.
-  void stage_effect(std::function<void()> effect);
-
-  [[nodiscard]] std::size_t pending() const;
-  [[nodiscard]] std::uint64_t events_processed() const;
-  [[nodiscard]] const Stats& stats() const;
+  [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Registers the event-core counters with `registry` under "engine.".
   /// The cells live in this Engine; the registry must not outlive it.
   void bind_metrics(obs::MetricsRegistry& registry) const;
 
-  // -- Partitioning & windowed execution (DESIGN.md §5.7) ----------------
+  // -- Partitioning (DESIGN.md §5.7) --------------------------------------
 
   /// Splits the engine into `count` logical partitions (1..kMaxPartitions).
-  /// Must be called on a pristine engine (nothing scheduled or fired):
-  /// the partition id is part of the canonical event order, so it cannot
-  /// change mid-run. Invalidates cells bound by bind_shard_metrics().
+  /// Must be called on a pristine engine (nothing scheduled yet): the
+  /// partition id is part of the canonical event order, so it cannot
+  /// change mid-run.
   void configure_partitions(std::uint32_t count);
   [[nodiscard]] std::uint32_t partitions() const {
     return static_cast<std::uint32_t>(parts_.size());
   }
 
-  /// Enables conservative time-window execution for run_until(). With a
-  /// null `pool` windows run inline on the calling thread (useful to
-  /// exercise the window machinery deterministically without threads);
-  /// otherwise one task per eligible partition is submitted per round.
-  /// No-op in effect unless the engine has >= 2 partitions.
-  void set_window_execution(bool enabled, ThreadPool* pool = nullptr);
-  [[nodiscard]] bool window_execution() const { return windows_enabled_; }
-
   /// Marks/unmarks partition `shard` as serialized (calls nest; each `on`
-  /// needs a matching `off`). A serialized partition never participates in
-  /// window rounds: its local events join the cut like walls and fire on
-  /// the merged loop, where cross-partition effects are legal. Components
-  /// use this when previously-local event streams gain feedback coupling —
-  /// e.g. a scheduler whose queue holds a workflow or co-allocated job,
-  /// whose start would have to create a wall (forbidden inside windows).
-  /// Only callable from sequential context (never from a window worker or
-  /// barrier replay); the canonical event order is unaffected either way.
+  /// needs a matching `off`). A serialized partition's kLocal events are
+  /// exempt from the locality check and do not commute with other
+  /// partitions' events in the model checker's independence relation.
+  /// Components use this when previously-local event streams gain feedback
+  /// coupling — e.g. a scheduler whose queue holds a workflow or
+  /// co-allocated job, whose start notifies the coordinator. The canonical
+  /// event order is unaffected.
   void serialize_partition(std::uint32_t shard, bool on);
 
-  /// Installs (nullptr clears) the merged-loop tie-set hook. Mutually
-  /// exclusive with windowed execution: the hook's whole point is to
-  /// explore orders the windowed mode's canonical replay forbids. The
-  /// caller keeps ownership; the hook must outlive the run.
+  /// Installs (nullptr clears) the tie-set hook. The caller keeps
+  /// ownership; the hook must outlive the run.
   void set_choice_hook(ChoiceHook* hook);
   [[nodiscard]] ChoiceHook* choice_hook() const { return choice_hook_; }
-
-  /// Windowed-execution counters; see ShardStats.
-  [[nodiscard]] const ShardStats& shard_stats() const { return shard_stats_; }
-
-  /// Registers shard.* metrics (aggregate ShardStats cells plus one
-  /// window-event counter per partition). Cells live in this Engine and
-  /// are invalidated by configure_partitions().
-  void bind_shard_metrics(obs::MetricsRegistry& registry) const;
 
  private:
   /// Slab cell backing one scheduled event. `armed` is the tombstone flag:
@@ -384,6 +277,7 @@ class Engine {
     Callback cb;
     std::uint32_t generation = 1;
     bool armed = false;
+    EventClass cls = EventClass::kBarrier;
   };
 
   /// Slots live in fixed-size chunks so their addresses are stable even
@@ -395,70 +289,35 @@ class Engine {
   static constexpr std::uint32_t kSlotBits = 26;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
 
-  /// Heap entries are 24-byte PODs; the callback never moves during sift.
+  /// Heap entry ordered by the canonical key (time, priority, partition,
+  /// seq); a 24-byte POD, so the callback never moves during sift.
+  /// `order` packs partition << kSeqBits | seq, so one integer compare
+  /// breaks ties by partition, then FIFO within the partition.
   struct Item {
     SimTime time;
-    std::uint64_t seq;  ///< partition-local schedule order; FIFO tiebreak
+    std::uint64_t order;
     std::uint32_t slot;
     std::int32_t priority;
   };
-  /// True if `a` fires before `b` *within one partition*.
+  static constexpr std::uint32_t kSeqBits = 58;
+  static_assert(kMaxPartitions <= (std::uint64_t{1} << (64 - kSeqBits)));
   static bool before(const Item& a, const Item& b) {
     if (a.time != b.time) return a.time < b.time;
     if (a.priority != b.priority) return a.priority < b.priority;
-    return a.seq < b.seq;
+    return a.order < b.order;
+  }
+  static constexpr std::uint32_t shard_of(const Item& it) {
+    return static_cast<std::uint32_t>(it.order >> kSeqBits);
+  }
+  static constexpr std::uint64_t seq_of(const Item& it) {
+    return it.order & ((std::uint64_t{1} << kSeqBits) - 1);
   }
 
-  /// Canonical cross-partition event order.
-  struct Key {
-    SimTime time;
-    std::int32_t priority;
-    std::uint32_t shard;
-    std::uint64_t seq;
-  };
-  static bool key_before(const Key& a, const Key& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.priority != b.priority) return a.priority < b.priority;
-    if (a.shard != b.shard) return a.shard < b.shard;
-    return a.seq < b.seq;
-  }
-  static Key key_of(const Item& it, std::uint32_t shard) {
-    return Key{it.time, it.priority, shard, it.seq};
-  }
-
-  /// A side effect staged by a window worker for barrier replay: either a
-  /// pre-rendered trace event or an opaque sink callback, tagged with the
-  /// emitting event's canonical key and its emission ordinal within that
-  /// event.
-  struct Effect {
-    Key key;
-    std::uint32_t ordinal;
-    obs::TraceBuffer* trace_target;  ///< null => sink effect
-    obs::TraceEvent trace;
-    std::function<void()> sink;
-  };
-
-  /// One engine partition: two heaps (walls and locals), a callback slab,
-  /// a local sequence counter and plain single-writer stat counters.
+  /// Per-partition state: the local sequence counter that fixes FIFO order
+  /// within the partition, and the serialize_partition() nesting count.
   struct Partition {
-    std::vector<Item> heap[2];  ///< [0] kBarrier walls, [1] kLocal
-    std::vector<std::unique_ptr<Slot[]>> chunks;
-    std::uint32_t slab_size = 0;
-    std::vector<std::uint32_t> free_slots;
     std::uint64_t next_seq = 1;
-    std::size_t live = 0;
-    std::uint64_t scheduled = 0;
-    std::uint64_t cancelled = 0;
-    std::uint64_t fired = 0;
-    std::uint64_t tombstones = 0;
-    std::size_t heap_high_water = 0;
-    /// > 0: excluded from window rounds; locals bound the cut like walls.
     int serialize_count = 0;
-    /// Time of this partition's last window-fired event; the driver maxes
-    /// these into now_ after each round (merged-clock equivalence).
-    SimTime window_last = 0;
-    obs::Counter window_fired;  ///< obs cell: bound per-partition metric
-    std::vector<Effect> staged;  ///< window outbox, drained at the barrier
   };
 
   static constexpr std::uint32_t slot_of(EventId id) {
@@ -478,101 +337,76 @@ class Engine {
            generation;
   }
 
-  static Slot& slot_ref(Partition& p, std::uint32_t slot) {
-    return p.chunks[slot >> kChunkShift][slot & kChunkMask];
-  }
-
-  Partition& partition_for(std::uint32_t shard) {
-    TG_REQUIRE(shard < parts_.size(),
-               "event binding names partition " << shard << " of "
-                                                << parts_.size());
-    return parts_[shard];
+  Slot& slot_ref(std::uint32_t slot) {
+    return chunks_[slot >> kChunkShift][slot & kChunkMask];
   }
 
   /// Shard/class applied when a schedule call names no binding: the firing
-  /// partition (so an event's unannotated children stay with it in every
-  /// execution mode) and the always-safe kBarrier class.
+  /// partition (so an event's unannotated children stay with it) and the
+  /// always-safe kBarrier class.
   [[nodiscard]] EventBinding default_binding() const {
-    const detail::EngineFireCtx* c = detail::t_engine_fire_ctx;
-    if (c != nullptr && c->engine == this) {
-      return EventBinding{c->shard, EventClass::kBarrier};
-    }
-    return EventBinding{seq_fire_shard_, EventClass::kBarrier};
+    return EventBinding{fire_shard_, EventClass::kBarrier};
   }
 
-  /// Validates `t` and pops a recycled slot (or grows the slab).
-  std::uint32_t acquire_slot(Partition& p, SimTime t);
+  /// Throws InvariantError if the firing event is a kLocal event of an
+  /// unserialized partition and `shard` is another partition.
+  void check_locality(std::uint32_t shard, const char* op) const;
+
+  /// Validates `t`, the target partition and locality, then pops a
+  /// recycled slot (or grows the slab).
+  std::uint32_t acquire_slot(SimTime t, std::uint32_t shard);
   /// Arms the slot, pushes its heap entry, and mints the handle.
-  EventId commit_slot(Partition& p, std::uint32_t shard, SimTime t,
-                      std::uint32_t slot, EventPriority priority,
-                      EventClass cls);
+  EventId commit_slot(std::uint32_t slot, SimTime t, EventPriority priority,
+                      EventBinding binding);
 
-  /// Shared run()/run_until() loop body: window rounds when enabled,
-  /// merged steps otherwise/between, bounded by `t`. No clock advance.
-  std::size_t drain(SimTime t);
-  /// Fires the globally-minimal live event if its time is <= `bound`;
-  /// returns false when none qualifies. The merged sequential loop.
-  bool merged_step(SimTime bound);
-  /// Pops dead entries so heap `h` of `p` (if any) tops a live event.
-  void skim(Partition& p, int h);
+  /// Fires the minimal live event if its time is <= `bound`; returns
+  /// false when none qualifies.
+  bool step(SimTime bound);
+  /// Pops dead entries so the heap (if non-empty) tops a live event.
+  void skim();
   /// Returns a slot to the free list, invalidating outstanding handles.
-  void release(Partition& p, std::uint32_t slot);
-
-  /// One windowed synchronization round: compute the cut, fire eligible
-  /// partitions' local events below it (pool or inline), replay staged
-  /// effects. Returns false when fewer than two partitions are eligible
-  /// (the caller falls back to a merged step).
-  bool try_window_round(SimTime t, std::size_t& fired);
-  /// Worker body: fires partition `shard`'s kLocal events with key < cut.
-  std::size_t run_window_partition(std::uint32_t shard, const Key& cut);
-  /// Merges all partitions' staged effects and runs them in key order.
-  void replay_staged();
-  static void stage_trace_thunk(void* ctx, obs::TraceBuffer* target,
-                                const obs::TraceEvent& event);
-
-  /// Folds per-partition counters into the public Stats/ShardStats cells.
-  void refresh_stats() const;
+  void release(std::uint32_t slot);
 
   // 4-ary implicit min-heap with hole sifting: half the depth of a binary
   // heap and one cache line per visited node, which is where the pop path
   // of a million-event run spends its time.
-  static void heap_push(std::vector<Item>& heap, const Item& item);
-  static Item heap_pop(std::vector<Item>& heap);
-  /// Removes the entry at `pos` (the choice hook fires non-top tie
-  /// members); same bottom-up hole walk as heap_pop, then a sift-up from
-  /// the leaf, which may carry the former tail above `pos`.
-  static Item heap_remove(std::vector<Item>& heap, std::size_t pos);
+  void heap_push(const Item& item);
+  /// Removes the entry at `pos` (0 pops the minimum; the choice hook fires
+  /// non-top tie members): a bottom-up hole walk, then a sift-up from the
+  /// leaf, which may carry the former tail above `pos`.
+  Item heap_remove(std::size_t pos);
 
   /// A tie-set member plus where its heap entry lives (valid only until
   /// the next heap mutation).
   struct TieEntry {
     ChoiceHook::Candidate cand;
-    int h;  ///< which of the partition's two heaps
     std::size_t pos;
   };
-  /// Fills tie_entries_/tie_view_ with every armed entry matching
-  /// (best.time, best.priority), sorted by (shard, seq). Equal-key entries
-  /// form a connected subtree at each heap's top, so the scan is
+  /// Fills tie_entries_/tie_view_ with every armed entry matching the
+  /// heap top's (time, priority), sorted by (shard, seq). Equal-key entries
+  /// form a connected subtree at the heap's top, so the scan is
   /// O(tie set), not O(heap).
-  void collect_tie_set(const Key& best);
+  void collect_tie_set();
 
+  std::vector<Item> heap_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slab_size_ = 0;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<Partition> parts_;
+  std::size_t live_ = 0;
   SimTime now_ = 0;
-  mutable Stats stats_;
-  ShardStats shard_stats_;
+  Stats stats_;
   bool stopped_ = false;
-  bool in_event_ = false;  ///< a merged-loop callback is running
-  /// Partition of the event the merged loop is currently firing (0 outside
-  /// events), so default bindings agree between merged and windowed modes.
-  std::uint32_t seq_fire_shard_ = 0;
-  bool windows_enabled_ = false;
-  ThreadPool* pool_ = nullptr;  ///< null => windows run inline
+  bool in_event_ = false;  ///< a callback is running
+  /// The firing event's partition (0 outside events) and whether it is a
+  /// kLocal event of a partition unserialized when it fired — the state
+  /// check_locality() reads.
+  std::uint32_t fire_shard_ = 0;
+  bool fire_local_ = false;
   ChoiceHook* choice_hook_ = nullptr;  ///< null => canonical order, no cost
   std::vector<TieEntry> tie_entries_;            ///< tie-set scratch
   std::vector<ChoiceHook::Candidate> tie_view_;  ///< what choose() sees
   std::vector<std::size_t> tie_walk_;            ///< subtree-walk scratch
-  std::vector<std::uint32_t> eligible_;  ///< driver scratch
-  std::vector<Effect> replay_scratch_;   ///< barrier merge scratch
 };
 
 }  // namespace tg

@@ -11,20 +11,12 @@ std::uint32_t ShardPlan::partition_of_site(std::size_t site_index) const {
   return site_partition[site_index];
 }
 
-ShardPlan plan_shards(std::size_t sites,
-                      const std::vector<Duration>& latencies) {
+ShardPlan plan_shards(std::size_t sites) {
   ShardPlan plan;
   plan.partitions = static_cast<std::uint32_t>(1 + sites);
   plan.site_partition.resize(sites);
   for (std::size_t i = 0; i < sites; ++i) {
     plan.site_partition[i] = static_cast<std::uint32_t>(1 + i);
-  }
-  plan.wan_lookahead = 0;
-  for (const Duration latency : latencies) {
-    TG_REQUIRE(latency >= 0, "negative link latency " << latency);
-    if (plan.wan_lookahead == 0 || latency < plan.wan_lookahead) {
-      plan.wan_lookahead = latency;
-    }
   }
   return plan;
 }

@@ -4,25 +4,13 @@
 // (traffic generation, gateway dispatch, WAN flow activation and rate
 // recomputation, fault processes, reporting). Each site gets one partition
 // of its own (1 + site index), holding that site's scheduler events. The
-// plan is a pure function of the platform topology, independent of how
-// many worker threads (if any) execute the partitions — it defines the
-// canonical event order for every execution mode (DESIGN.md §5.7).
-//
-// The plan also records the conservative lookahead implied by the WAN: the
-// minimum link latency, i.e. the earliest a message sent between sites
-// over tg::net could take effect remotely. In this codebase every
-// *control* edge between partitions (job submission, outage calls, flow
-// completion hand-offs) is synchronous at the tick of the wall event that
-// causes it, so the safe horizon the window driver may use is exactly the
-// earliest wall — a zero-lookahead cut — and `wan_lookahead` is reported
-// for diagnosis rather than added to the horizon. See the §5.7 proof
-// sketch for why adding WAN lookahead to the cut would be unsound here.
+// plan is a pure function of the platform topology; the partition id it
+// assigns is part of the canonical event order (DESIGN.md §5.7).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "des/time.hpp"
 
 namespace tg {
 
@@ -34,17 +22,13 @@ struct ShardPlan {
   std::uint32_t partitions = 1;
   /// Site index (SiteId::value()) -> partition id.
   std::vector<std::uint32_t> site_partition;
-  /// Minimum WAN link latency; 0 when the platform has no links
-  /// (single-site or degenerate platforms fall back to zero lookahead).
-  Duration wan_lookahead = 0;
 
   [[nodiscard]] std::uint32_t partition_of_site(std::size_t site_index) const;
 };
 
-/// Builds the plan from a site count and the platform's WAN link latencies
-/// (kept free of infra types so the mapping is unit-testable on its own;
-/// `infra::make_shard_plan(Platform)` adapts a real platform).
-[[nodiscard]] ShardPlan plan_shards(std::size_t sites,
-                                    const std::vector<Duration>& latencies);
+/// Builds the plan from a site count (kept free of infra types so the
+/// mapping is unit-testable on its own; `infra::make_shard_plan(Platform)`
+/// adapts a real platform).
+[[nodiscard]] ShardPlan plan_shards(std::size_t sites);
 
 }  // namespace tg

@@ -193,12 +193,7 @@ Platform mini_platform() {
 }
 
 ShardPlan make_shard_plan(const Platform& platform) {
-  std::vector<Duration> latencies;
-  latencies.reserve(platform.links().size());
-  for (const Link& link : platform.links()) {
-    latencies.push_back(link.latency);
-  }
-  return plan_shards(platform.sites().size(), latencies);
+  return plan_shards(platform.sites().size());
 }
 
 }  // namespace tg

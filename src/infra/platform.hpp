@@ -111,8 +111,8 @@ class Platform {
 /// A 2-site / 2-resource micro platform used by unit tests and quickstart.
 [[nodiscard]] Platform mini_platform();
 
-/// Derives the shard plan (coordinator + one partition per site, WAN
-/// lookahead from the minimum link latency) from a platform's topology.
+/// Derives the shard plan (coordinator + one partition per site) from a
+/// platform's topology.
 [[nodiscard]] ShardPlan make_shard_plan(const Platform& platform);
 
 }  // namespace tg

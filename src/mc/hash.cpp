@@ -118,7 +118,7 @@ std::uint64_t hash_terminal_records(const UsageDatabase& db) {
 }
 
 void FoataSignature::add(const ChoiceHook::Candidate& fired) {
-  // Serialized-partition locals fire on the merged loop where they may
+  // Serialized-partition locals are exempt from the locality check and may
   // touch anything, so they order against everything — same as walls.
   const bool wall_like =
       fired.cls == EventClass::kBarrier || fired.serialized;

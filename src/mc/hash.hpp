@@ -24,10 +24,11 @@ namespace mc {
 }
 
 /// True when reordering two tie-set members cannot change any outcome:
-/// both are provably partition-local (kLocal, partition not serialized) on
-/// *different* partitions — exactly PR 7's window independence relation,
-/// reused as the sleep-set pruning relation. Walls, serialized locals, and
-/// same-partition pairs are always dependent.
+/// both are partition-local (kLocal, partition not serialized) on
+/// *different* partitions, and the engine's locality check confines each
+/// one's scheduling and cancelling to its own partition. This is the
+/// sleep-set pruning relation. Walls, serialized locals, and same-partition
+/// pairs are always dependent.
 [[nodiscard]] bool independent(const ChoiceHook::Candidate& a,
                                const ChoiceHook::Candidate& b);
 
@@ -36,10 +37,9 @@ namespace mc {
 /// transfers by (end_time, transfer), sessions by (end_time, user,
 /// resource) — because interleaving two *independent* same-tick events is
 /// allowed to swap their append order in the database while leaving every
-/// record's content identical. This is the same normalization the sharded
-/// barrier replay applies via canonical key order. Every field of every
-/// record participates, so any divergence in times, charges, states or
-/// attributes changes the value.
+/// record's content identical. Every field of every record participates,
+/// so any divergence in times, charges, states or attributes changes the
+/// value.
 [[nodiscard]] std::uint64_t hash_terminal_records(const UsageDatabase& db);
 
 /// Incremental Foata-normal-form signature over the fired-event sequence.

@@ -12,15 +12,14 @@ namespace tg::mc {
 bool run_random_tiebreak_check(const ScenarioConfig& config,
                                std::size_t samples, std::uint64_t seed,
                                std::ostream& os) {
-  ScenarioConfig merged = config;
-  merged.shards = 0;  // hooks steer the merged loop only
-  merged.trace = nullptr;
+  ScenarioConfig untraced = config;
+  untraced.trace = nullptr;
 
   bool ok = true;
   std::uint64_t canonical_hash = 0;
   // Sample 0 is the canonical order (no hook); samples 1..N randomize.
   for (std::size_t i = 0; i <= samples; ++i) {
-    Scenario scenario(merged);
+    Scenario scenario(untraced);
     RandomTieBreaker breaker(mix64(seed ^ (0x7469656272 + i)));
     if (i > 0) scenario.engine().set_choice_hook(&breaker);
     scenario.run();
@@ -28,7 +27,7 @@ bool run_random_tiebreak_check(const ScenarioConfig& config,
 
     const InvariantReport report = check_invariants(
         scenario.platform(), scenario.db(), &scenario.ledger(),
-        &scenario.community(), &scenario.pool(), merged.charging);
+        &scenario.community(), &scenario.pool(), untraced.charging);
     const std::uint64_t hash = hash_terminal_records(scenario.db());
     if (i == 0) canonical_hash = hash;
 

@@ -18,8 +18,7 @@
 namespace tg::mc {
 
 /// Runs the canonical replay plus `samples` random-tie-break replays of
-/// `config` (forced onto the merged loop — choice hooks and windowed
-/// execution are mutually exclusive), printing one line per replay to `os`.
+/// `config` (with tracing off), printing one line per replay to `os`.
 /// Returns true iff every replay passed the audit and matched the
 /// canonical terminal-record hash. `seed` derives the per-sample tie-break
 /// streams; it is independent of the scenario's own seed.

@@ -51,16 +51,6 @@ const char* to_string(TraceEvent::Phase p) {
   return "?";
 }
 
-namespace {
-thread_local TraceRedirect* t_trace_redirect = nullptr;
-}  // namespace
-
-void TraceBuffer::set_thread_redirect(TraceRedirect* redirect) {
-  t_trace_redirect = redirect;
-}
-
-TraceRedirect* TraceBuffer::thread_redirect() { return t_trace_redirect; }
-
 TraceBuffer::TraceBuffer(std::size_t capacity) {
   TG_REQUIRE(capacity > 0, "trace buffer capacity must be positive");
   ring_.resize(capacity);
@@ -69,23 +59,6 @@ TraceBuffer::TraceBuffer(std::size_t capacity) {
 void TraceBuffer::emit(std::int64_t sim_time, TraceCategory category,
                        TracePoint point, std::int64_t id, std::int64_t a,
                        std::int64_t b, TraceEvent::Phase phase) {
-  if (TraceRedirect* r = t_trace_redirect; r != nullptr) {
-    // Window worker: stage the fully-rendered event instead of writing the
-    // shared ring. depth_ is stable while workers run (the driver thread
-    // owns it and is parked at the barrier), so base + delta reproduces
-    // the depth a sequential emission would have stamped.
-    TraceEvent e;
-    e.sim_time = sim_time;
-    e.id = id;
-    e.a = a;
-    e.b = b;
-    e.point = point;
-    e.category = category;
-    e.phase = phase;
-    e.depth = static_cast<std::uint8_t>(depth_ + r->depth_delta);
-    r->fn(r->ctx, this, e);
-    return;
-  }
   TraceEvent& e = ring_[head_];
   e.sim_time = sim_time;
   e.id = id;
@@ -95,16 +68,6 @@ void TraceBuffer::emit(std::int64_t sim_time, TraceCategory category,
   e.category = category;
   e.phase = phase;
   e.depth = depth_;
-  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-  if (count_ < ring_.size()) {
-    ++count_;
-  } else {
-    ++dropped_;
-  }
-}
-
-void TraceBuffer::append_prestamped(const TraceEvent& e) {
-  ring_[head_] = e;
   head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
   if (count_ < ring_.size()) {
     ++count_;
@@ -131,20 +94,12 @@ TraceSpan::TraceSpan(TraceBuffer* buffer, std::int64_t sim_time,
   if (buffer_ == nullptr) return;
   buffer_->emit(sim_time_, category_, point_, id_, 0, 0,
                 TraceEvent::Phase::kBegin);
-  if (TraceRedirect* r = t_trace_redirect; r != nullptr) {
-    ++r->depth_delta;  // nesting is thread-local while a window runs
-  } else {
-    ++buffer_->depth_;
-  }
+  ++buffer_->depth_;
 }
 
 TraceSpan::~TraceSpan() {
   if (buffer_ == nullptr) return;
-  if (TraceRedirect* r = t_trace_redirect; r != nullptr) {
-    --r->depth_delta;
-  } else {
-    --buffer_->depth_;
-  }
+  --buffer_->depth_;
   buffer_->emit(sim_time_, category_, point_, id_, a_, b_,
                 TraceEvent::Phase::kEnd);
 }

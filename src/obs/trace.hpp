@@ -8,21 +8,14 @@
 // analytics spans are emitted from the coordinating thread only, and
 // parallel fan-outs never write here.
 //
-// Determinism contract (DESIGN.md §5.5, §5.7): with tracing enabled, the
-// JSONL export of `exp_modality_usage --trace=F` is byte-identical at
-// --jobs=1 and --jobs=4 and at any --shards count; with tracing disabled
-// (null buffer everywhere), the instrumented build's stdout is
-// byte-identical to an uninstrumented one.
+// Determinism contract (DESIGN.md §5.5): with tracing enabled, the JSONL
+// export of `exp_modality_usage --trace=F` is byte-identical at --jobs=1
+// and --jobs=4; with tracing disabled (null buffer everywhere), the
+// instrumented build's stdout is byte-identical to an uninstrumented one.
 //
-// Single-writer: one TraceBuffer belongs to one simulation. Do not hand
-// the same buffer to scenarios replicated across a thread pool. The one
-// sanctioned multi-thread path is the sharded engine's window execution
-// (DESIGN.md §5.7): a worker thread installs a TraceRedirect before firing
-// partition-local events, which diverts every emit() on that thread into a
-// staging callback instead of the ring; the engine later replays the staged
-// events into the ring from the driver thread, in canonical event order,
-// via append_prestamped(). The ring itself is still touched by one thread
-// at a time.
+// Single-writer: one TraceBuffer belongs to one simulation, whose events
+// all fire on one thread. Do not hand the same buffer to scenarios
+// replicated across a thread pool.
 #pragma once
 
 #include <cstddef>
@@ -92,24 +85,6 @@ struct TraceEvent {
 
 [[nodiscard]] const char* to_string(TraceEvent::Phase p);
 
-class TraceBuffer;
-
-/// Thread-local emission redirect (sharded-engine window execution).
-/// While installed on a thread via TraceBuffer::set_thread_redirect, every
-/// emit() on that thread — on any buffer — is rendered to a TraceEvent and
-/// handed to `fn` instead of being written to the ring, and TraceSpan
-/// nesting accumulates in `depth_delta` instead of mutating the buffer's
-/// shared depth counter. The staged event's depth is pre-stamped as
-/// (buffer depth at emit + depth_delta): during a window the driver thread
-/// is parked at the barrier, so reading the buffer's depth is safe, and the
-/// replayed event carries exactly the depth a sequential run would have
-/// recorded.
-struct TraceRedirect {
-  void (*fn)(void* ctx, TraceBuffer* target, const TraceEvent& event);
-  void* ctx = nullptr;
-  std::int32_t depth_delta = 0;  ///< span nesting opened on this thread
-};
-
 /// Fixed-capacity ring buffer of TraceEvents. When full, the oldest event
 /// is overwritten and `dropped()` counts it — capacity pressure changes
 /// which prefix survives, never the content or order of what does.
@@ -125,19 +100,6 @@ class TraceBuffer {
   void emit(std::int64_t sim_time, TraceCategory category, TracePoint point,
             std::int64_t id = 0, std::int64_t a = 0, std::int64_t b = 0,
             TraceEvent::Phase phase = TraceEvent::Phase::kInstant);
-
-  /// Appends `e` verbatim: the stored depth is written as-is and the
-  /// buffer's own depth counter is untouched. Used by the sharded engine's
-  /// barrier replay to land staged (redirected) events in the ring exactly
-  /// as a sequential run would have emitted them.
-  void append_prestamped(const TraceEvent& e);
-
-  /// Installs (or, with nullptr, removes) the calling thread's emission
-  /// redirect. Applies to every TraceBuffer touched from this thread while
-  /// installed; the caller owns the TraceRedirect and must keep it alive
-  /// until removal.
-  static void set_thread_redirect(TraceRedirect* redirect);
-  [[nodiscard]] static TraceRedirect* thread_redirect();
 
   /// Events currently held (<= capacity).
   [[nodiscard]] std::size_t size() const { return count_; }

@@ -145,27 +145,10 @@ Duration ResourceScheduler::planned_duration(const Job& job) const {
 }
 
 void ResourceScheduler::notify_start(const Job& job) {
-  if (on_start_.empty()) return;
-  if (engine_.in_window()) {
-    // The Job is copied into the staged effect: by replay time the slot
-    // may have been recycled. Observers run at the barrier in canonical
-    // order, exactly where a merged run would have called them.
-    engine_.stage_effect([this, job] {
-      for (const auto& cb : on_start_) cb(job);
-    });
-    return;
-  }
   for (const auto& cb : on_start_) cb(job);
 }
 
 void ResourceScheduler::notify_end(const Job& job) {
-  if (on_end_.empty()) return;
-  if (engine_.in_window()) {
-    engine_.stage_effect([this, job] {
-      for (const auto& cb : on_end_) cb(job);
-    });
-    return;
-  }
   for (const auto& cb : on_end_) cb(job);
 }
 

@@ -312,9 +312,10 @@ class ResourceScheduler {
   // other partitions: workflow members and co-allocated jobs feed engines
   // that submit across sites on completion, and reservation events hold
   // metascheduler promises. Those stay kBarrier. While a feedback job
-  // waits in the queue any scheduling pass might start it (which would
-  // create a wall — forbidden inside a window), so the whole partition is
-  // serialized for exactly that interval via Engine::serialize_partition.
+  // waits in the queue any scheduling pass might start it, and its
+  // observers reach other partitions, so the whole partition is serialized
+  // for exactly that interval via Engine::serialize_partition (which lifts
+  // the engine's locality check from its kLocal events).
 
   /// True if observers of this job's lifecycle may reach beyond this
   /// partition (workflow engine submits successors, co-allocator
@@ -322,8 +323,7 @@ class ResourceScheduler {
   [[nodiscard]] static bool is_feedback(const JobRequest& req) {
     return req.workflow.valid() || req.coallocated;
   }
-  /// Dispatches on_start_/on_end_ observers: directly in sequential
-  /// context, staged to the barrier (canonical order) inside a window.
+  /// Dispatches on_start_/on_end_ observers.
   void notify_start(const Job& job);
   void notify_end(const Job& job);
   /// Maintains the queued-feedback-job count and the partition's

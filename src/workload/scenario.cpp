@@ -47,22 +47,9 @@ Scenario::Scenario(ScenarioConfig config)
       }()),
       ledger_(population_.community) {
   // Partition the engine by topology before anything is scheduled: the
-  // partition ids are part of the canonical event order, which must be
-  // identical whatever execution mode config_.shards later selects.
+  // partition ids are part of the canonical event order.
   shard_plan_ = make_shard_plan(platform_);
   engine_.configure_partitions(shard_plan_.partitions);
-  // Per-job failure hazards hook an on-start observer that schedules
-  // interrupt events — illegal from a window worker — so those runs stay
-  // on the merged loop (same canonical order, so still byte-identical).
-  const bool hazard_serial = config_.faults.enabled() &&
-                             config_.faults.job_failure_rate_per_hour > 0.0;
-  if (config_.shards > 0 && !hazard_serial) {
-    if (config_.shards >= 2) {
-      shard_pool_ =
-          std::make_unique<ThreadPool>(static_cast<std::size_t>(config_.shards));
-    }
-    engine_.set_window_execution(true, shard_pool_.get());
-  }
   // Lets report/label stages resolve interned end-user ids back to labels.
   db_.set_end_user_pool(&population_.end_user_pool);
   pool_ = std::make_unique<SchedulerPool>(engine_, platform_, config_.sched,
@@ -163,8 +150,7 @@ InvariantReport Scenario::audit_now(AuditPhase phase) const {
 void Scenario::schedule_audit(SimTime at) {
   if (at > config_.horizon) return;  // run() audits nothing past the clock
   // kReporting priority on the coordinator: every same-tick completion and
-  // replan has fired, so the point is quiescent; as a barrier it is also
-  // safe to read cross-partition scheduler state under windowed execution.
+  // replan has fired, so the point is quiescent.
   engine_.schedule_at(
       at,
       [this, at] {
@@ -201,11 +187,6 @@ Scenario::LabelledPredictions Scenario::predictions(
 
 void Scenario::publish_metrics(obs::MetricsRegistry& registry) const {
   engine_.bind_metrics(registry);
-  if (engine_.partitions() > 1) {
-    engine_.bind_shard_metrics(registry);
-    registry.gauge("shard.wan_lookahead_ms")
-        .set(static_cast<double>(shard_plan_.wan_lookahead));
-  }
   pool_->bind_metrics(registry);
   for (const auto& g : gateways_) g->bind_metrics(registry);
   if (faults_) faults_->bind_metrics(registry);

@@ -65,16 +65,6 @@ struct ScenarioConfig {
   /// The audits read state the reporting layer already observes; the
   /// simulation outcome is byte-identical with or without them.
   Duration audit_every = 0;
-  /// How the partitioned engine executes (the partitioning itself — one
-  /// per site plus coordinator — is fixed by the platform topology, so the
-  /// canonical event order is identical in every mode): 0 runs the merged
-  /// sequential loop (the reference oracle), 1 runs conservative time
-  /// windows inline on the driver thread, N >= 2 runs the windows on N
-  /// worker threads. Output is byte-identical across all values. Windows
-  /// are declined (merged execution regardless of this knob) when per-job
-  /// failure hazards are enabled — their on-start observer schedules
-  /// interrupt events, which windows forbid; see DESIGN.md §5.7.
-  int shards = 0;
   /// Optional flight recorder, attached to every scheduler, gateway and
   /// the fault model (see obs/trace.hpp). Single-writer: never share one
   /// buffer between scenarios replicated across a thread pool.
@@ -201,8 +191,13 @@ struct ScenarioConfig {
     trace = t;
     return *this;
   }
+  /// Accepts only 0, the one execution mode the engine has. Kept because
+  /// the frozen benchmark (perfbench/src/workloads.cpp) still calls
+  /// .with_shards(0) and is not edited together with the library; delete
+  /// it along with that call.
   ScenarioConfig& with_shards(int n) {
-    shards = n;
+    TG_REQUIRE(n == 0, "the engine has no windowed execution (shards="
+                           << n << "); only 0 is accepted");
     return *this;
   }
   ScenarioConfig& with_audit_every(Duration every) {
@@ -257,8 +252,6 @@ class Scenario {
   [[nodiscard]] const DataGrid* data_grid() const { return data_grid_.get(); }
   /// Topology-derived partitioning (coordinator + one partition per site).
   [[nodiscard]] const ShardPlan& shard_plan() const { return shard_plan_; }
-  /// True when run() will use windowed (sharded) execution.
-  [[nodiscard]] bool sharded() const { return engine_.window_execution(); }
   /// Null unless config.faults.enabled().
   [[nodiscard]] const FaultModel* faults() const { return faults_.get(); }
   /// Null unless config.streaming.enabled. finish() has already run by the
@@ -332,8 +325,6 @@ class Scenario {
   std::unique_ptr<FaultModel> faults_;
   std::unique_ptr<StreamingExtractor> streaming_;
   ShardPlan shard_plan_;
-  /// Workers for windowed execution; null for shards <= 1.
-  std::unique_ptr<ThreadPool> shard_pool_;
   bool ran_ = false;
 };
 

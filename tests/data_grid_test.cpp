@@ -167,13 +167,12 @@ TEST(StorageCache, SizeAwareEvictsLargeTailEntryFirst) {
   EXPECT_TRUE(cache.contains(DatasetId{2}));
 }
 
-ScenarioConfig data_config(int shards, bool plan_cache = true) {
+ScenarioConfig data_config(bool plan_cache = true) {
   return ScenarioConfig::defaults()
       .with_seed(99)
       .with_horizon(45 * kDay)
       .with_scale(0.5)
       .with_plan_cache(plan_cache)
-      .with_shards(shards)
       .with_archetype(ArchetypeSpec::data_intensive("dataintensive", 24))
       .with_data_grid(DataGridConfig::enabled_defaults().with_cache_bytes(
           10e12));
@@ -201,23 +200,18 @@ DataTrace run_trace(const ScenarioConfig& config) {
 }
 
 TEST(DataGrid, StageInDeterministicAcrossExecutionModes) {
-  // The merged loop is the oracle; inline windows, pooled windows and the
-  // exact-replan reference planner must reproduce every job's data fields
-  // and completion time exactly.
-  const DataTrace oracle = run_trace(data_config(0));
-  EXPECT_EQ(oracle.bytes_read, run_trace(data_config(1)).bytes_read);
-  const DataTrace pooled = run_trace(data_config(4));
-  EXPECT_EQ(oracle.bytes_read, pooled.bytes_read);
-  EXPECT_EQ(oracle.bytes_from_cache, pooled.bytes_from_cache);
-  EXPECT_EQ(oracle.stage_in, pooled.stage_in);
-  EXPECT_EQ(oracle.end_times, pooled.end_times);
-  const DataTrace replan = run_trace(data_config(0, /*plan_cache=*/false));
-  EXPECT_EQ(oracle.stage_in, replan.stage_in);
-  EXPECT_EQ(oracle.end_times, replan.end_times);
+  // The exact-replan reference planner must reproduce every job's data
+  // fields and completion time exactly.
+  const DataTrace cached = run_trace(data_config());
+  const DataTrace replan = run_trace(data_config(/*plan_cache=*/false));
+  EXPECT_EQ(cached.bytes_read, replan.bytes_read);
+  EXPECT_EQ(cached.bytes_from_cache, replan.bytes_from_cache);
+  EXPECT_EQ(cached.stage_in, replan.stage_in);
+  EXPECT_EQ(cached.end_times, replan.end_times);
 }
 
 TEST(DataGrid, StageInFeedsJobDataFields) {
-  Scenario s(data_config(0));
+  Scenario s(data_config());
   s.run();
   ASSERT_NE(s.data_grid(), nullptr);
   const DataGrid::Stats& stats = s.data_grid()->stats();
@@ -255,7 +249,7 @@ TEST(DataGrid, DataCentricUsersRecoveredFromRecords) {
   // bytes-read gates. Recall is measured over the staged archetype: the
   // builtin "data" archetype has no data trait (bytes_read == 0) and is
   // recovered by the older bytes-transferred rule, not the one under test.
-  Scenario s(data_config(0).with_horizon(kQuarter));
+  Scenario s(data_config().with_horizon(kQuarter));
   s.run();
   const FeatureExtractor extractor(s.platform(), s.config().features);
   const auto features = extractor.extract(s.db(), 0, s.engine().now() + 1);

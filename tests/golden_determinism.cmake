@@ -1,49 +1,29 @@
-# Run an experiment binary across every value of one determinism axis and
-# fail unless the captures are byte-identical. Invoked by ctest as
-#   cmake -DBIN=<exe> -DWORK_DIR=<dir> [-DAXIS=jobs|shards] [-DTRACE=ON]
-#         -P golden_determinism.cmake
+# Run an experiment binary at --jobs=1 and --jobs=4 and fail unless the
+# captures are byte-identical: replication/analytics fan-out must not change
+# a byte (DESIGN.md §5.5). Invoked by ctest as
+#   cmake -DBIN=<exe> -DWORK_DIR=<dir> [-DTRACE=ON] -P golden_determinism.cmake
 #
-#   AXIS=jobs (default): --jobs=1 vs --jobs=4 — replication/analytics
-#     fan-out must not change a byte (DESIGN.md §5.5).
-#   AXIS=shards: --no-shard vs --shards=1 vs --shards=4 — the merged
-#     reference oracle, inline conservative windows, and pooled windows
-#     must fire the identical event sequence (DESIGN.md §5.7).
-#
-# With -DTRACE=ON each run also writes `--trace=<dir>/<axis><N>.trace.jsonl`
+# With -DTRACE=ON each run also writes `--trace=<dir>/jobs<N>.trace.jsonl`
 # and the trace exports must be byte-identical too: the trace is keyed by
-# sim time and stable ids, so neither the worker count nor the execution
-# mode may change a single byte of it. (--metrics is deliberately not
-# compared: shard.* counters and barrier timings legitimately differ
-# between execution modes.)
+# sim time and stable ids, so the worker count may not change a single byte
+# of it. (--metrics is deliberately not compared: its phase.* wall-clock
+# timings legitimately differ between runs.)
 if(NOT DEFINED BIN OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "golden_determinism.cmake needs -DBIN=... -DWORK_DIR=...")
 endif()
-if(NOT DEFINED AXIS)
-  set(AXIS "jobs")
-endif()
 
-if(AXIS STREQUAL "jobs")
-  set(variants 1 4)
-elseif(AXIS STREQUAL "shards")
-  set(variants 0 1 4)
-else()
-  message(FATAL_ERROR "unknown AXIS '${AXIS}' (expected jobs or shards)")
-endif()
+set(variants 1 4)
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 foreach(v IN LISTS variants)
-  if(AXIS STREQUAL "shards" AND v EQUAL 0)
-    set(run_args --no-shard)  # spell out the reference oracle
-  else()
-    set(run_args --${AXIS}=${v})
-  endif()
+  set(run_args --jobs=${v})
   if(TRACE)
-    list(APPEND run_args --trace=${WORK_DIR}/${AXIS}${v}.trace.jsonl)
+    list(APPEND run_args --trace=${WORK_DIR}/jobs${v}.trace.jsonl)
   endif()
   execute_process(
     COMMAND "${BIN}" ${run_args}
-    OUTPUT_FILE "${WORK_DIR}/${AXIS}${v}.out"
+    OUTPUT_FILE "${WORK_DIR}/jobs${v}.out"
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${BIN} ${run_args} exited with ${rc}")
@@ -57,24 +37,24 @@ foreach(v IN LISTS variants)
   endif()
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
-            "${WORK_DIR}/${AXIS}${ref}.out" "${WORK_DIR}/${AXIS}${v}.out"
+            "${WORK_DIR}/jobs${ref}.out" "${WORK_DIR}/jobs${v}.out"
     RESULT_VARIABLE diff)
   if(NOT diff EQUAL 0)
     message(FATAL_ERROR
-            "stdout differs between --${AXIS}=${ref} and --${AXIS}=${v} for "
+            "stdout differs between --jobs=${ref} and --jobs=${v} for "
             "${BIN} (see ${WORK_DIR})")
   endif()
   if(TRACE)
     execute_process(
       COMMAND ${CMAKE_COMMAND} -E compare_files
-              "${WORK_DIR}/${AXIS}${ref}.trace.jsonl"
-              "${WORK_DIR}/${AXIS}${v}.trace.jsonl"
+              "${WORK_DIR}/jobs${ref}.trace.jsonl"
+              "${WORK_DIR}/jobs${v}.trace.jsonl"
       RESULT_VARIABLE trace_diff)
     if(NOT trace_diff EQUAL 0)
       message(FATAL_ERROR
-              "--trace output differs between --${AXIS}=${ref} and "
-              "--${AXIS}=${v} for ${BIN} (see ${WORK_DIR})")
+              "--trace output differs between --jobs=${ref} and "
+              "--jobs=${v} for ${BIN} (see ${WORK_DIR})")
     endif()
   endif()
 endforeach()
-message(STATUS "byte-identical output across --${AXIS}={${variants}}")
+message(STATUS "byte-identical output across --jobs={${variants}}")

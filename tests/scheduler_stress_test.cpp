@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -21,6 +22,14 @@ struct StressParams {
   Duration drain_period;
   std::uint64_t seed;
 };
+
+// Names each instance by its fields: gtest's fallback prints the raw
+// bytes, padding included, which differ from process to process.
+void PrintTo(const StressParams& p, std::ostream* os) {
+  *os << to_string(p.policy);
+  if (p.drain_period > 0) *os << " drain=" << p.drain_period / kHour << "h";
+  *os << " seed=" << p.seed;
+}
 
 class SchedulerStress : public ::testing::TestWithParam<StressParams> {};
 
@@ -204,6 +213,14 @@ struct EquivParams {
   bool faulty;
   std::uint64_t seed;
 };
+
+void PrintTo(const EquivParams& p, std::ostream* os) {
+  *os << to_string(p.policy);
+  if (p.drain_period > 0) *os << " drain=" << p.drain_period / kHour << "h";
+  if (p.plan_horizon > 0) *os << " plan=" << p.plan_horizon / kHour << "h";
+  if (p.faulty) *os << " faulty";
+  *os << " seed=" << p.seed;
+}
 
 class PlanCacheEquivalence : public ::testing::TestWithParam<EquivParams> {};
 

@@ -1,18 +1,15 @@
-// The sharded DES core (DESIGN.md §5.7): shard-plan derivation, the
-// merged/windowed equivalence contract, staged-effect (mailbox) ordering,
-// partition serialization, and the window safety checks.
+// The partitioned DES core (DESIGN.md §5.7): shard-plan derivation, the
+// canonical tie order across partitions, partition serialization, and the
+// locality check on kLocal events.
 #include "des/shard.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "des/engine.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace tg {
@@ -21,7 +18,7 @@ namespace {
 // --- Shard plan ------------------------------------------------------------
 
 TEST(ShardPlan, CoordinatorPlusOnePartitionPerSite) {
-  const ShardPlan plan = plan_shards(3, {25, 10, 25});
+  const ShardPlan plan = plan_shards(3);
   EXPECT_EQ(plan.partitions, 4u);
   ASSERT_EQ(plan.site_partition.size(), 3u);
   EXPECT_EQ(plan.partition_of_site(0), 1u);
@@ -29,170 +26,48 @@ TEST(ShardPlan, CoordinatorPlusOnePartitionPerSite) {
   EXPECT_EQ(plan.partition_of_site(2), 3u);
 }
 
-TEST(ShardPlan, LookaheadIsMinimumLinkLatency) {
-  EXPECT_EQ(plan_shards(4, {25, 10, 40}).wan_lookahead, 10);
-}
+// --- Canonical order -------------------------------------------------------
 
-TEST(ShardPlan, ZeroLookaheadFallbackWithoutLinks) {
-  // Single-site (or link-free) platforms: no WAN, lookahead degenerates to
-  // zero and the window driver relies purely on the earliest wall.
-  EXPECT_EQ(plan_shards(1, {}).wan_lookahead, 0);
-  EXPECT_EQ(plan_shards(2, {}).wan_lookahead, 0);
-}
-
-// --- Merged / windowed equivalence -----------------------------------------
-
-/// The observer idiom the sharded scheduler uses: emit directly in merged
-/// context, defer through the staged mailbox inside a window. The log's
-/// final order must be identical either way.
-void emit(Engine& e, std::vector<std::string>& log, std::string tag) {
-  if (e.in_window()) {
-    e.stage_effect([&log, tag = std::move(tag)] { log.push_back(tag); });
-  } else {
-    log.push_back(std::move(tag));
-  }
-}
-
-struct ModeResult {
-  std::vector<std::string> log;
-  std::uint64_t events = 0;
-  SimTime final_now = 0;
-  std::uint64_t window_rounds = 0;
-};
-
-/// A three-partition workload: coordinator walls seed partition-local
-/// chains (each local reschedules itself within its partition, like pass
-/// events), and every event emits an observer tag.
-ModeResult run_workload(int shards) {
+TEST(ShardedEngine, EqualKeysFirePartitionFirstThenFifo) {
+  // Equal (time, priority) everywhere, scheduled on partitions 2, 1 and 0
+  // in that order: the one heap breaks the tie by partition id, then by
+  // scheduling order within the partition.
   Engine e;
   e.configure_partitions(3);
-  std::unique_ptr<ThreadPool> pool;
-  if (shards >= 2) {
-    pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(shards));
+  std::vector<std::string> log;
+  for (const std::uint32_t shard : {2u, 1u, 0u}) {
+    for (const char tag : {'a', 'b'}) {
+      e.schedule_at(
+          10, [&log, shard, tag] { log.push_back(std::to_string(shard) + tag); },
+          EventPriority::kDefault, EventBinding{shard, EventClass::kLocal});
+    }
   }
-  if (shards > 0) e.set_window_execution(true, pool.get());
-
-  ModeResult out;
-  std::vector<std::string>& log = out.log;
-
-  // Each chain step is partition-local (same-partition kLocal scheduling
-  // from inside a window is the one legal extension).
-  std::function<void(std::uint32_t, SimTime, int)> chain =
-      [&](std::uint32_t shard, SimTime t, int depth) {
-        e.schedule_at(
-            t,
-            [&, shard, t, depth] {
-              emit(e, log,
-                   "L" + std::to_string(shard) + "@" + std::to_string(t));
-              if (depth > 0) chain(shard, t + 7, depth - 1);
-            },
-            EventPriority::kDefault, EventBinding{shard, EventClass::kLocal});
-      };
-
-  // Coordinator walls every 100 ticks; each seeds fresh chains on both
-  // site partitions (cross-partition scheduling, legal from a wall).
-  for (SimTime wall = 50; wall <= 450; wall += 100) {
-    e.schedule_at(wall, [&, wall] {
-      emit(e, log, "W@" + std::to_string(wall));
-      chain(1, wall + 3, 4);
-      chain(2, wall + 5, 4);
-    });
-  }
-  e.run_until(400);
   e.run();
-
-  out.events = e.events_processed();
-  out.final_now = e.now();
-  out.window_rounds = e.shard_stats().window_rounds.value();
-  return out;
-}
-
-TEST(ShardedEngine, WindowedModesMatchMergedOracle) {
-  const ModeResult merged = run_workload(0);
-  const ModeResult inline_windows = run_workload(1);
-  const ModeResult pooled = run_workload(2);
-
-  EXPECT_EQ(merged.log, inline_windows.log);
-  EXPECT_EQ(merged.log, pooled.log);
-  EXPECT_EQ(merged.events, inline_windows.events);
-  EXPECT_EQ(merged.events, pooled.events);
-  EXPECT_EQ(merged.final_now, inline_windows.final_now);
-  EXPECT_EQ(merged.final_now, pooled.final_now);
-
-  // The oracle never windows; both windowed modes genuinely did.
-  EXPECT_EQ(merged.window_rounds, 0u);
-  EXPECT_GT(inline_windows.window_rounds, 0u);
-  EXPECT_GT(pooled.window_rounds, 0u);
-}
-
-TEST(ShardedEngine, StagedEffectsReplayInCanonicalOrder) {
-  // Two partitions with interleaved local times: replay at the barrier
-  // must interleave their emissions exactly as the merged loop would,
-  // even though each partition ran its whole window contiguously.
-  const auto run = [](bool windowed) {
-    Engine e;
-    e.configure_partitions(3);
-    if (windowed) e.set_window_execution(true, nullptr);
-    std::vector<std::string> log;
-    for (const SimTime t : {10, 30, 50}) {
-      e.schedule_at(
-          t, [&, t] { emit(e, log, "a" + std::to_string(t)); },
-          EventPriority::kDefault, EventBinding{1, EventClass::kLocal});
-    }
-    for (const SimTime t : {20, 40, 60}) {
-      e.schedule_at(
-          t, [&, t] { emit(e, log, "b" + std::to_string(t)); },
-          EventPriority::kDefault, EventBinding{2, EventClass::kLocal});
-    }
-    e.run();
-    return log;
-  };
-  const std::vector<std::string> expected{"a10", "b20", "a30",
-                                          "b40", "a50", "b60"};
-  EXPECT_EQ(run(false), expected);
-  EXPECT_EQ(run(true), expected);
+  const std::vector<std::string> expected{"0a", "0b", "1a", "1b", "2a", "2b"};
+  EXPECT_EQ(log, expected);
 }
 
 // --- Partition serialization -----------------------------------------------
 
-TEST(ShardedEngine, SerializedPartitionFiresMergedAndBoundsTheCut) {
-  // Partition 1 is serialized: its locals run on the merged loop, where
-  // cross-partition scheduling is legal, and they bound the cut so no
-  // other partition runs past them.
-  const auto run = [](bool windowed) {
-    Engine e;
-    e.configure_partitions(4);
-    if (windowed) e.set_window_execution(true, nullptr);
-    e.serialize_partition(1, true);
-    std::vector<std::string> log;
-    // The serialized local at t=50 schedules onto partition 2 at t=60 —
-    // illegal from a window, fine from the merged loop.
-    e.schedule_at(
-        50,
-        [&] {
-          emit(e, log, "serialized@50");
-          e.schedule_at(
-              60, [&] { emit(e, log, "cross@60"); }, EventPriority::kDefault,
-              EventBinding{2, EventClass::kLocal});
-        },
-        EventPriority::kDefault, EventBinding{1, EventClass::kLocal});
-    // Window fodder on partitions 2 and 3, straddling t=50: events past
-    // the serialized front must not fire before it.
-    for (const SimTime t : {40, 70}) {
-      e.schedule_at(
-          t, [&, t] { emit(e, log, "p2@" + std::to_string(t)); },
-          EventPriority::kDefault, EventBinding{2, EventClass::kLocal});
-      e.schedule_at(
-          t + 5, [&, t] { emit(e, log, "p3@" + std::to_string(t + 5)); },
-          EventPriority::kDefault, EventBinding{3, EventClass::kLocal});
-    }
-    e.run();
-    return log;
-  };
-  const std::vector<std::string> expected{"p2@40",  "p3@45",   "serialized@50",
-                                          "cross@60", "p2@70", "p3@75"};
-  EXPECT_EQ(run(false), expected);
-  EXPECT_EQ(run(true), expected);
+TEST(ShardedEngine, SerializedPartitionMaySchedulePastItself) {
+  // A serialized partition's kLocal events are exempt from the locality
+  // check: here one schedules onto partition 2.
+  Engine e;
+  e.configure_partitions(3);
+  e.serialize_partition(1, true);
+  std::vector<std::string> log;
+  e.schedule_at(
+      50,
+      [&] {
+        log.push_back("serialized@50");
+        e.schedule_at(
+            60, [&] { log.push_back("cross@60"); }, EventPriority::kDefault,
+            EventBinding{2, EventClass::kLocal});
+      },
+      EventPriority::kDefault, EventBinding{1, EventClass::kLocal});
+  e.run();
+  const std::vector<std::string> expected{"serialized@50", "cross@60"};
+  EXPECT_EQ(log, expected);
 }
 
 TEST(ShardedEngine, SerializeCallsNest) {
@@ -205,32 +80,20 @@ TEST(ShardedEngine, SerializeCallsNest) {
   EXPECT_THROW(e.serialize_partition(1, false), InvariantError);
 }
 
-// --- Window safety checks --------------------------------------------------
+// --- Locality check --------------------------------------------------------
 
-/// Runs `bad(engine)` inside an inline window round on partition 1 (a
-/// second eligible partition guarantees the round actually happens).
-/// Violations surface as exceptions out of run_until.
-void run_offending_window(const std::function<void(Engine&)>& bad) {
+/// Runs `bad(engine)` from a kLocal event of unserialized partition 1.
+/// Violations surface as exceptions out of run().
+void run_local_event(const std::function<void(Engine&)>& bad) {
   Engine e;
   e.configure_partitions(3);
-  e.set_window_execution(true, nullptr);
   e.schedule_at(10, [&e, &bad] { bad(e); }, EventPriority::kDefault,
                 EventBinding{1, EventClass::kLocal});
-  e.schedule_at(20, [] {}, EventPriority::kDefault,
-                EventBinding{2, EventClass::kLocal});
-  e.run_until(100);
+  e.run();
 }
 
-TEST(ShardedEngine, WindowRejectsWallScheduling) {
-  // The unannotated default is a wall on the firing partition — creating
-  // one would tighten a cut already handed to the other workers.
-  EXPECT_THROW(
-      run_offending_window([](Engine& e) { e.schedule_at(30, [] {}); }),
-      InvariantError);
-}
-
-TEST(ShardedEngine, WindowRejectsCrossPartitionScheduling) {
-  EXPECT_THROW(run_offending_window([](Engine& e) {
+TEST(ShardedEngine, LocalEventRejectsCrossPartitionScheduling) {
+  EXPECT_THROW(run_local_event([](Engine& e) {
                  e.schedule_at(
                      30, [] {}, EventPriority::kDefault,
                      EventBinding{2, EventClass::kLocal});
@@ -238,37 +101,30 @@ TEST(ShardedEngine, WindowRejectsCrossPartitionScheduling) {
                InvariantError);
 }
 
-TEST(ShardedEngine, WindowRejectsCrossPartitionCancel) {
+TEST(ShardedEngine, LocalEventRejectsCrossPartitionCancel) {
   EXPECT_THROW(
       {
         Engine e;
         e.configure_partitions(3);
-        e.set_window_execution(true, nullptr);
         const EventId other = e.schedule_at(
             90, [] {}, EventPriority::kDefault,
             EventBinding{2, EventClass::kLocal});
         e.schedule_at(
             10, [&e, other] { e.cancel(other); }, EventPriority::kDefault,
             EventBinding{1, EventClass::kLocal});
-        e.schedule_at(20, [] {}, EventPriority::kDefault,
-                      EventBinding{2, EventClass::kLocal});
-        e.run_until(100);
+        e.run();
       },
       InvariantError);
 }
 
-TEST(ShardedEngine, StagedEffectsMustNotSchedule) {
-  // The effect itself is deferred to the barrier; the violation fires at
-  // replay time, after the window closed.
-  EXPECT_THROW(run_offending_window([](Engine& e) {
-                 e.stage_effect([&e] { e.schedule_at(500, [] {}); });
-               }),
-               InvariantError);
-}
-
-TEST(ShardedEngine, StageEffectOutsideWindowIsRejected) {
-  Engine e;
-  EXPECT_THROW(e.stage_effect([] {}), PreconditionError);
+TEST(ShardedEngine, LocalEventMayScheduleWallOnItsOwnPartition) {
+  // Failure hazards do exactly this: a job start inside a kLocal pass arms
+  // the interrupt, a wall on the same partition.
+  int fired = 0;
+  run_local_event([&fired](Engine& e) {
+    e.schedule_at(30, [&fired] { ++fired; });
+  });
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(ShardedEngine, ConfigurePartitionsRequiresPristineEngine) {
@@ -277,41 +133,12 @@ TEST(ShardedEngine, ConfigurePartitionsRequiresPristineEngine) {
   EXPECT_THROW(e.configure_partitions(3), PreconditionError);
 }
 
-TEST(ShardedEngine, WindowRejectsSerializeCalls) {
-  // Serialization changes which partitions may run concurrently — flipping
-  // it from inside a window would invalidate the cut mid-round.
-  EXPECT_THROW(
-      run_offending_window([](Engine& e) { e.serialize_partition(2, true); }),
-      InvariantError);
-}
-
 TEST(ShardedEngine, RejectsUnknownPartitionBinding) {
   Engine e;
   e.configure_partitions(3);
   EXPECT_THROW(e.schedule_at(10, [] {}, EventPriority::kDefault,
                              EventBinding{7, EventClass::kLocal}),
                PreconditionError);
-}
-
-TEST(ShardedEngine, ChoiceHookAndWindowsAreMutuallyExclusive) {
-  // The interleaving explorer steers the merged loop only: window rounds
-  // fire partitions concurrently, so there is no global tie set to present.
-  struct Canonical final : ChoiceHook {
-    std::size_t choose(const std::vector<Candidate>&) override { return 0; }
-  } hook;
-
-  Engine windowed;
-  windowed.configure_partitions(3);
-  windowed.set_window_execution(true, nullptr);
-  EXPECT_THROW(windowed.set_choice_hook(&hook), PreconditionError);
-
-  Engine hooked;
-  hooked.configure_partitions(3);
-  hooked.set_choice_hook(&hook);
-  EXPECT_THROW(hooked.set_window_execution(true, nullptr),
-               PreconditionError);
-  hooked.set_choice_hook(nullptr);
-  hooked.set_window_execution(true, nullptr);  // legal once the hook is gone
 }
 
 }  // namespace
