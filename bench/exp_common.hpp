@@ -77,9 +77,9 @@ struct Options {
   /// quarterly_series pass. Primary outputs must be byte-identical either
   /// way — CI diffs the two (see tests/golden_streaming.cmake).
   bool streaming = false;
-  /// --segment-cap=N: with --streaming, store records in the spillable
-  /// columnar segment log with N records per segment (0 keeps the plain
-  /// in-memory vectors). Output stays byte-identical at every value.
+  /// --segment-cap=N: with --streaming, cap the record log's segments at N
+  /// records, so full segments seal and can spill (0 keeps one resident
+  /// segment). Output stays byte-identical at every value.
   std::uint32_t segment_cap = 0;
   /// --spill-dir=PATH: with --segment-cap, seal-and-spill cold segments to
   /// PATH and read them back via mmap (bounded resident memory).
@@ -177,7 +177,7 @@ struct Options {
        << "  --streaming         classify-on-advance streaming series "
           "(byte-identical to batch)\n"
        << "  --segment-cap=N     with --streaming: N records per columnar "
-          "segment (0 = plain vectors)\n"
+          "segment (0 = one resident segment)\n"
        << "  --spill-dir=PATH    with --segment-cap: spill sealed segments "
           "to PATH (mmap reads)\n"
        << "  --help              show this help\n";

@@ -24,9 +24,8 @@ int main(int argc, char** argv) {
   scenario.run();
 
   // The eight quarterly windows are independent classifications of the same
-  // read-only database; build the indexes once, fan the windows out, then
-  // reduce the index-ordered series into churn and trend statistics.
-  scenario.db().ensure_indexes();
+  // read-only database; fan the windows out, then reduce the index-ordered
+  // series into churn and trend statistics.
   const RuleClassifier classifier;
   constexpr int kQuarters = 8;
   Replicator pool(options.jobs);

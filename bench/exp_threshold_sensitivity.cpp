@@ -23,9 +23,6 @@ int main(int argc, char** argv) {
                         .with_plan_cache(!options.exact_replan)
                         .with_trace(obsv.trace()));
   scenario.run();
-  // The sweep evaluations below share the scenario read-only across
-  // worker threads; build the accounting indexes once up front.
-  scenario.db().ensure_indexes();
 
   const auto score_with = [&](const ClassifierThresholds& t) {
     const RuleClassifier classifier(t);

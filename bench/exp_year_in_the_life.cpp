@@ -101,5 +101,10 @@ int main(int argc, char** argv) {
   }
   if (obsv.metrics_enabled()) scenario.publish_metrics(obsv.registry());
   obsv.finish();
+  if (options.check_invariants) {
+    exp::print_invariants(check_invariants(
+        scenario.platform(), scenario.db(), &scenario.ledger(),
+        &scenario.community(), &scenario.pool()));
+  }
   return 0;
 }

@@ -1,28 +1,32 @@
-// Spillable columnar record log: the out-of-core storage behind
-// UsageDatabase's streaming mode.
+// Spillable columnar record log: the storage behind every UsageDatabase
+// stream.
 //
-// Records append into a bounded open segment; when it fills, the segment
-// seals — the lazy per-stream index layout of PR 2 (per-user posting lists
-// plus end-time ordering) is built once, per segment, and becomes
-// immutable. Sealed segments past a small residency budget spill to disk
-// as one flat file (raw record array + CSR posting index) and are mapped
-// back read-only with mmap, so the page cache — not the heap — holds cold
-// history and the database scales past RSS. Hot recent segments and the
-// open segment stay resident.
+// Records append into an open segment whose per-user posting lists are
+// kept up to date on append. With a positive segment cap the open segment
+// seals when it fills: its postings compact into an immutable CSR index
+// (sorted user keys, offsets, rows, plus an end-time permutation when the
+// segment is not end-sorted). Sealed segments past a small residency
+// budget spill to disk as one flat file (raw record array + CSR posting
+// index) and are mapped back read-only with mmap, so the page cache — not
+// the heap — holds cold history and the database scales past RSS. Hot
+// recent segments and the open segment stay resident. With cap 0 (the
+// default) the open segment never seals: one resident, contiguous array.
 //
-// Query contract matches the monolithic store: per-user window gathers are
-// O(log k + hits) per touched segment (segments outside [min_end, max_end)
-// are skipped entirely), and results are emitted in append order. Record
-// references handed out by a query stay valid until the next append (a
-// seal may spill an older segment and unmap nothing — spilling replaces
-// heap vectors with a file mapping that lives until the log is destroyed —
-// but the open segment's buffer is reused across seals).
+// Per-user window gathers are O(log k + hits) per touched segment when the
+// segment is end-sorted (segments outside [min_end, max_end) are skipped
+// entirely), and results are emitted in append order. Record references
+// handed out by a query stay valid until the next append (a seal may spill
+// an older segment and unmap nothing — spilling replaces heap vectors with
+// a file mapping that lives until the log is destroyed — but the open
+// segment's buffer is reused across seals).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -170,7 +174,18 @@ class SegmentLog {
   /// One past the largest valid user id appended (0 if none).
   [[nodiscard]] UserId::rep user_limit() const { return user_limit_; }
   [[nodiscard]] const SegmentLogStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t sealed_segments() const { return sealed_.size(); }
+  [[nodiscard]] const SegmentLogConfig& config() const { return config_; }
+
+  /// The whole stream as one contiguous array, in append order. Only while
+  /// nothing has sealed — always for a cap-0 log that was never
+  /// checkpointed.
+  [[nodiscard]] std::span<const Record> records() const {
+    TG_REQUIRE(sealed_.empty(), "contiguous access to the "
+                                    << tag_
+                                    << " stream requires a log that has "
+                                       "sealed nothing");
+    return open_records_;
+  }
 
   /// Seals the open segment (if any) and spills every sealed segment to
   /// config.spill_dir regardless of the residency budget, so the log's
@@ -202,11 +217,11 @@ class SegmentLog {
   /// Restart recovery: scans config.spill_dir for "<tag>-<seq>.tgseg"
   /// files written by an earlier process (checkpoint() or regular
   /// spilling), starting at seq 0 and stopping at the first gap. Each file
-  /// is mapped read-only, its header validated (magic, record size,
-  /// section bounds), and its immutable view rebuilt — the recovered log
-  /// answers the same queries over the spilled history and accepts new
-  /// appends after it. Must be called on a fresh, empty log. Returns the
-  /// number of segments recovered. Throws on a corrupt file.
+  /// is mapped read-only and validated (see validate()) before its
+  /// immutable view is rebuilt — the recovered log answers the same
+  /// queries over the spilled history and accepts new appends after it.
+  /// Must be called on a fresh, empty log. Returns the number of segments
+  /// recovered. Throws PreconditionError on a corrupt file.
   std::size_t recover_from_spill() {
     TG_REQUIRE(empty() && sealed_.empty(),
                "recover_from_spill requires a fresh, empty log");
@@ -214,48 +229,26 @@ class SegmentLog {
                "recover_from_spill needs config.spill_dir");
     using seg_detail::SegmentFileHeader;
     for (std::size_t seq = 0;; ++seq) {
-      const std::string path = config_.spill_dir + "/" + tag_ + "-" +
-                               std::to_string(seq) + ".tgseg";
+      const std::string path = spill_path(seq);
       seg_detail::MappedFile map;
       if (!map.open(path)) break;  // first gap ends the sealed prefix
       TG_REQUIRE(map.size() >= sizeof(SegmentFileHeader),
                  "truncated segment file " << path);
       SegmentFileHeader h;
       std::memcpy(&h, map.data(), sizeof(h));
-      TG_REQUIRE(h.magic == SegmentFileHeader::kMagic,
-                 "bad magic in segment file " << path);
-      TG_REQUIRE(h.record_size == sizeof(Record),
-                 "segment file " << path << " holds records of "
-                                 << h.record_size << " bytes, expected "
-                                 << sizeof(Record));
-      const bool end_sorted = (h.flags & 1u) != 0;
-      std::uint64_t need = h.off_rows + h.posting_rows * sizeof(std::uint32_t);
-      if (!end_sorted) {
-        need = h.off_by_end + h.count * sizeof(std::uint32_t);
-      }
-      TG_REQUIRE(map.size() >= need, "segment file " << path
-                                                     << " shorter than its "
-                                                        "recorded sections");
+      validate(h, map.data(), map.size(), path);
       Sealed s;
-      const std::byte* base = map.data();
-      s.map = std::move(map);
       s.view.count = h.count;
       s.view.user_count = h.user_count;
-      s.view.end_sorted = end_sorted;
+      s.view.end_sorted = (h.flags & 1u) != 0;
       s.view.min_end = h.min_end;
       s.view.max_end = h.max_end;
-      s.view.records = reinterpret_cast<const Record*>(base + h.off_records);
-      s.view.keys =
-          reinterpret_cast<const std::uint32_t*>(base + h.off_keys);
-      s.view.offsets =
-          reinterpret_cast<const std::uint32_t*>(base + h.off_offsets);
-      s.view.rows = reinterpret_cast<const std::uint32_t*>(base + h.off_rows);
-      s.view.by_end = end_sorted ? nullptr
-                                 : reinterpret_cast<const std::uint32_t*>(
-                                       base + h.off_by_end);
+      bind_view(s.view, h, map.data());
+      s.map = std::move(map);
       if (h.user_count > 0) {
         user_limit_ = std::max<UserId::rep>(
-            user_limit_, s.view.keys[h.user_count - 1] + 1);
+            user_limit_,
+            static_cast<UserId::rep>(s.view.keys[h.user_count - 1] + 1));
       }
       stats_.appended += h.count;
       ++stats_.sealed;
@@ -272,18 +265,24 @@ class SegmentLog {
     if (from >= to || !user.valid()) return;
     const auto key = static_cast<std::uint32_t>(user.value());
     for (const Sealed& s : sealed_) {
-      if (s.view.max_end < from || s.view.min_end >= to) continue;
-      emit_user_window(s.view, key, from, to, fn);
+      const View& v = s.view;
+      if (v.max_end < from || v.min_end >= to) continue;
+      const std::uint32_t* end = v.keys + v.user_count;
+      const std::uint32_t* k = std::lower_bound(v.keys, end, key);
+      if (k == end || *k != key) continue;
+      const auto u = static_cast<std::size_t>(k - v.keys);
+      emit_rows(v.records, v.rows + v.offsets[u], v.rows + v.offsets[u + 1],
+                v.end_sorted, from <= v.min_end && v.max_end < to, from, to,
+                fn);
     }
-    if (open_records_.empty() || open_max_end_ < from || open_min_end_ >= to) {
+    if (open_records_.empty() || open_max_end_ < from || open_min_end_ >= to ||
+        key >= open_postings_.size()) {
       return;
     }
-    const auto slot = static_cast<std::size_t>(user.value());
-    if (slot >= open_postings_.size()) return;
-    for (const std::uint32_t row : open_postings_[slot]) {
-      const Record& r = open_records_[row];
-      if (r.end_time >= from && r.end_time < to) fn(r);
-    }
+    const std::vector<std::uint32_t>& rows = open_postings_[key];
+    emit_rows(open_records_.data(), rows.data(), rows.data() + rows.size(),
+              open_sorted_, from <= open_min_end_ && open_max_end_ < to, from,
+              to, fn);
   }
 
   /// All of `user`'s records, in append order.
@@ -293,23 +292,45 @@ class SegmentLog {
                 std::forward<Fn>(fn));
   }
 
-  /// Records with end time in [from, to), in append order (matching the
-  /// monolithic store's jobs_ending_in contract).
+  /// Records with end time in [from, to), in append order.
   template <class Fn>
   void for_each_ending_in(SimTime from, SimTime to, Fn&& fn) const {
     if (from >= to) return;
     std::vector<std::uint32_t> scratch;
     for (const Sealed& s : sealed_) {
-      if (s.view.max_end < from || s.view.min_end >= to) continue;
-      emit_window(s.view, from, to, scratch, fn);
+      const View& v = s.view;
+      if (v.max_end < from || v.min_end >= to) continue;
+      if (v.end_sorted || (from <= v.min_end && v.max_end < to)) {
+        emit_range(v.records, v.count, v.end_sorted, from, to, fn);
+        continue;
+      }
+      // Unsorted and cut by the window: binary-search the by-end
+      // permutation, then restore append order.
+      const auto end_less = [&v](std::uint32_t row, SimTime t) {
+        return v.records[row].end_time < t;
+      };
+      const std::uint32_t* first =
+          std::lower_bound(v.by_end, v.by_end + v.count, from, end_less);
+      const std::uint32_t* last =
+          std::lower_bound(first, v.by_end + v.count, to, end_less);
+      scratch.assign(first, last);
+      std::sort(scratch.begin(), scratch.end());
+      for (const std::uint32_t row : scratch) fn(v.records[row]);
     }
     if (open_records_.empty() || open_max_end_ < from || open_min_end_ >= to) {
       return;
     }
-    // Row-order scan of the open segment is already append order.
-    for (const Record& r : open_records_) {
-      if (r.end_time >= from && r.end_time < to) fn(r);
+    emit_range(open_records_.data(), open_records_.size(), open_sorted_, from,
+               to, fn);
+  }
+
+  /// Every record, in append order.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (const Sealed& s : sealed_) {
+      for (std::uint32_t i = 0; i < s.view.count; ++i) fn(s.view.records[i]);
     }
+    for (const Record& r : open_records_) fn(r);
   }
 
  private:
@@ -342,65 +363,140 @@ class SegmentLog {
     [[nodiscard]] bool spilled() const { return map.data() != nullptr; }
   };
 
+  /// Emits records[row] for the rows in [first, last) (append order) whose
+  /// end time falls in [from, to). `covered` says the whole segment lies in
+  /// the window, so every row qualifies; otherwise, when the records are
+  /// end-sorted the rows are too and the window bounds are binary-searched.
   template <class Fn>
-  static void emit_user_window(const View& v, std::uint32_t key, SimTime from,
-                               SimTime to, Fn&& fn) {
-    const std::uint32_t* end = v.keys + v.user_count;
-    const std::uint32_t* k = std::lower_bound(v.keys, end, key);
-    if (k == end || *k != key) return;
-    const auto u = static_cast<std::size_t>(k - v.keys);
-    const std::uint32_t* first = v.rows + v.offsets[u];
-    const std::uint32_t* last = v.rows + v.offsets[u + 1];
-    if (v.end_sorted) {
-      // Posting rows inherit the segment's end-time order: binary-search
-      // the window bounds.
-      const auto end_less = [&](std::uint32_t row, SimTime t) {
-        return v.records[row].end_time < t;
+  static void emit_rows(const Record* records, const std::uint32_t* first,
+                        const std::uint32_t* last, bool end_sorted,
+                        bool covered, SimTime from, SimTime to, Fn& fn) {
+    if (covered) {
+      for (; first != last; ++first) fn(records[*first]);
+      return;
+    }
+    if (end_sorted) {
+      const auto end_less = [records](std::uint32_t row, SimTime t) {
+        return records[row].end_time < t;
       };
       first = std::lower_bound(first, last, from, end_less);
       last = std::lower_bound(first, last, to, end_less);
-      for (const std::uint32_t* i = first; i != last; ++i) {
-        fn(v.records[*i]);
-      }
-    } else {
-      for (const std::uint32_t* i = first; i != last; ++i) {
-        const Record& r = v.records[*i];
-        if (r.end_time >= from && r.end_time < to) fn(r);
-      }
+      for (; first != last; ++first) fn(records[*first]);
+      return;
+    }
+    for (; first != last; ++first) {
+      const Record& r = records[*first];
+      if (r.end_time >= from && r.end_time < to) fn(r);
     }
   }
 
+  /// Emits the records in [records, records + count) whose end time falls
+  /// in [from, to), in append order: one binary-searched stretch when the
+  /// array is end-sorted, a filtered scan otherwise.
   template <class Fn>
-  static void emit_window(const View& v, SimTime from, SimTime to,
-                          std::vector<std::uint32_t>& scratch, Fn&& fn) {
-    if (v.end_sorted) {
-      // The record array itself is end-sorted: one contiguous stretch,
-      // already in append order.
-      std::uint32_t lo = 0;
-      std::uint32_t hi = v.count;
-      while (lo < hi) {
-        const std::uint32_t mid = lo + (hi - lo) / 2;
-        if (v.records[mid].end_time < from) lo = mid + 1; else hi = mid;
-      }
-      std::uint32_t lo2 = lo;
-      std::uint32_t hi2 = v.count;
-      while (lo2 < hi2) {
-        const std::uint32_t mid = lo2 + (hi2 - lo2) / 2;
-        if (v.records[mid].end_time < to) lo2 = mid + 1; else hi2 = mid;
-      }
-      for (std::uint32_t i = lo; i < lo2; ++i) fn(v.records[i]);
+  static void emit_range(const Record* records, std::size_t count,
+                         bool end_sorted, SimTime from, SimTime to, Fn& fn) {
+    const Record* first = records;
+    const Record* last = records + count;
+    if (end_sorted) {
+      const auto end_less = [](const Record& r, SimTime t) {
+        return r.end_time < t;
+      };
+      first = std::lower_bound(first, last, from, end_less);
+      last = std::lower_bound(first, last, to, end_less);
+      for (; first != last; ++first) fn(*first);
       return;
     }
-    const std::uint32_t* first = v.by_end;
-    const std::uint32_t* last = v.by_end + v.count;
-    const auto end_less = [&](std::uint32_t row, SimTime t) {
-      return v.records[row].end_time < t;
+    for (; first != last; ++first) {
+      if (first->end_time >= from && first->end_time < to) fn(*first);
+    }
+  }
+
+  [[nodiscard]] std::string spill_path(std::size_t seq) const {
+    return config_.spill_dir + "/" + tag_ + "-" + std::to_string(seq) +
+           ".tgseg";
+  }
+
+  /// Points `v`'s arrays at the sections of a segment file image.
+  static void bind_view(View& v, const seg_detail::SegmentFileHeader& h,
+                        const std::byte* base) {
+    const auto words = [base](std::uint64_t off) {
+      return reinterpret_cast<const std::uint32_t*>(base + off);
     };
-    first = std::lower_bound(first, last, from, end_less);
-    last = std::lower_bound(first, last, to, end_less);
-    scratch.assign(first, last);
-    std::sort(scratch.begin(), scratch.end());  // back to append order
-    for (const std::uint32_t row : scratch) fn(v.records[row]);
+    v.records = reinterpret_cast<const Record*>(base + h.off_records);
+    v.keys = words(h.off_keys);
+    v.offsets = words(h.off_offsets);
+    v.rows = words(h.off_rows);
+    v.by_end = v.end_sorted ? nullptr : words(h.off_by_end);
+  }
+
+  /// Rejects a segment file that would make a query read outside it: bad
+  /// magic or record size, a section that is misaligned or does not lie
+  /// inside the file (64-bit arithmetic that cannot overflow), CSR offsets
+  /// that are not a monotone partition of the rows, keys that are not
+  /// strictly increasing user ids, a row or by-end entry past the record
+  /// count, or an inverted end-time range. Throws PreconditionError.
+  static void validate(const seg_detail::SegmentFileHeader& h,
+                       const std::byte* base, std::uint64_t size,
+                       const std::string& path) {
+    using seg_detail::SegmentFileHeader;
+    TG_REQUIRE(h.magic == SegmentFileHeader::kMagic,
+               "bad magic in segment file " << path);
+    TG_REQUIRE(h.record_size == sizeof(Record),
+               "segment file " << path << " holds records of "
+                               << h.record_size << " bytes, expected "
+                               << sizeof(Record));
+    const bool end_sorted = (h.flags & 1u) != 0;
+    const auto section = [&](const char* name, std::uint64_t off,
+                             std::uint64_t bytes) {
+      TG_REQUIRE(off % 64 == 0 && off >= sizeof(SegmentFileHeader) &&
+                     off <= size && bytes <= size - off,
+                 "segment file " << path << ": " << name << " section at "
+                                 << off << " (" << bytes
+                                 << " bytes) is misaligned or outside the "
+                                 << size << "-byte file");
+    };
+    constexpr std::uint64_t kWord = sizeof(std::uint32_t);
+    section("records", h.off_records, std::uint64_t{h.count} * sizeof(Record));
+    section("keys", h.off_keys, std::uint64_t{h.user_count} * kWord);
+    section("offsets", h.off_offsets,
+            (std::uint64_t{h.user_count} + 1) * kWord);
+    section("rows", h.off_rows, std::uint64_t{h.posting_rows} * kWord);
+    if (!end_sorted) {
+      section("by_end", h.off_by_end, std::uint64_t{h.count} * kWord);
+    }
+    TG_REQUIRE(h.count == 0 || h.min_end <= h.max_end,
+               "segment file " << path << ": min_end " << h.min_end
+                               << " > max_end " << h.max_end);
+    View v;
+    v.end_sorted = end_sorted;
+    bind_view(v, h, base);
+    TG_REQUIRE(v.offsets[0] == 0 && v.offsets[h.user_count] == h.posting_rows,
+               "segment file " << path
+                               << ": posting offsets do not span the "
+                               << h.posting_rows << " rows");
+    constexpr auto kMaxKey =
+        static_cast<std::uint32_t>(std::numeric_limits<UserId::rep>::max());
+    for (std::uint32_t u = 0; u < h.user_count; ++u) {
+      TG_REQUIRE(v.offsets[u] <= v.offsets[u + 1],
+                 "segment file " << path << ": posting offset " << u + 1
+                                 << " decreases");
+      TG_REQUIRE(v.keys[u] < kMaxKey && (u == 0 || v.keys[u - 1] < v.keys[u]),
+                 "segment file " << path << ": user key " << u
+                                 << " is out of order or not a user id");
+    }
+    for (std::uint32_t i = 0; i < h.posting_rows; ++i) {
+      TG_REQUIRE(v.rows[i] < h.count, "segment file "
+                                          << path << ": posting row " << i
+                                          << " indexes past " << h.count
+                                          << " records");
+    }
+    for (std::uint32_t i = 0; v.by_end != nullptr && i < h.count; ++i) {
+      TG_REQUIRE(v.by_end[i] < h.count, "segment file "
+                                            << path << ": by-end entry " << i
+                                            << " indexes past " << h.count
+                                            << " records");
+    }
   }
 
   void seal() {
@@ -508,23 +604,13 @@ class SegmentLog {
     if (!s.view.end_sorted) {
       put(h.off_by_end, s.by_end.data(), h.count * sizeof(std::uint32_t));
     }
-    const std::string path = config_.spill_dir + "/" + tag_ + "-" +
-                             std::to_string(seq) + ".tgseg";
+    const std::string path = spill_path(seq);
     if (!seg_detail::write_file(path, blob.data(), blob.size())) return false;
     seg_detail::MappedFile map;
     if (!map.open(path) || map.size() < blob.size()) return false;
     // Rebind the view into the mapping, then release the heap backing.
-    const std::byte* base = map.data();
+    bind_view(s.view, h, map.data());
     s.map = std::move(map);
-    s.view.records = reinterpret_cast<const Record*>(base + h.off_records);
-    s.view.keys =
-        reinterpret_cast<const std::uint32_t*>(base + h.off_keys);
-    s.view.offsets =
-        reinterpret_cast<const std::uint32_t*>(base + h.off_offsets);
-    s.view.rows = reinterpret_cast<const std::uint32_t*>(base + h.off_rows);
-    s.view.by_end = s.view.end_sorted ? nullptr
-                                      : reinterpret_cast<const std::uint32_t*>(
-                                            base + h.off_by_end);
     std::vector<Record>().swap(s.records);
     std::vector<std::uint32_t>().swap(s.keys);
     std::vector<std::uint32_t>().swap(s.offsets);

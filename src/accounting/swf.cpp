@@ -71,14 +71,14 @@ void export_swf(const UsageDatabase& db, std::ostream& out,
                 const std::string& platform_name) {
   out << "; SWF export from tgsim\n"
       << "; Computer: " << platform_name << "\n"
-      << "; MaxJobs: " << db.jobs().size() << "\n"
+      << "; MaxJobs: " << db.job_count() << "\n"
       << "; Note: field 14 (executable) is the interned gateway end-user id\n"
       << "; Note: field 15 (queue) is 1 for science-gateway jobs\n"
       << "; Note: field 16 (partition) is the tgsim resource id\n";
   long number = 1;
-  for (const JobRecord& r : db.jobs()) {
+  db.for_each<JobRecord>([&](const JobRecord& r) {
     out << to_swf_line(r, number++) << '\n';
-  }
+  });
 }
 
 namespace {

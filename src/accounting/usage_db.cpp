@@ -1,244 +1,33 @@
 #include "accounting/usage_db.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "accounting/charge.hpp"
 
 namespace tg {
 
 namespace {
 
-/// First index in [0, n) whose end time is >= t, by binary search over an
-/// end-time-sorted sequence accessed through `end_at`.
-template <class EndAt>
-std::size_t lower_end(std::size_t n, SimTime t, const EndAt& end_at) {
-  std::size_t lo = 0;
-  std::size_t hi = n;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (end_at(mid) < t) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+/// The records `visit` yields, in order. A counting pass sizes the vector
+/// first: repeating the visit is cheaper than growing into it.
+template <class Visit>
+std::vector<const JobRecord*> collect(const Visit& visit) {
+  std::size_t n = 0;
+  visit([&n](const JobRecord&) { ++n; });
+  std::vector<const JobRecord*> out;
+  out.reserve(n);
+  visit([&out](const JobRecord& r) { out.push_back(&r); });
+  return out;
 }
 
 }  // namespace
-
-template <class Record>
-void UsageDatabase::build_index(const std::vector<Record>& records,
-                                const StreamIndex& index) {
-  UserId::rep max_user = -1;
-  bool sorted = true;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    max_user = std::max(max_user, records[i].user.value());
-    if (i > 0 && records[i].end_time < records[i - 1].end_time) {
-      sorted = false;
-    }
-  }
-  index.end_sorted = sorted;
-
-  // Dense posting lists, sized by a counting pass so the row arrays are
-  // allocated exactly once.
-  const auto slots = static_cast<std::size_t>(max_user + 1);
-  std::vector<std::uint32_t> counts(slots, 0);
-  for (const Record& r : records) {
-    if (r.user.valid()) ++counts[static_cast<std::size_t>(r.user.value())];
-  }
-  index.postings.assign(slots, {});
-  for (std::size_t u = 0; u < slots; ++u) index.postings[u].reserve(counts[u]);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const UserId user = records[i].user;
-    if (user.valid()) {
-      index.postings[static_cast<std::size_t>(user.value())].push_back(
-          static_cast<std::uint32_t>(i));
-    }
-  }
-
-  // End-time row permutation. An already-sorted stream (the live Recorder
-  // appends in completion order) gets the identity permutation for free.
-  index.by_end.resize(records.size());
-  std::iota(index.by_end.begin(), index.by_end.end(), 0u);
-  if (!sorted) {
-    std::stable_sort(index.by_end.begin(), index.by_end.end(),
-                     [&records](std::uint32_t a, std::uint32_t b) {
-                       return records[a].end_time < records[b].end_time;
-                     });
-  }
-}
-
-template <class Record>
-void UsageDatabase::StreamIndex::ensure(
-    const std::vector<Record>& records) const {
-  if (built.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(build_mutex);
-  if (built.load(std::memory_order_relaxed)) return;
-  build_index(records, *this);
-  built.store(true, std::memory_order_release);
-}
-
-template <class Record>
-void UsageDatabase::gather_window(const std::vector<Record>& records,
-                                  const StreamIndex& index, UserId user,
-                                  SimTime from, SimTime to,
-                                  std::vector<const Record*>& out) {
-  if (from >= to || !user.valid()) return;
-  index.ensure(records);
-  const auto slot = static_cast<std::size_t>(user.value());
-  if (slot >= index.postings.size()) return;
-  const std::vector<std::uint32_t>& rows = index.postings[slot];
-  if (index.end_sorted) {
-    // The posting list inherits the stream's end-time order: binary-search
-    // the window bounds, O(log k + hits).
-    const auto end_at = [&](std::size_t i) {
-      return records[rows[i]].end_time;
-    };
-    const std::size_t lo = lower_end(rows.size(), from, end_at);
-    const std::size_t hi = lower_end(rows.size(), to, end_at);
-    for (std::size_t i = lo; i < hi; ++i) out.push_back(&records[rows[i]]);
-  } else {
-    for (const std::uint32_t row : rows) {
-      const Record& r = records[row];
-      if (r.end_time >= from && r.end_time < to) out.push_back(&r);
-    }
-  }
-}
-
-void UsageDatabase::ensure_indexes() const {
-  if (segmented_) return;  // per-segment indexes are built eagerly on seal
-  jobs_index_.ensure(jobs_);
-  transfers_index_.ensure(transfers_);
-  sessions_index_.ensure(sessions_);
-}
-
-UserId::rep UsageDatabase::user_id_limit() const {
-  if (segmented_) {
-    return std::max({job_log_.user_limit(), transfer_log_.user_limit(),
-                     session_log_.user_limit()});
-  }
-  ensure_indexes();
-  const std::size_t slots =
-      std::max({jobs_index_.postings.size(), transfers_index_.postings.size(),
-                sessions_index_.postings.size()});
-  return static_cast<UserId::rep>(slots);
-}
-
-namespace {
-const std::vector<std::uint32_t>& rows_or_empty(
-    const std::vector<std::vector<std::uint32_t>>& postings, UserId user) {
-  static const std::vector<std::uint32_t> kEmpty;
-  if (!user.valid()) return kEmpty;
-  const auto slot = static_cast<std::size_t>(user.value());
-  return slot < postings.size() ? postings[slot] : kEmpty;
-}
-}  // namespace
-
-const std::vector<std::uint32_t>& UsageDatabase::job_rows_of(
-    UserId user) const {
-  TG_REQUIRE(!segmented_, "posting-list access requires monolithic storage");
-  jobs_index_.ensure(jobs_);
-  return rows_or_empty(jobs_index_.postings, user);
-}
-
-const std::vector<std::uint32_t>& UsageDatabase::transfer_rows_of(
-    UserId user) const {
-  TG_REQUIRE(!segmented_, "posting-list access requires monolithic storage");
-  transfers_index_.ensure(transfers_);
-  return rows_or_empty(transfers_index_.postings, user);
-}
-
-const std::vector<std::uint32_t>& UsageDatabase::session_rows_of(
-    UserId user) const {
-  TG_REQUIRE(!segmented_, "posting-list access requires monolithic storage");
-  sessions_index_.ensure(sessions_);
-  return rows_or_empty(sessions_index_.postings, user);
-}
 
 std::vector<const JobRecord*> UsageDatabase::jobs_of(UserId user) const {
-  std::vector<const JobRecord*> out;
-  if (segmented_) {
-    job_log_.for_each_of(user,
-                         [&](const JobRecord& r) { out.push_back(&r); });
-    return out;
-  }
-  const std::vector<std::uint32_t>& rows = job_rows_of(user);
-  out.reserve(rows.size());
-  for (const std::uint32_t row : rows) out.push_back(&jobs_[row]);
-  return out;
+  return collect([&](const auto& fn) { job_log_.for_each_of(user, fn); });
 }
 
 std::vector<const JobRecord*> UsageDatabase::jobs_ending_in(
     SimTime from, SimTime to) const {
-  std::vector<const JobRecord*> out;
-  if (from >= to) return out;
-  if (segmented_) {
-    job_log_.for_each_ending_in(
-        from, to, [&](const JobRecord& r) { out.push_back(&r); });
-    return out;
-  }
-  jobs_index_.ensure(jobs_);
-  if (jobs_index_.end_sorted) {
-    // Rows are already in end-time order; the window is one contiguous
-    // stretch of the stream, emitted directly in arrival order.
-    const auto end_at = [this](std::size_t i) { return jobs_[i].end_time; };
-    const std::size_t lo = lower_end(jobs_.size(), from, end_at);
-    const std::size_t hi = lower_end(jobs_.size(), to, end_at);
-    out.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) out.push_back(&jobs_[i]);
-    return out;
-  }
-  const std::vector<std::uint32_t>& by_end = jobs_index_.by_end;
-  const auto end_at = [&](std::size_t i) { return jobs_[by_end[i]].end_time; };
-  const std::size_t lo = lower_end(by_end.size(), from, end_at);
-  const std::size_t hi = lower_end(by_end.size(), to, end_at);
-  std::vector<std::uint32_t> rows(by_end.begin() + static_cast<long>(lo),
-                                  by_end.begin() + static_cast<long>(hi));
-  std::sort(rows.begin(), rows.end());  // back to arrival order
-  out.reserve(rows.size());
-  for (const std::uint32_t row : rows) out.push_back(&jobs_[row]);
-  return out;
-}
-
-namespace {
-template <class Record>
-UsageDatabase::RowRange window_range(const std::vector<Record>& records,
-                                     bool end_sorted, SimTime from,
-                                     SimTime to) {
-  UsageDatabase::RowRange range;
-  if (!end_sorted) return range;
-  range.contiguous = true;
-  if (from >= to) return range;  // empty [0, 0)
-  const auto end_at = [&](std::size_t i) { return records[i].end_time; };
-  range.first =
-      static_cast<std::uint32_t>(lower_end(records.size(), from, end_at));
-  range.last =
-      static_cast<std::uint32_t>(lower_end(records.size(), to, end_at));
-  return range;
-}
-}  // namespace
-
-UsageDatabase::RowRange UsageDatabase::job_window(SimTime from,
-                                                  SimTime to) const {
-  TG_REQUIRE(!segmented_, "row-range access requires monolithic storage");
-  jobs_index_.ensure(jobs_);
-  return window_range(jobs_, jobs_index_.end_sorted, from, to);
-}
-
-UsageDatabase::RowRange UsageDatabase::transfer_window(SimTime from,
-                                                       SimTime to) const {
-  TG_REQUIRE(!segmented_, "row-range access requires monolithic storage");
-  transfers_index_.ensure(transfers_);
-  return window_range(transfers_, transfers_index_.end_sorted, from, to);
-}
-
-UsageDatabase::RowRange UsageDatabase::session_window(SimTime from,
-                                                      SimTime to) const {
-  TG_REQUIRE(!segmented_, "row-range access requires monolithic storage");
-  sessions_index_.ensure(sessions_);
-  return window_range(sessions_, sessions_index_.end_sorted, from, to);
+  return collect(
+      [&](const auto& fn) { job_log_.for_each_ending_in(from, to, fn); });
 }
 
 UserWindowRecords UsageDatabase::records_of(UserId user, SimTime from,
@@ -251,20 +40,14 @@ UserWindowRecords UsageDatabase::records_of(UserId user, SimTime from,
 void UsageDatabase::records_of(UserId user, SimTime from, SimTime to,
                                UserWindowRecords& out) const {
   out.clear();
-  if (segmented_) {
-    job_log_.for_each_of(user, from, to,
-                         [&](const JobRecord& r) { out.jobs.push_back(&r); });
-    transfer_log_.for_each_of(
-        user, from, to,
-        [&](const TransferRecord& r) { out.transfers.push_back(&r); });
-    session_log_.for_each_of(
-        user, from, to,
-        [&](const SessionRecord& r) { out.sessions.push_back(&r); });
-    return;
-  }
-  gather_window(jobs_, jobs_index_, user, from, to, out.jobs);
-  gather_window(transfers_, transfers_index_, user, from, to, out.transfers);
-  gather_window(sessions_, sessions_index_, user, from, to, out.sessions);
+  job_log_.for_each_of(user, from, to,
+                       [&](const JobRecord& r) { out.jobs.push_back(&r); });
+  transfer_log_.for_each_of(
+      user, from, to,
+      [&](const TransferRecord& r) { out.transfers.push_back(&r); });
+  session_log_.for_each_of(
+      user, from, to,
+      [&](const SessionRecord& r) { out.sessions.push_back(&r); });
 }
 
 Recorder::Recorder(const Platform& platform, UsageDatabase& db,
@@ -290,7 +73,7 @@ void Recorder::attach(FlowManager& flows) {
     r.bytes = flow.total_bytes;
     r.submit_time = flow.submitted;
     r.end_time = flow.completed;
-    db_.add(std::move(r));
+    db_.add(r);
   });
 }
 
@@ -302,7 +85,7 @@ void Recorder::record_session(UserId user, ResourceId resource, SimTime start,
   s.start_time = start;
   s.end_time = end;
   s.viz = viz;
-  db_.add(std::move(s));
+  db_.add(s);
 }
 
 void Recorder::on_job_end(const Job& job) {
@@ -335,7 +118,7 @@ void Recorder::on_job_end(const Job& job) {
   r.bytes_from_cache = job.req.bytes_from_cache;
   r.stage_in = job.req.stage_in;
   if (ledger_ != nullptr) ledger_->debit(r.project, r.charged_nu);
-  db_.add(std::move(r));
+  db_.add(r);
 }
 
 }  // namespace tg

@@ -3,14 +3,13 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <cstdint>
-#include <functional>
-#include <mutex>
-#include <string_view>
-#include <vector>
-
 #include <array>
+#include <cstdint>
+#include <span>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/string_pool.hpp"
@@ -45,16 +44,18 @@ struct UserWindowRecords {
   }
 };
 
-/// Append-only store of usage records with columnar query indexes. The
-/// modality classifier reads exactly this.
+/// Append-only store of usage records. The modality classifier reads
+/// exactly this.
 ///
-/// Every query is served from two lazily-built indexes per record stream:
-///  * a dense per-user posting list (row numbers in append order), and
-///  * an end-time-sorted row permutation for window queries.
-/// Appending invalidates the affected stream's indexes; the next query
-/// rebuilds them. Concurrent *queries* are safe (the lazy build is guarded);
-/// appends must not race queries — the simulator writes single-threaded and
-/// the analysis phase only reads.
+/// Each record stream (jobs, transfers, sessions) lives in one SegmentLog.
+/// By default the log keeps one resident open segment that never seals —
+/// a contiguous array whose per-user posting lists are kept up to date on
+/// append, so there is no index to build or invalidate. enable_segments()
+/// caps the segment size instead: full segments seal into immutable CSR
+/// indexes and spill to disk past a residency budget. Every query below
+/// works on both. Concurrent queries are safe; appends must not race
+/// queries — the simulator writes single-threaded and the analysis phase
+/// only reads.
 class UsageDatabase {
  public:
   /// Observes every record the instant it lands in the store, in append
@@ -71,69 +72,41 @@ class UsageDatabase {
   };
 
   UsageDatabase() = default;
-  UsageDatabase(UsageDatabase&& other) noexcept
-      : jobs_(std::move(other.jobs_)),
-        transfers_(std::move(other.transfers_)),
-        sessions_(std::move(other.sessions_)),
-        segmented_(other.segmented_),
-        job_log_(std::move(other.job_log_)),
-        transfer_log_(std::move(other.transfer_log_)),
-        session_log_(std::move(other.session_log_)),
-        total_nu_(other.total_nu_),
-        disposition_counts_(other.disposition_counts_),
-        end_user_limit_(other.end_user_limit_),
-        end_user_pool_(other.end_user_pool_),
-        observers_(std::move(other.observers_)) {
-    // The moved-from object's lazy indexes still say "built" but their
-    // posting rows point into the vectors that just moved away; leave it
-    // pristine instead of queryable-but-corrupt.
-    other.reset_to_empty();
-  }
+  /// Moves leave the source empty and reusable, not merely valid.
+  UsageDatabase(UsageDatabase&& other) noexcept { *this = std::move(other); }
   UsageDatabase& operator=(UsageDatabase&& other) noexcept {
     if (this != &other) {
-      jobs_ = std::move(other.jobs_);
-      transfers_ = std::move(other.transfers_);
-      sessions_ = std::move(other.sessions_);
-      segmented_ = other.segmented_;
-      job_log_ = std::move(other.job_log_);
-      transfer_log_ = std::move(other.transfer_log_);
-      session_log_ = std::move(other.session_log_);
-      total_nu_ = other.total_nu_;
-      disposition_counts_ = other.disposition_counts_;
-      end_user_limit_ = other.end_user_limit_;
-      end_user_pool_ = other.end_user_pool_;
-      observers_ = std::move(other.observers_);
-      // Both sides' lazy indexes are stale now: ours describe the rows we
-      // just dropped, the source's describe rows that moved here.
-      jobs_index_.invalidate();
-      transfers_index_.invalidate();
-      sessions_index_.invalidate();
-      other.reset_to_empty();
+      job_log_ = std::exchange(other.job_log_, SegmentLog<JobRecord>());
+      transfer_log_ =
+          std::exchange(other.transfer_log_, SegmentLog<TransferRecord>());
+      session_log_ =
+          std::exchange(other.session_log_, SegmentLog<SessionRecord>());
+      totals_ = std::exchange(other.totals_, {});
+      end_user_pool_ = std::exchange(other.end_user_pool_, nullptr);
+      observers_ = std::exchange(other.observers_, {});
     }
     return *this;
   }
 
-  /// Switches storage to the spillable columnar segment log (streaming /
-  /// out-of-core mode). Allowed only while the database is empty.
-  /// Contiguous access — jobs()/transfers()/sessions(), row ranges,
-  /// posting lists — becomes unavailable; the windowed query surface
-  /// (records_of, jobs_of, jobs_ending_in) is served from the per-segment
-  /// indexes instead and keeps its O(log n + k) contract.
+  /// Caps every stream's segments at config.segment_records (streaming /
+  /// out-of-core mode): full segments seal, and past the residency budget
+  /// spill to config.spill_dir. Allowed only while the database is empty.
   void enable_segments(const SegmentLogConfig& config) {
     TG_REQUIRE(job_count() == 0 && transfer_count() == 0 &&
                    session_count() == 0,
                "enable_segments requires an empty database");
-    segmented_ = true;
     job_log_ = SegmentLog<JobRecord>(config, "jobs");
     transfer_log_ = SegmentLog<TransferRecord>(config, "transfers");
     session_log_ = SegmentLog<SessionRecord>(config, "sessions");
   }
-  [[nodiscard]] bool segmented() const { return segmented_; }
+  /// True when segments are capped (enable_segments with a positive cap).
+  [[nodiscard]] bool segmented() const {
+    return job_log_.config().segment_records > 0;
+  }
   /// Seals and spills all three streams' full history to the configured
   /// spill directory (see SegmentLog::checkpoint). True when everything
-  /// reached disk.
+  /// reached disk; false without a spill directory.
   bool checkpoint_segments() {
-    TG_REQUIRE(segmented_, "checkpoint_segments requires segmented storage");
     const bool jobs_ok = job_log_.checkpoint();
     const bool transfers_ok = transfer_log_.checkpoint();
     const bool sessions_ok = session_log_.checkpoint();
@@ -149,19 +122,9 @@ class UsageDatabase {
     job_log_.recover_from_spill();
     transfer_log_.recover_from_spill();
     session_log_.recover_from_spill();
-    job_log_.for_each_ending_in(
-        std::numeric_limits<SimTime>::min(), kMaxSimTime,
-        [this](const JobRecord& r) {
-          total_nu_ += r.charged_nu;
-          ++disposition_counts_[static_cast<std::size_t>(r.disposition)];
-          if (r.gateway_end_user.valid()) {
-            end_user_limit_ =
-                std::max(end_user_limit_, r.gateway_end_user.value() + 1);
-          }
-        });
+    job_log_.for_each([this](const JobRecord& r) { totals_.add(r); });
   }
-  /// Spill/seal counters summed across the three streams (zeros when
-  /// segments are disabled).
+  /// Spill/seal counters summed across the three streams.
   [[nodiscard]] SegmentLogStats segment_stats() const {
     SegmentLogStats s;
     for (const SegmentLogStats* p :
@@ -183,96 +146,61 @@ class UsageDatabase {
     observers_.push_back(observer);
   }
 
-  void add(JobRecord r) {
-    total_nu_ += r.charged_nu;
-    ++disposition_counts_[static_cast<std::size_t>(r.disposition)];
-    if (r.gateway_end_user.valid()) {
-      end_user_limit_ = std::max(end_user_limit_,
-                                 r.gateway_end_user.value() + 1);
-    }
-    const JobRecord* stored;
-    if (segmented_) {
-      stored = &job_log_.append(r);
-    } else {
-      jobs_.push_back(std::move(r));
-      jobs_index_.invalidate();
-      stored = &jobs_.back();
-    }
-    for (RecordObserver* o : observers_) o->on_job(*stored);
+  void add(const JobRecord& r) {
+    totals_.add(r);
+    const JobRecord& stored = job_log_.append(r);
+    for (RecordObserver* o : observers_) o->on_job(stored);
   }
-  void add(TransferRecord r) {
-    const TransferRecord* stored;
-    if (segmented_) {
-      stored = &transfer_log_.append(r);
-    } else {
-      transfers_.push_back(std::move(r));
-      transfers_index_.invalidate();
-      stored = &transfers_.back();
-    }
-    for (RecordObserver* o : observers_) o->on_transfer(*stored);
+  void add(const TransferRecord& r) {
+    const TransferRecord& stored = transfer_log_.append(r);
+    for (RecordObserver* o : observers_) o->on_transfer(stored);
   }
-  void add(SessionRecord r) {
-    const SessionRecord* stored;
-    if (segmented_) {
-      stored = &session_log_.append(r);
-    } else {
-      sessions_.push_back(std::move(r));
-      sessions_index_.invalidate();
-      stored = &sessions_.back();
-    }
-    for (RecordObserver* o : observers_) o->on_session(*stored);
+  void add(const SessionRecord& r) {
+    const SessionRecord& stored = session_log_.append(r);
+    for (RecordObserver* o : observers_) o->on_session(stored);
   }
 
-  /// Record counts, O(1) in both storage modes.
-  [[nodiscard]] std::size_t job_count() const {
-    return segmented_ ? job_log_.size() : jobs_.size();
-  }
+  /// Record counts, O(1).
+  [[nodiscard]] std::size_t job_count() const { return job_log_.size(); }
   [[nodiscard]] std::size_t transfer_count() const {
-    return segmented_ ? transfer_log_.size() : transfers_.size();
+    return transfer_log_.size();
   }
   [[nodiscard]] std::size_t session_count() const {
-    return segmented_ ? session_log_.size() : sessions_.size();
+    return session_log_.size();
   }
 
-  /// Contiguous record arrays — monolithic storage only (segmented
-  /// storage may have spilled cold history to disk).
-  [[nodiscard]] const std::vector<JobRecord>& jobs() const {
-    TG_REQUIRE(!segmented_,
-               "contiguous jobs() access requires monolithic storage");
-    return jobs_;
+  /// A stream as one contiguous array — only while its log has sealed
+  /// nothing (always, unless segments are capped). For tests, examples and
+  /// experiment binaries; library code reads through for_each().
+  [[nodiscard]] std::span<const JobRecord> jobs() const {
+    return job_log_.records();
   }
-  [[nodiscard]] const std::vector<TransferRecord>& transfers() const {
-    TG_REQUIRE(!segmented_,
-               "contiguous transfers() access requires monolithic storage");
-    return transfers_;
+  [[nodiscard]] std::span<const TransferRecord> transfers() const {
+    return transfer_log_.records();
   }
-  [[nodiscard]] const std::vector<SessionRecord>& sessions() const {
-    TG_REQUIRE(!segmented_,
-               "contiguous sessions() access requires monolithic storage");
-    return sessions_;
+  [[nodiscard]] std::span<const SessionRecord> sessions() const {
+    return session_log_.records();
   }
 
   // --- Query surface --------------------------------------------------------
-  // Everything below is read-only and index-backed; time windows are always
-  // half-open [from, to) over a record's *end* time (the TGCDB convention:
-  // a job is accounted when it finishes). Three tiers, cheapest first:
+  // Everything below is read-only; time windows are always half-open
+  // [from, to) over a record's *end* time (the TGCDB convention: a job is
+  // accounted when it finishes). Three tiers, cheapest first:
   //
   //  1. Aggregates maintained on append, O(1): total_nu(),
   //     disposition_count(), end_user_id_limit().
-  //  2. Per-user and windowed record queries, served from the lazy columnar
-  //     indexes: jobs_of(), jobs_ending_in(), records_of() (and its
-  //     allocation-free overload — the feature extractor's inner loop).
-  //  3. Raw index access for analytics that manage their own iteration:
-  //     job_window()/transfer_window()/session_window() row ranges and the
-  //     *_rows_of() posting lists, plus ensure_indexes() to force the
-  //     build before fanning read-only work out over threads.
+  //  2. Per-user and windowed record queries, served from the per-segment
+  //     posting lists: jobs_of(), jobs_ending_in(), records_of() (and its
+  //     allocation-free overload).
+  //  3. The full-scan visitor for analytics that walk a whole window or the
+  //     whole history: for_each<Record>().
 
   /// Total NUs charged across all job records.
-  [[nodiscard]] double total_nu() const { return total_nu_; }
+  [[nodiscard]] double total_nu() const { return totals_.nu; }
   /// Number of job records with the given disposition (maintained on
   /// append; O(1)).
   [[nodiscard]] std::uint64_t disposition_count(Disposition d) const {
-    return disposition_counts_[static_cast<std::size_t>(d)];
+    return totals_.dispositions[static_cast<std::size_t>(d)];
   }
   /// Job records for `user`, in arrival order.
   [[nodiscard]] std::vector<const JobRecord*> jobs_of(UserId user) const;
@@ -283,20 +211,37 @@ class UsageDatabase {
   [[nodiscard]] UserWindowRecords records_of(UserId user, SimTime from,
                                              SimTime to) const;
   /// Allocation-free variant of records_of: appends into `out` (cleared
-  /// first). The feature extractor's inner loop.
+  /// first).
   void records_of(UserId user, SimTime from, SimTime to,
                   UserWindowRecords& out) const;
+
+  /// Calls fn(record) for every `Record` (JobRecord, TransferRecord or
+  /// SessionRecord) with end time in [from, to), in append order, across
+  /// resident and spilled segments alike. References stay valid until the
+  /// next append.
+  template <class Record, class Fn>
+  void for_each(SimTime from, SimTime to, Fn&& fn) const {
+    log<Record>().for_each_ending_in(from, to, std::forward<Fn>(fn));
+  }
+  /// The whole history of one stream, in append order.
+  template <class Record, class Fn>
+  void for_each(Fn&& fn) const {
+    log<Record>().for_each(std::forward<Fn>(fn));
+  }
 
   /// One past the largest user id value present in any stream (0 if empty).
   /// Users are dense small integers, so [0, user_id_limit()) enumerates
   /// every possible record owner in id order.
-  [[nodiscard]] UserId::rep user_id_limit() const;
+  [[nodiscard]] UserId::rep user_id_limit() const {
+    return std::max({job_log_.user_limit(), transfer_log_.user_limit(),
+                     session_log_.user_limit()});
+  }
 
   /// One past the largest interned end-user id in any job record (0 if no
   /// record carries the attribute). Maintained on append; O(1). Analytics
   /// use it to size dense per-end-user tables.
   [[nodiscard]] EndUserId::rep end_user_id_limit() const {
-    return end_user_limit_;
+    return totals_.end_user_limit;
   }
 
   /// Borrows the pool that interned this database's end-user attributes,
@@ -314,101 +259,48 @@ class UsageDatabase {
                                      : std::string_view{};
   }
 
-  /// The append-order row range [first, last) covering exactly the records
-  /// whose end time falls in [from, to) — available when the stream is
-  /// end-time-sorted (`contiguous`). Otherwise callers must scan and
-  /// filter; `first`/`last` are meaningless.
-  struct RowRange {
-    std::uint32_t first = 0;
-    std::uint32_t last = 0;
-    bool contiguous = false;
-  };
-  [[nodiscard]] RowRange job_window(SimTime from, SimTime to) const;
-  [[nodiscard]] RowRange transfer_window(SimTime from, SimTime to) const;
-  [[nodiscard]] RowRange session_window(SimTime from, SimTime to) const;
-
-  /// Row numbers into jobs() owned by `user`, in append order.
-  [[nodiscard]] const std::vector<std::uint32_t>& job_rows_of(
-      UserId user) const;
-  [[nodiscard]] const std::vector<std::uint32_t>& transfer_rows_of(
-      UserId user) const;
-  [[nodiscard]] const std::vector<std::uint32_t>& session_rows_of(
-      UserId user) const;
-
-  /// Forces all three stream indexes to exist. Call before fanning
-  /// read-only analytics out over threads to keep the (guarded) lazy build
-  /// off the hot path.
-  void ensure_indexes() const;
+  /// No-op: posting lists are maintained on append, so there is nothing to
+  /// build before fanning queries out over threads. Kept because perfbench
+  /// (whose sources change only together with BENCHMARK.json) times it.
+  void ensure_indexes() const {}
 
  private:
-  /// Columnar index over one record stream: per-user posting lists plus an
-  /// end-time-sorted row permutation. Built lazily under a mutex; the
-  /// `built` flag is the acquire/release hand-off so readers that see it
-  /// set also see the index contents.
-  struct StreamIndex {
-    mutable std::vector<std::vector<std::uint32_t>> postings;  // [user]
-    mutable std::vector<std::uint32_t> by_end;  // rows sorted by (end, row)
-    /// True when the stream itself is already end-time-sorted (the live
-    /// Recorder appends in completion order); posting lists then inherit
-    /// the order and window queries binary-search instead of scanning.
-    mutable bool end_sorted = false;
-    mutable std::atomic<bool> built{false};
-    mutable std::mutex build_mutex;
+  /// Job-stream aggregates maintained on append.
+  struct Totals {
+    double nu = 0.0;
+    std::array<std::uint64_t, kDispositionCount> dispositions{};
+    EndUserId::rep end_user_limit = 0;
 
-    void invalidate() { built.store(false, std::memory_order_release); }
-
-    template <class Record>
-    void ensure(const std::vector<Record>& records) const;
+    void add(const JobRecord& r) {
+      nu += r.charged_nu;
+      ++dispositions[static_cast<std::size_t>(r.disposition)];
+      if (r.gateway_end_user.valid()) {
+        end_user_limit =
+            std::max(end_user_limit, r.gateway_end_user.value() + 1);
+      }
+    }
   };
 
   template <class Record>
-  static void build_index(const std::vector<Record>& records,
-                          const StreamIndex& index);
-  /// Rows of `records` owned by `user` with end_time in [from, to),
-  /// appended to `out` in row order.
-  template <class Record>
-  static void gather_window(const std::vector<Record>& records,
-                            const StreamIndex& index, UserId user,
-                            SimTime from, SimTime to,
-                            std::vector<const Record*>& out);
-
-  /// Returns a moved-from instance to the pristine empty state: vectors
-  /// cleared, aggregates zeroed, lazy indexes invalidated. Without this a
-  /// "built" index would keep posting rows into vectors whose contents
-  /// moved away.
-  void reset_to_empty() {
-    jobs_.clear();
-    transfers_.clear();
-    sessions_.clear();
-    segmented_ = false;
-    job_log_ = SegmentLog<JobRecord>();
-    transfer_log_ = SegmentLog<TransferRecord>();
-    session_log_ = SegmentLog<SessionRecord>();
-    total_nu_ = 0.0;
-    disposition_counts_ = {};
-    end_user_limit_ = 0;
-    end_user_pool_ = nullptr;
-    observers_.clear();
-    jobs_index_.invalidate();
-    transfers_index_.invalidate();
-    sessions_index_.invalidate();
+  [[nodiscard]] const SegmentLog<Record>& log() const {
+    if constexpr (std::is_same_v<Record, JobRecord>) {
+      return job_log_;
+    } else if constexpr (std::is_same_v<Record, TransferRecord>) {
+      return transfer_log_;
+    } else {
+      static_assert(std::is_same_v<Record, SessionRecord>,
+                    "for_each visits JobRecord, TransferRecord or "
+                    "SessionRecord streams");
+      return session_log_;
+    }
   }
 
-  std::vector<JobRecord> jobs_;
-  std::vector<TransferRecord> transfers_;
-  std::vector<SessionRecord> sessions_;
-  bool segmented_ = false;
-  SegmentLog<JobRecord> job_log_{SegmentLogConfig{}, "jobs"};
-  SegmentLog<TransferRecord> transfer_log_{SegmentLogConfig{}, "transfers"};
-  SegmentLog<SessionRecord> session_log_{SegmentLogConfig{}, "sessions"};
-  double total_nu_ = 0.0;
-  std::array<std::uint64_t, kDispositionCount> disposition_counts_{};
-  EndUserId::rep end_user_limit_ = 0;
+  SegmentLog<JobRecord> job_log_;
+  SegmentLog<TransferRecord> transfer_log_;
+  SegmentLog<SessionRecord> session_log_;
+  Totals totals_;
   const StringPool* end_user_pool_ = nullptr;
   std::vector<RecordObserver*> observers_;
-  StreamIndex jobs_index_;
-  StreamIndex transfers_index_;
-  StreamIndex sessions_index_;
 };
 
 /// Wires live components into the database: converts finished jobs into

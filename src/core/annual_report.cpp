@@ -24,16 +24,15 @@ std::vector<ResourceUsageRow> per_resource_usage(const Platform& platform,
     rows.push_back(row);
   }
   std::vector<RunningStats> waits(rows.size());
-  for (const JobRecord& r : db.jobs()) {
-    if (r.end_time < from || r.end_time >= to) continue;
+  db.for_each<JobRecord>(from, to, [&](const JobRecord& r) {
     const auto it = index.find(r.resource);
-    if (it == index.end()) continue;
+    if (it == index.end()) return;
     ResourceUsageRow& row = rows[it->second];
     ++row.jobs;
     row.nu += r.charged_nu;
     row.core_seconds += to_seconds(r.runtime()) * r.width_cores();
     waits[it->second].add(to_hours(r.wait()));
-  }
+  });
   const double span = to_seconds(to - from);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ComputeResource& res = platform.compute()[i];
@@ -48,12 +47,11 @@ std::vector<std::pair<FieldOfScience, double>> usage_by_field(
     const Community& community, const UsageDatabase& db, SimTime from,
     SimTime to) {
   std::map<FieldOfScience, double> by_field;
-  for (const JobRecord& r : db.jobs()) {
-    if (r.end_time < from || r.end_time >= to) continue;
+  db.for_each<JobRecord>(from, to, [&](const JobRecord& r) {
     const auto idx = static_cast<std::size_t>(r.project.value());
-    if (idx >= community.projects().size()) continue;
+    if (idx >= community.projects().size()) return;
     by_field[community.projects()[idx].field] += r.charged_nu;
-  }
+  });
   std::vector<std::pair<FieldOfScience, double>> out(by_field.begin(),
                                                      by_field.end());
   std::sort(out.begin(), out.end(),
@@ -85,12 +83,11 @@ std::string generate_annual_report(const Platform& platform,
   double total_nu = 0.0;
   long total_jobs = 0;
   std::set<UserId> active_users;
-  for (const JobRecord& r : db.jobs()) {
-    if (r.end_time < from || r.end_time >= to) continue;
+  db.for_each<JobRecord>(from, to, [&](const JobRecord& r) {
     total_nu += r.charged_nu;
     ++total_jobs;
     active_users.insert(r.user);
-  }
+  });
   os << "2. Headline usage\n-----------------\n"
      << "jobs completed:    " << total_jobs << "\n"
      << "NUs charged:       " << si_format(total_nu) << "\n"
@@ -137,12 +134,11 @@ std::string generate_annual_report(const Platform& platform,
     double total_bytes = 0.0;
     std::map<std::pair<SiteId, SiteId>, double> by_pair;
     long transfers = 0;
-    for (const TransferRecord& r : db.transfers()) {
-      if (r.end_time < from || r.end_time >= to) continue;
+    db.for_each<TransferRecord>(from, to, [&](const TransferRecord& r) {
       ++transfers;
       total_bytes += r.bytes;
       by_pair[{r.src, r.dst}] += r.bytes;
-    }
+    });
     os << transfers << " transfers, " << si_format(total_bytes)
        << "B moved\n";
     std::vector<std::pair<double, std::pair<SiteId, SiteId>>> top;

@@ -47,63 +47,133 @@ int count_burst_jobs(std::vector<BurstGeometry>& arena, Duration window,
   return burst_jobs;
 }
 
+void FeatureAccumulator::reset() {
+  sums_ = UserFeatures{};
+  tally_ = Tally{};
+  runtimes_.clear();
+  geometry_.clear();
+  ++resource_stamp_;
+}
+
+inline void FeatureAccumulator::add_job(const JobRecord& r,
+                                        const Platform& platform,
+                                        UserFeatures& f, Tally& t) {
+  ++f.jobs;
+  f.total_nu += r.charged_nu;
+  f.total_su += r.charged_su;
+  f.bytes_read += r.bytes_read;
+  f.bytes_read_cached += r.bytes_from_cache;
+  f.stage_in_s += to_seconds(r.stage_in);
+  if (r.gateway.valid()) ++t.gateway;
+  if (r.workflow.valid()) ++t.workflow;
+  if (r.coallocated) ++t.coalloc;
+  if (r.interactive || r.viz_resource) ++t.viz;
+  if (r.final_state == JobState::kFailed) ++t.failed;
+  if (r.disposition == Disposition::kRequeued) ++t.requeued;
+  if (r.disposition == Disposition::kKilledByOutage) ++t.outage_killed;
+  f.max_width_cores = std::max(f.max_width_cores, r.width_cores());
+  const ComputeResource& res = platform.compute_at(r.resource);
+  f.max_machine_fraction = std::max(
+      f.max_machine_fraction, static_cast<double>(r.nodes) / res.nodes);
+  t.width_sum += r.width_cores();
+  runtimes_.push_back(to_seconds(r.runtime()));
+  geometry_.push_back({r.nodes, r.requested_walltime, r.submit_time});
+  if (r.resource.valid()) {
+    const auto slot = static_cast<std::size_t>(r.resource.value());
+    if (slot >= resource_mark_.size()) resource_mark_.resize(slot + 1, 0);
+    if (resource_mark_[slot] != resource_stamp_) {
+      resource_mark_[slot] = resource_stamp_;
+      ++f.distinct_resources;
+    }
+  } else if (!t.invalid_resource_seen) {
+    t.invalid_resource_seen = true;
+    ++f.distinct_resources;
+  }
+}
+
+void FeatureAccumulator::add(std::span<const JobRecord* const> jobs,
+                             const Platform& platform) {
+  // Accumulate in locals: stores into the growing buffers could otherwise
+  // alias the running sums and keep them out of registers.
+  UserFeatures f = sums_;
+  Tally t = tally_;
+  runtimes_.reserve(runtimes_.size() + jobs.size());
+  geometry_.reserve(geometry_.size() + jobs.size());
+  for (const JobRecord* r : jobs) add_job(*r, platform, f, t);
+  sums_ = f;
+  tally_ = t;
+}
+
+void FeatureAccumulator::add(const JobRecord& r, const Platform& platform) {
+  add_job(r, platform, sums_, tally_);
+}
+
+void FeatureAccumulator::add(const TransferRecord& r) {
+  sums_.bytes_transferred += r.bytes;
+}
+
+void FeatureAccumulator::add(const SessionRecord& r) {
+  ++sums_.sessions;
+  if (r.viz) ++sums_.viz_sessions;
+}
+
+UserFeatures FeatureAccumulator::finish(UserId user,
+                                        const FeatureConfig& config) {
+  UserFeatures f = sums_;
+  f.user = user;
+  if (f.jobs > 0) {
+    const double n = static_cast<double>(f.jobs);
+    f.gateway_fraction = tally_.gateway / n;
+    f.workflow_fraction = tally_.workflow / n;
+    f.coalloc_fraction = tally_.coalloc / n;
+    f.viz_fraction = tally_.viz / n;
+    f.failed_fraction = tally_.failed / n;
+    f.requeued_fraction = tally_.requeued / n;
+    f.outage_killed_fraction = tally_.outage_killed / n;
+    f.mean_width_cores = tally_.width_sum / n;
+    double runtime_sum = 0.0;
+    for (const double rt : runtimes_) runtime_sum += rt;
+    f.mean_runtime_s = runtime_sum / n;
+    std::sort(runtimes_.begin(), runtimes_.end());
+    f.median_runtime_s = percentile_sorted(runtimes_, 0.5);
+    f.burst_fraction =
+        count_burst_jobs(geometry_, config.burst_window,
+                         config.burst_min_jobs) /
+        n;
+  }
+  return f;
+}
+
 namespace {
 
-/// Two-pass CSR gather of one stream's window rows: counts per user, prefix
-/// sums into `offsets`, then fills `items` so that user u's records occupy
-/// items[offsets[u], offsets[u+1]) in append order. Sequential over the
-/// window's row range when the stream is end-time-sorted, a sequential
-/// filtered scan otherwise — never a random per-user walk.
+/// One stream's window records bucketed by user (CSR): user u's records
+/// are items[off[u], off[u + 1]) in append order. Two visitor passes —
+/// count per user, prefix-sum, fill — with no per-user allocation. Built
+/// sequentially, then only read, so every worker shares it.
 template <class Record>
-void gather_csr(const std::vector<Record>& records,
-                UsageDatabase::RowRange range, SimTime from, SimTime to,
-                std::size_t limit, std::vector<std::uint32_t>& offsets,
-                std::vector<const Record*>& items) {
-  std::vector<std::uint32_t> cursor;
-  offsets.assign(limit + 1, 0);
-  const auto each = [&](auto&& fn) {
-    if (range.contiguous) {
-      for (std::uint32_t i = range.first; i < range.last; ++i) fn(records[i]);
-    } else {
-      for (const Record& r : records) {
-        if (r.end_time >= from && r.end_time < to) fn(r);
+struct UserBuckets {
+  std::vector<std::uint32_t> off;
+  std::vector<const Record*> items;
+
+  UserBuckets(const UsageDatabase& db, SimTime from, SimTime to,
+              std::size_t limit)
+      : off(limit + 1, 0) {
+    db.for_each<Record>(from, to, [&](const Record& r) {
+      if (r.user.valid()) ++off[static_cast<std::size_t>(r.user.value()) + 1];
+    });
+    for (std::size_t u = 0; u < limit; ++u) off[u + 1] += off[u];
+    std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
+    items.resize(off[limit]);
+    db.for_each<Record>(from, to, [&](const Record& r) {
+      if (r.user.valid()) {
+        items[cursor[static_cast<std::size_t>(r.user.value())]++] = &r;
       }
-    }
-  };
-  each([&](const Record& r) {
-    if (r.user.valid()) {
-      ++offsets[static_cast<std::size_t>(r.user.value()) + 1];
-    }
-  });
-  for (std::size_t u = 0; u < limit; ++u) offsets[u + 1] += offsets[u];
-  cursor.assign(offsets.begin(), offsets.end());
-  items.resize(offsets[limit]);
-  each([&](const Record& r) {
-    if (r.user.valid()) {
-      items[cursor[static_cast<std::size_t>(r.user.value())]++] = &r;
-    }
-  });
-}
+    });
+  }
 
-template <class Record>
-std::span<const Record* const> user_span(
-    const std::vector<std::uint32_t>& offsets,
-    const std::vector<const Record*>& items, std::size_t u) {
-  return {items.data() + offsets[u], offsets[u + 1] - offsets[u]};
-}
-
-}  // namespace
-
-namespace {
-
-/// Read-only CSR gather of one extraction window, shared by every worker:
-/// per-user offsets (size limit+1) and flat record-pointer arrays, one pair
-/// per stream. Built sequentially, then only read.
-struct Gather {
-  std::vector<std::uint32_t> job_off, transfer_off, session_off;
-  std::vector<const JobRecord*> job_items;
-  std::vector<const TransferRecord*> transfer_items;
-  std::vector<const SessionRecord*> session_items;
+  [[nodiscard]] std::span<const Record* const> of(std::size_t u) const {
+    return {items.data() + off[u], off[u + 1] - off[u]};
+  }
 };
 
 }  // namespace
@@ -111,71 +181,38 @@ struct Gather {
 std::vector<UserFeatures> FeatureExtractor::extract(const UsageDatabase& db,
                                                     SimTime from, SimTime to,
                                                     ThreadPool* pool) const {
-  if (db.segmented()) {
-    // Segmented storage exposes no raw row ranges for the CSR gather;
-    // answer from the per-segment user indexes instead, one user at a
-    // time. Each user's records arrive in append order — the same order
-    // the gather would have produced — so the features are bit-identical
-    // to the monolithic pass. Sequential (`pool` unused): the per-user
-    // window buffers reuse one scratch.
-    const auto limit = static_cast<std::size_t>(db.user_id_limit());
-    std::vector<UserFeatures> out;
-    Scratch scratch;
-    for (std::size_t u = 0; u < limit; ++u) {
-      const UserId user{static_cast<UserId::rep>(u)};
-      db.records_of(user, from, to, scratch.window);
-      if (scratch.window.empty()) continue;
-      out.push_back(compute(user, scratch.window.jobs,
-                            scratch.window.transfers, scratch.window.sessions,
-                            scratch));
-    }
-    return out;
-  }
-  // Columnar pass: CSR-gather each stream's window once (sequential), then
-  // walk users in id order over dense buckets. No maps, no per-user
-  // allocation, no random access into the record arrays.
-  db.ensure_indexes();
+  // Bucket each stream's window once (sequential), then walk users in id
+  // order over the dense buckets.
   const auto limit = static_cast<std::size_t>(db.user_id_limit());
-  Gather gather;
-  gather_csr(db.jobs(), db.job_window(from, to), from, to, limit,
-             gather.job_off, gather.job_items);
-  gather_csr(db.transfers(), db.transfer_window(from, to), from, to, limit,
-             gather.transfer_off, gather.transfer_items);
-  gather_csr(db.sessions(), db.session_window(from, to), from, to, limit,
-             gather.session_off, gather.session_items);
+  const UserBuckets<JobRecord> jobs(db, from, to, limit);
+  const UserBuckets<TransferRecord> transfers(db, from, to, limit);
+  const UserBuckets<SessionRecord> sessions(db, from, to, limit);
   // Users with any record in the window, in id order — the output rows.
   std::vector<std::uint32_t> active;
   for (std::size_t u = 0; u < limit; ++u) {
-    if (gather.job_off[u] != gather.job_off[u + 1] ||
-        gather.transfer_off[u] != gather.transfer_off[u + 1] ||
-        gather.session_off[u] != gather.session_off[u + 1]) {
+    if (!jobs.of(u).empty() || !transfers.of(u).empty() ||
+        !sessions.of(u).empty()) {
       active.push_back(static_cast<std::uint32_t>(u));
     }
   }
   std::vector<UserFeatures> out(active.size());
-  const auto run_range = [&](std::size_t lo, std::size_t hi,
-                             Scratch& scratch) {
+  const auto run_range = [&](std::size_t lo, std::size_t hi) {
+    FeatureAccumulator acc;
     for (std::size_t i = lo; i < hi; ++i) {
       const auto u = static_cast<std::size_t>(active[i]);
-      out[i] = compute(UserId{static_cast<UserId::rep>(u)},
-                       user_span(gather.job_off, gather.job_items, u),
-                       user_span(gather.transfer_off, gather.transfer_items, u),
-                       user_span(gather.session_off, gather.session_items, u),
-                       scratch);
+      out[i] = compute(UserId{static_cast<UserId::rep>(u)}, jobs.of(u),
+                       transfers.of(u), sessions.of(u), acc);
     }
   };
   if (pool == nullptr || pool->size() <= 1 || active.size() < 2) {
-    Scratch scratch;
-    run_range(0, active.size(), scratch);
+    run_range(0, active.size());
   } else {
     // Contiguous id-ordered chunks; each worker fills disjoint output rows
-    // with its own scratch, so the result is byte-identical to the
+    // with its own accumulator, so the result is byte-identical to the
     // sequential pass. More chunks than workers evens out skewed users.
     const std::size_t chunks = std::min(active.size(), pool->size() * 4);
     parallel_for(*pool, chunks, [&](std::size_t c) {
-      Scratch scratch;
-      run_range(active.size() * c / chunks, active.size() * (c + 1) / chunks,
-                scratch);
+      run_range(active.size() * c / chunks, active.size() * (c + 1) / chunks);
     });
   }
   return out;
@@ -184,100 +221,21 @@ std::vector<UserFeatures> FeatureExtractor::extract(const UsageDatabase& db,
 UserFeatures FeatureExtractor::extract_user(const UsageDatabase& db,
                                             UserId user, SimTime from,
                                             SimTime to) const {
-  Scratch scratch;
-  db.records_of(user, from, to, scratch.window);
-  return compute(user, scratch.window.jobs, scratch.window.transfers,
-                 scratch.window.sessions, scratch);
+  const UserWindowRecords window = db.records_of(user, from, to);
+  FeatureAccumulator acc;
+  return compute(user, window.jobs, window.transfers, window.sessions, acc);
 }
 
 UserFeatures FeatureExtractor::compute(
     UserId user, std::span<const JobRecord* const> jobs,
     std::span<const TransferRecord* const> transfers,
     std::span<const SessionRecord* const> sessions,
-    Scratch& scratch) const {
-  UserFeatures f;
-  f.user = user;
-  f.jobs = static_cast<int>(jobs.size());
-
-  int gateway = 0;
-  int workflow = 0;
-  int coalloc = 0;
-  int viz = 0;
-  int failed = 0;
-  int requeued = 0;
-  int outage_killed = 0;
-  int distinct_resources = 0;
-  bool invalid_resource_seen = false;
-  double width_sum = 0.0;
-  scratch.runtimes.clear();
-  ++scratch.resource_stamp;
-  for (const JobRecord* r : jobs) {
-    f.total_nu += r->charged_nu;
-    f.total_su += r->charged_su;
-    f.bytes_read += r->bytes_read;
-    f.bytes_read_cached += r->bytes_from_cache;
-    f.stage_in_s += to_seconds(r->stage_in);
-    if (r->gateway.valid()) ++gateway;
-    if (r->workflow.valid()) ++workflow;
-    if (r->coallocated) ++coalloc;
-    if (r->interactive || r->viz_resource) ++viz;
-    if (r->final_state == JobState::kFailed) ++failed;
-    if (r->disposition == Disposition::kRequeued) ++requeued;
-    if (r->disposition == Disposition::kKilledByOutage) ++outage_killed;
-    f.max_width_cores = std::max(f.max_width_cores, r->width_cores());
-    const ComputeResource& res = platform_.compute_at(r->resource);
-    f.max_machine_fraction =
-        std::max(f.max_machine_fraction,
-                 static_cast<double>(r->nodes) / res.nodes);
-    width_sum += r->width_cores();
-    scratch.runtimes.push_back(to_seconds(r->runtime()));
-    if (r->resource.valid()) {
-      const auto slot = static_cast<std::size_t>(r->resource.value());
-      if (slot >= scratch.resource_mark.size()) {
-        scratch.resource_mark.resize(slot + 1, 0);
-      }
-      if (scratch.resource_mark[slot] != scratch.resource_stamp) {
-        scratch.resource_mark[slot] = scratch.resource_stamp;
-        ++distinct_resources;
-      }
-    } else if (!invalid_resource_seen) {
-      invalid_resource_seen = true;
-      ++distinct_resources;
-    }
-  }
-  if (!jobs.empty()) {
-    const double n = static_cast<double>(jobs.size());
-    f.gateway_fraction = gateway / n;
-    f.workflow_fraction = workflow / n;
-    f.coalloc_fraction = coalloc / n;
-    f.viz_fraction = viz / n;
-    f.failed_fraction = failed / n;
-    f.requeued_fraction = requeued / n;
-    f.outage_killed_fraction = outage_killed / n;
-    f.mean_width_cores = width_sum / n;
-    double runtime_sum = 0.0;
-    for (const double rt : scratch.runtimes) runtime_sum += rt;
-    f.mean_runtime_s = runtime_sum / n;
-    std::sort(scratch.runtimes.begin(), scratch.runtimes.end());
-    f.median_runtime_s = percentile_sorted(scratch.runtimes, 0.5);
-    scratch.geometry.clear();
-    scratch.geometry.reserve(jobs.size());
-    for (const JobRecord* r : jobs) {
-      scratch.geometry.push_back(
-          {r->nodes, r->requested_walltime, r->submit_time});
-    }
-    f.burst_fraction = count_burst_jobs(scratch.geometry, config_.burst_window,
-                                        config_.burst_min_jobs) /
-                       n;
-  }
-  f.distinct_resources = distinct_resources;
-
-  for (const TransferRecord* r : transfers) f.bytes_transferred += r->bytes;
-  for (const SessionRecord* r : sessions) {
-    ++f.sessions;
-    if (r->viz) ++f.viz_sessions;
-  }
-  return f;
+    FeatureAccumulator& acc) const {
+  acc.reset();
+  acc.add(jobs, platform_);
+  for (const TransferRecord* r : transfers) acc.add(*r);
+  for (const SessionRecord* r : sessions) acc.add(*r);
+  return acc.finish(user, config_);
 }
 
 }  // namespace tg

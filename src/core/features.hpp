@@ -86,10 +86,57 @@ struct BurstGeometry {
 /// Counts jobs that belong to a burst: >= min_jobs submissions with the
 /// same (nodes, walltime) geometry inside a sliding window. Sort-based
 /// grouping over the caller's arena (sorted in place, one entry per job).
-/// Shared by the batch extractor and the streaming path so both produce
-/// bit-identical burst fractions.
+/// Called by FeatureAccumulator::finish.
 [[nodiscard]] int count_burst_jobs(std::vector<BurstGeometry>& arena,
                                    Duration window, int min_jobs);
+
+/// Running features of one user over one window, fed one record at a time
+/// in append order. This is the one copy of the per-record feature
+/// arithmetic: FeatureExtractor (batch windows and extract_user) and
+/// StreamingExtractor both drive it, so the same records in the same order
+/// give bit-identical features. Buffers keep their capacity across
+/// reset().
+class FeatureAccumulator {
+ public:
+  /// Forgets every record.
+  void reset();
+  /// Adds job records, in order.
+  void add(std::span<const JobRecord* const> jobs, const Platform& platform);
+  void add(const JobRecord& r, const Platform& platform);
+  void add(const TransferRecord& r);
+  void add(const SessionRecord& r);
+  /// The window's features for `user`. Sorts the runtime and burst buffers
+  /// in place, so call it once per reset().
+  [[nodiscard]] UserFeatures finish(UserId user, const FeatureConfig& config);
+
+ private:
+  /// Job counts behind the fractions, plus the width sum behind the mean.
+  struct Tally {
+    int gateway = 0;
+    int workflow = 0;
+    int coalloc = 0;
+    int viz = 0;
+    int failed = 0;
+    int requeued = 0;
+    int outage_killed = 0;
+    double width_sum = 0.0;
+    bool invalid_resource_seen = false;
+  };
+
+  /// Folds one job into the running sums `f` and tallies `t`.
+  void add_job(const JobRecord& r, const Platform& platform, UserFeatures& f,
+               Tally& t);
+
+  /// Sums, maxima and counts accumulate in place; finish() fills the rest.
+  UserFeatures sums_;
+  Tally tally_;
+  std::vector<double> runtimes_;
+  std::vector<BurstGeometry> geometry_;
+  /// Distinct resources: slot r holds the stamp of the last window that
+  /// saw resource r, so reset() forgets them all by bumping the stamp.
+  std::vector<std::uint32_t> resource_mark_;
+  std::uint32_t resource_stamp_ = 1;
+};
 
 class ThreadPool;
 
@@ -98,8 +145,8 @@ class FeatureExtractor {
   FeatureExtractor(const Platform& platform, FeatureConfig config = {});
 
   /// Features for every user with at least one record whose end time falls
-  /// in [from, to). Sorted by user id. Drives the database's columnar
-  /// per-user indexes in one pass; no per-user map/set allocation.
+  /// in [from, to). Sorted by user id. One visitor pass per stream buckets
+  /// the window's records by user (CSR); no per-user map/set allocation.
   ///
   /// With a non-null `pool`, per-user computation fans out over the pool in
   /// contiguous id-ordered chunks and the results land by index, so the
@@ -115,23 +162,11 @@ class FeatureExtractor {
                                           SimTime from, SimTime to) const;
 
  private:
-  /// Per-worker buffers reused across the users one worker computes:
-  /// runtime samples, the burst-detection geometry arena, a stamped
-  /// distinct-resource marker and the extract_user record window. Never
-  /// shared between threads.
-  struct Scratch {
-    UserWindowRecords window;
-    std::vector<double> runtimes;
-    std::vector<BurstGeometry> geometry;
-    std::vector<std::uint32_t> resource_mark;
-    std::uint32_t resource_stamp = 0;
-  };
-
   [[nodiscard]] UserFeatures compute(
       UserId user, std::span<const JobRecord* const> jobs,
       std::span<const TransferRecord* const> transfers,
       std::span<const SessionRecord* const> sessions,
-      Scratch& scratch) const;
+      FeatureAccumulator& acc) const;
 
   const Platform& platform_;
   FeatureConfig config_;

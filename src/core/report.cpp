@@ -21,20 +21,7 @@ int count_gateway_end_users(const UsageDatabase& db, SimTime from,
     count += 1 - slot;
     slot = 1;
   };
-  if (db.segmented()) {
-    for (const JobRecord* r : db.jobs_ending_in(from, to)) mark(*r);
-    return count;
-  }
-  const UsageDatabase::RowRange range = db.job_window(from, to);
-  if (range.contiguous) {
-    for (std::uint32_t i = range.first; i < range.last; ++i) {
-      mark(db.jobs()[i]);
-    }
-  } else {
-    for (const auto& r : db.jobs()) {
-      if (r.end_time >= from && r.end_time < to) mark(r);
-    }
-  }
+  db.for_each<JobRecord>(from, to, mark);
   return count;
 }
 
@@ -147,9 +134,8 @@ ModalityTimeSeries quarterly_series(const Platform& platform,
   };
   std::vector<WindowCounts> counted;
   if (pool != nullptr && pool->size() > 1 && windows.size() > 1) {
-    // Each window only reads the database; force the lazy index build
-    // before fanning out. Results land in index (chronological) order.
-    db.ensure_indexes();
+    // Each window only reads the database. Results land in index
+    // (chronological) order.
     counted = parallel_map<WindowCounts>(*pool, windows.size(), one);
   } else {
     counted.reserve(windows.size());

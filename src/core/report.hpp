@@ -83,7 +83,7 @@ struct ModalityTimeSeries {
     obs::TraceBuffer* trace = nullptr);
 
 /// Distinct gateway end-user attributes in job records ending in [from,to).
-/// One pass over the window's rows into a dense seen-bitmap sized by the
+/// One visitor pass over the window into a dense seen-bitmap sized by the
 /// database's interned end-user id limit — no strings, no set.
 [[nodiscard]] int count_gateway_end_users(const UsageDatabase& db,
                                           SimTime from, SimTime to);

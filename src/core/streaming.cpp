@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/stats.hpp"
 
 namespace tg {
 
@@ -36,39 +35,16 @@ bool StreamingExtractor::admit(SimTime t) {
   return true;
 }
 
-StreamingExtractor::UserState& StreamingExtractor::touch(UserId::rep uid) {
+FeatureAccumulator& StreamingExtractor::touch(UserId::rep uid) {
   const auto slot = static_cast<std::size_t>(uid);
   if (slot >= users_.size()) users_.resize(slot + 1);
-  UserState& s = users_[slot];
+  UserSlot& s = users_[slot];
   if (s.gen != window_gen_) {
     s.gen = window_gen_;
-    s.jobs = 0;
-    s.total_nu = 0.0;
-    s.total_su = 0.0;
-    s.bytes_read = 0.0;
-    s.bytes_read_cached = 0.0;
-    s.stage_in_s = 0.0;
-    s.gateway = 0;
-    s.workflow = 0;
-    s.coalloc = 0;
-    s.viz = 0;
-    s.failed = 0;
-    s.requeued = 0;
-    s.outage_killed = 0;
-    s.max_width_cores = 0;
-    s.max_machine_fraction = 0.0;
-    s.width_sum = 0.0;
-    s.distinct_resources = 0;
-    s.invalid_resource_seen = false;
-    s.bytes_transferred = 0.0;
-    s.sessions = 0;
-    s.viz_sessions = 0;
-    s.runtimes.clear();
-    s.geometry.clear();
-    s.seen_resources.clear();
+    s.features.reset();
     active_.push_back(static_cast<std::uint32_t>(slot));
   }
-  return s;
+  return s.features;
 }
 
 void StreamingExtractor::mark_end_user(EndUserId id) {
@@ -86,98 +62,17 @@ void StreamingExtractor::on_job(const JobRecord& r) {
   // The end-user attribute counts for every job record in the window,
   // exactly like count_gateway_end_users (user validity is irrelevant).
   if (r.gateway_end_user.valid()) mark_end_user(r.gateway_end_user);
-  if (!r.user.valid()) return;
-  UserState& s = touch(r.user.value());
-  // Mirror FeatureExtractor::compute's per-job pass, same operations in
-  // the same (append) order — the byte-identity contract hangs on this.
-  ++s.jobs;
-  s.total_nu += r.charged_nu;
-  s.total_su += r.charged_su;
-  s.bytes_read += r.bytes_read;
-  s.bytes_read_cached += r.bytes_from_cache;
-  s.stage_in_s += to_seconds(r.stage_in);
-  if (r.gateway.valid()) ++s.gateway;
-  if (r.workflow.valid()) ++s.workflow;
-  if (r.coallocated) ++s.coalloc;
-  if (r.interactive || r.viz_resource) ++s.viz;
-  if (r.final_state == JobState::kFailed) ++s.failed;
-  if (r.disposition == Disposition::kRequeued) ++s.requeued;
-  if (r.disposition == Disposition::kKilledByOutage) ++s.outage_killed;
-  s.max_width_cores = std::max(s.max_width_cores, r.width_cores());
-  const ComputeResource& res = platform_.compute_at(r.resource);
-  s.max_machine_fraction =
-      std::max(s.max_machine_fraction,
-               static_cast<double>(r.nodes) / res.nodes);
-  s.width_sum += r.width_cores();
-  s.runtimes.push_back(to_seconds(r.runtime()));
-  s.geometry.push_back({r.nodes, r.requested_walltime, r.submit_time});
-  if (r.resource.valid()) {
-    if (std::find(s.seen_resources.begin(), s.seen_resources.end(),
-                  r.resource.value()) == s.seen_resources.end()) {
-      s.seen_resources.push_back(r.resource.value());
-      ++s.distinct_resources;
-    }
-  } else if (!s.invalid_resource_seen) {
-    s.invalid_resource_seen = true;
-    ++s.distinct_resources;
-  }
+  if (r.user.valid()) touch(r.user.value()).add(r, platform_);
 }
 
 void StreamingExtractor::on_transfer(const TransferRecord& r) {
   TG_METRIC_INC(stats_.transfers_ingested);
-  if (!admit(r.end_time)) return;
-  if (!r.user.valid()) return;
-  UserState& s = touch(r.user.value());
-  s.bytes_transferred += r.bytes;
+  if (admit(r.end_time) && r.user.valid()) touch(r.user.value()).add(r);
 }
 
 void StreamingExtractor::on_session(const SessionRecord& r) {
   TG_METRIC_INC(stats_.sessions_ingested);
-  if (!admit(r.end_time)) return;
-  if (!r.user.valid()) return;
-  UserState& s = touch(r.user.value());
-  ++s.sessions;
-  if (r.viz) ++s.viz_sessions;
-}
-
-UserFeatures StreamingExtractor::finalize(UserState& s, UserId user) const {
-  // The tail of FeatureExtractor::compute, verbatim, over the accumulated
-  // state: same divisions, same runtime-sum order, same sort + percentile,
-  // same shared burst counter.
-  UserFeatures f;
-  f.user = user;
-  f.jobs = s.jobs;
-  f.total_nu = s.total_nu;
-  f.total_su = s.total_su;
-  f.bytes_read = s.bytes_read;
-  f.bytes_read_cached = s.bytes_read_cached;
-  f.stage_in_s = s.stage_in_s;
-  f.max_width_cores = s.max_width_cores;
-  f.max_machine_fraction = s.max_machine_fraction;
-  if (s.jobs > 0) {
-    const double n = static_cast<double>(s.jobs);
-    f.gateway_fraction = s.gateway / n;
-    f.workflow_fraction = s.workflow / n;
-    f.coalloc_fraction = s.coalloc / n;
-    f.viz_fraction = s.viz / n;
-    f.failed_fraction = s.failed / n;
-    f.requeued_fraction = s.requeued / n;
-    f.outage_killed_fraction = s.outage_killed / n;
-    f.mean_width_cores = s.width_sum / n;
-    double runtime_sum = 0.0;
-    for (const double rt : s.runtimes) runtime_sum += rt;
-    f.mean_runtime_s = runtime_sum / n;
-    std::sort(s.runtimes.begin(), s.runtimes.end());
-    f.median_runtime_s = percentile_sorted(s.runtimes, 0.5);
-    f.burst_fraction = count_burst_jobs(s.geometry, config_.features.burst_window,
-                                        config_.features.burst_min_jobs) /
-                       n;
-  }
-  f.distinct_resources = s.distinct_resources;
-  f.bytes_transferred = s.bytes_transferred;
-  f.sessions = s.sessions;
-  f.viz_sessions = s.viz_sessions;
-  return f;
+  if (admit(r.end_time) && r.user.valid()) touch(r.user.value()).add(r);
 }
 
 void StreamingExtractor::close_window() {
@@ -190,8 +85,8 @@ void StreamingExtractor::close_window() {
   window_.features.clear();
   window_.features.reserve(active_.size());
   for (const std::uint32_t uid : active_) {
-    window_.features.push_back(
-        finalize(users_[uid], UserId{static_cast<UserId::rep>(uid)}));
+    window_.features.push_back(users_[uid].features.finish(
+        UserId{static_cast<UserId::rep>(uid)}, config_.features));
   }
   window_.sets = classifier_.classify(window_.features);
   window_.primary_users = {};

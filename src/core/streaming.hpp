@@ -11,12 +11,11 @@
 //
 // Equivalence contract (DESIGN.md §5.9): at every window boundary the
 // finalized features are byte-identical to
-// `FeatureExtractor::extract(db, from, to)` over the same records. This is
-// achieved by replaying the batch path's exact floating-point operation
-// order — per-user accumulators add in append order (the order batch
-// iterates posting lists), the median sorts the same runtime array, and the
-// burst fraction runs the same shared count_burst_jobs over an arena filled
-// in the same order. No tolerance, no epsilon: memcmp-equal features.
+// `FeatureExtractor::extract(db, from, to)` over the same records. Both
+// paths feed the same per-user FeatureAccumulator in append order — the
+// order the live stream arrives in and the order batch extraction walks
+// each user's records — so there is one copy of the feature arithmetic
+// and no tolerance: memcmp-equal features.
 //
 // The live Recorder appends in completion-time order, so windows close in
 // order; a record that regresses before the open window is a contract
@@ -116,46 +115,20 @@ class StreamingExtractor final : public UsageDatabase::RecordObserver {
   void bind_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  /// Running feature state of one user inside the open window. The window
-  /// generation stamp makes reset lazy: state resets on first touch after
-  /// a window advance, so closing a window never walks the user slab.
-  struct UserState {
+  /// One user's slot: the shared feature accumulator plus the generation of
+  /// the window it holds. Reset is lazy — on first touch after a window
+  /// advance — so closing a window never walks the user slab.
+  struct UserSlot {
     std::uint32_t gen = 0;
-    int jobs = 0;
-    double total_nu = 0.0;
-    double total_su = 0.0;
-    double bytes_read = 0.0;
-    double bytes_read_cached = 0.0;
-    double stage_in_s = 0.0;
-    int gateway = 0;
-    int workflow = 0;
-    int coalloc = 0;
-    int viz = 0;
-    int failed = 0;
-    int requeued = 0;
-    int outage_killed = 0;
-    int max_width_cores = 0;
-    double max_machine_fraction = 0.0;
-    double width_sum = 0.0;
-    int distinct_resources = 0;
-    bool invalid_resource_seen = false;
-    double bytes_transferred = 0.0;
-    int sessions = 0;
-    int viz_sessions = 0;
-    // Per-window buffers (cleared on reset, capacity retained): the only
-    // state whose size scales with in-window activity.
-    std::vector<double> runtimes;
-    std::vector<BurstGeometry> geometry;
-    std::vector<ResourceId::rep> seen_resources;
+    FeatureAccumulator features;
   };
 
   /// Admits a record ending at `t` into the open window, closing windows
   /// the stream has moved past. False (drop) when t is outside the series.
   bool admit(SimTime t);
-  UserState& touch(UserId::rep uid);
+  FeatureAccumulator& touch(UserId::rep uid);
   void mark_end_user(EndUserId id);
   void close_window();
-  [[nodiscard]] UserFeatures finalize(UserState& s, UserId user) const;
 
   const Platform& platform_;
   StreamingConfig config_;
@@ -166,7 +139,7 @@ class StreamingExtractor final : public UsageDatabase::RecordObserver {
   std::uint32_t window_gen_ = 1;
   bool finished_ = false;
 
-  std::vector<UserState> users_;        ///< dense by user id
+  std::vector<UserSlot> users_;         ///< dense by user id
   std::vector<std::uint32_t> active_;   ///< first-touch order; sorted on close
   std::vector<std::uint32_t> eu_stamp_; ///< gateway end-user seen stamps
   int eu_count_ = 0;

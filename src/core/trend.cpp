@@ -44,7 +44,6 @@ std::vector<WindowModalities> classify_series(
                            starts[i] + bucket, features);
   };
   if (pool != nullptr && pool->size() > 1 && starts.size() > 1) {
-    db.ensure_indexes();  // keep the guarded lazy build off the fan-out
     return parallel_map<WindowModalities>(*pool, starts.size(), one);
   }
   std::vector<WindowModalities> series;

@@ -66,10 +66,13 @@ InvariantReport check_invariants(const Platform& platform,
   InvariantReport report;
   Auditor audit(report);
 
+  // Records are read through the append-order visitor, so the audit works
+  // on every storage mode; `i` counts records to name them by row.
+  std::size_t i = 0;
+
   // --- 1+2: record sanity and stream monotonicity ---------------------------
   SimTime prev_end = 0;
-  for (std::size_t i = 0; i < db.jobs().size(); ++i) {
-    const JobRecord& r = db.jobs()[i];
+  db.for_each<JobRecord>([&](const JobRecord& r) {
     audit.expect(r.submit_time <= r.start_time && r.start_time <= r.end_time,
                  "job record ", i, " (job ", r.job.value(),
                  "): times out of order (submit=", r.submit_time,
@@ -78,43 +81,47 @@ InvariantReport check_invariants(const Platform& platform,
                  ": stream not end-time sorted (", r.end_time, " after ",
                  prev_end, ")");
     prev_end = std::max(prev_end, r.end_time);
-  }
+    ++i;
+  });
   prev_end = 0;
-  for (std::size_t i = 0; i < db.transfers().size(); ++i) {
-    const TransferRecord& r = db.transfers()[i];
+  i = 0;
+  db.for_each<TransferRecord>([&](const TransferRecord& r) {
     audit.expect(r.submit_time <= r.end_time && r.bytes >= 0.0,
                  "transfer record ", i, ": bad times or negative bytes");
     audit.expect(r.end_time >= prev_end, "transfer record ", i,
                  ": stream not end-time sorted");
     prev_end = std::max(prev_end, r.end_time);
-  }
+    ++i;
+  });
   prev_end = 0;
-  for (std::size_t i = 0; i < db.sessions().size(); ++i) {
-    const SessionRecord& r = db.sessions()[i];
+  i = 0;
+  db.for_each<SessionRecord>([&](const SessionRecord& r) {
     audit.expect(r.start_time <= r.end_time, "session record ", i,
                  ": start after end");
     audit.expect(r.end_time >= prev_end, "session record ", i,
                  ": stream not end-time sorted");
     prev_end = std::max(prev_end, r.end_time);
-  }
+    ++i;
+  });
 
   // --- 3: charge conservation ------------------------------------------------
   double sum_nu = 0.0;
   std::vector<double> project_nu;
   std::array<std::uint64_t, kDispositionCount> disposition_seen{};
-  for (std::size_t i = 0; i < db.jobs().size(); ++i) {
-    const JobRecord& r = db.jobs()[i];
+  i = 0;
+  db.for_each<JobRecord>([&](const JobRecord& r) {
+    const std::size_t row = i++;
     ++disposition_seen[static_cast<std::size_t>(r.disposition)];
     sum_nu += r.charged_nu;
-    audit.expect(r.charged_su >= 0.0 && r.charged_nu >= 0.0, "job record ", i,
-                 ": negative charge");
+    audit.expect(r.charged_su >= 0.0 && r.charged_nu >= 0.0, "job record ",
+                 row, ": negative charge");
     if (!r.resource.valid() || !platform.is_compute(r.resource)) {
-      audit.expect(false, "job record ", i, ": unknown resource");
-      continue;
+      audit.expect(false, "job record ", row, ": unknown resource");
+      return;
     }
     const ComputeResource& res = platform.compute_at(r.resource);
     audit.expect(close(r.charged_nu, r.charged_su * res.charge_factor),
-                 "job record ", i, ": nu ", r.charged_nu, " != su ",
+                 "job record ", row, ": nu ", r.charged_nu, " != su ",
                  r.charged_su, " x factor ", res.charge_factor);
     const bool refunded = !policy.charge_lost_work &&
                           (r.disposition == Disposition::kRequeued ||
@@ -123,7 +130,7 @@ InvariantReport check_invariants(const Platform& platform,
                            static_cast<double>(r.nodes) *
                            static_cast<double>(res.cores_per_node);
     audit.expect(close(r.charged_su, refunded ? 0.0 : held_su), "job record ",
-                 i, ": su ", r.charged_su, " != held node-hours ",
+                 row, ": su ", r.charged_su, " != held node-hours ",
                  refunded ? 0.0 : held_su, " (", to_string(r.disposition),
                  ")");
     if (r.project.valid()) {
@@ -131,7 +138,7 @@ InvariantReport check_invariants(const Platform& platform,
       if (p >= project_nu.size()) project_nu.resize(p + 1, 0.0);
       project_nu[p] += r.charged_nu;
     }
-  }
+  });
   audit.expect(close(sum_nu, db.total_nu()), "record NU sum ", sum_nu,
                " != database total ", db.total_nu());
   if (ledger != nullptr) {
@@ -161,13 +168,13 @@ InvariantReport check_invariants(const Platform& platform,
   }
   {
     std::unordered_map<std::int64_t, std::size_t> last_row;
-    last_row.reserve(db.jobs().size());
-    for (std::size_t i = 0; i < db.jobs().size(); ++i) {
-      last_row[db.jobs()[i].job.value()] = i;
-    }
-    for (std::size_t i = 0; i < db.jobs().size(); ++i) {
-      const JobRecord& r = db.jobs()[i];
-      const bool last = last_row[r.job.value()] == i;
+    last_row.reserve(db.job_count());
+    i = 0;
+    db.for_each<JobRecord>(
+        [&](const JobRecord& r) { last_row[r.job.value()] = i++; });
+    i = 0;
+    db.for_each<JobRecord>([&](const JobRecord& r) {
+      const bool last = last_row[r.job.value()] == i++;
       if (last) {
         // Mid-run, a job's newest record may be kRequeued: its next
         // attempt simply has not ended yet.
@@ -182,7 +189,7 @@ InvariantReport check_invariants(const Platform& platform,
                      to_string(r.disposition), " (only requeued attempts may ",
                      "be followed by another attempt)");
       }
-    }
+    });
   }
 
   // --- 5: capacity conservation ----------------------------------------------
@@ -196,13 +203,13 @@ InvariantReport check_invariants(const Platform& platform,
       int nodes;
     };
     std::unordered_map<std::int32_t, std::vector<Delta>> by_resource;
-    for (const JobRecord& r : db.jobs()) {
-      if (!r.resource.valid() || !platform.is_compute(r.resource)) continue;
-      if (r.end_time <= r.start_time) continue;  // zero-length attempt
+    db.for_each<JobRecord>([&](const JobRecord& r) {
+      if (!r.resource.valid() || !platform.is_compute(r.resource)) return;
+      if (r.end_time <= r.start_time) return;  // zero-length attempt
       auto& deltas = by_resource[r.resource.value()];
       deltas.push_back({r.start_time, 1, r.nodes});
       deltas.push_back({r.end_time, 0, -r.nodes});
-    }
+    });
     for (auto& [id, deltas] : by_resource) {
       std::sort(deltas.begin(), deltas.end(), [](const Delta& a,
                                                  const Delta& b) {

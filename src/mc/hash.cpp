@@ -81,15 +81,14 @@ void add_record(Chain& c, const SessionRecord& r) {
 /// Hashes `records` in the order induced by `less` (a strict weak order
 /// that is total on distinct record content at equal end times).
 template <class Record, class Less>
-void add_stream(Chain& c, const std::vector<Record>& records, Less less) {
+void add_stream(Chain& c, const UsageDatabase& db, Less less) {
   std::vector<const Record*> sorted;
-  sorted.reserve(records.size());
-  for (const Record& r : records) sorted.push_back(&r);
+  db.for_each<Record>([&](const Record& r) { sorted.push_back(&r); });
   std::stable_sort(sorted.begin(), sorted.end(),
                    [&](const Record* a, const Record* b) {
                      return less(*a, *b);
                    });
-  c.add(std::uint64_t{records.size()});
+  c.add(std::uint64_t{sorted.size()});
   for (const Record* r : sorted) add_record(c, *r);
 }
 
@@ -97,23 +96,23 @@ void add_stream(Chain& c, const std::vector<Record>& records, Less less) {
 
 std::uint64_t hash_terminal_records(const UsageDatabase& db) {
   Chain c;
-  add_stream(c, db.jobs(), [](const JobRecord& a, const JobRecord& b) {
+  add_stream<JobRecord>(c, db, [](const JobRecord& a, const JobRecord& b) {
     if (a.end_time != b.end_time) return a.end_time < b.end_time;
     if (a.job != b.job) return a.job < b.job;
     return a.start_time < b.start_time;
   });
-  add_stream(c, db.transfers(),
-             [](const TransferRecord& a, const TransferRecord& b) {
-               if (a.end_time != b.end_time) return a.end_time < b.end_time;
-               return a.transfer < b.transfer;
-             });
-  add_stream(c, db.sessions(),
-             [](const SessionRecord& a, const SessionRecord& b) {
-               if (a.end_time != b.end_time) return a.end_time < b.end_time;
-               if (a.user != b.user) return a.user < b.user;
-               if (a.resource != b.resource) return a.resource < b.resource;
-               return a.start_time < b.start_time;
-             });
+  add_stream<TransferRecord>(
+      c, db, [](const TransferRecord& a, const TransferRecord& b) {
+        if (a.end_time != b.end_time) return a.end_time < b.end_time;
+        return a.transfer < b.transfer;
+      });
+  add_stream<SessionRecord>(
+      c, db, [](const SessionRecord& a, const SessionRecord& b) {
+        if (a.end_time != b.end_time) return a.end_time < b.end_time;
+        if (a.user != b.user) return a.user < b.user;
+        if (a.resource != b.resource) return a.resource < b.resource;
+        return a.start_time < b.start_time;
+      });
   return c.value();
 }
 

@@ -90,8 +90,7 @@ void ArchetypeRegistry::scale(double factor) {
   }
 }
 
-ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params,
-                                             const PopulationMix& mix) {
+ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params) {
   // Spec order IS the population RNG draw order: it must match the retired
   // hand-written loops (accounts first, the gateway spec last).
   ArchetypeRegistry reg;
@@ -99,7 +98,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params,
     ArchetypeSpec s;
     s.name = "capacity";
     s.truth = Modality::kCapacityBatch;
-    s.count = mix.capacity_users;
+    s.count = 300;
     s.per_week = params.capacity.campaigns_per_week;
     s.preferred_count = 2;
     s.behavior = params.capacity;
@@ -109,7 +108,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params,
     ArchetypeSpec s;
     s.name = "capability";
     s.truth = Modality::kCapabilityBatch;
-    s.count = mix.capability_users;
+    s.count = 30;
     s.per_week = params.capability.campaigns_per_week;
     s.preferred_count = 1;
     s.min_nodes = 256;  // capability users need genuinely large machines
@@ -120,7 +119,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params,
     ArchetypeSpec s;
     s.name = "workflow";
     s.truth = Modality::kWorkflowEnsemble;
-    s.count = mix.workflow_users;
+    s.count = 100;
     s.per_week = params.workflow.campaigns_per_week;
     s.preferred_count = 2;
     s.behavior = params.workflow;
@@ -130,7 +129,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params,
     ArchetypeSpec s;
     s.name = "coupled";
     s.truth = Modality::kTightlyCoupled;
-    s.count = mix.coupled_users;
+    s.count = 16;
     s.per_week = params.coupled.campaigns_per_week;
     s.preferred_count = 2;
     s.min_nodes = 64;
@@ -141,7 +140,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params,
     ArchetypeSpec s;
     s.name = "viz";
     s.truth = Modality::kRemoteInteractive;
-    s.count = mix.viz_users;
+    s.count = 40;
     s.per_week = params.viz.sessions_per_week;
     s.preferred_count = 1;
     s.prefer_viz = true;
@@ -152,7 +151,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params,
     ArchetypeSpec s;
     s.name = "data";
     s.truth = Modality::kDataCentric;
-    s.count = mix.data_users;
+    s.count = 40;
     s.per_week = params.data.transfers_per_week;
     s.preferred_count = 1;
     s.behavior = params.data;
@@ -162,7 +161,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params,
     ArchetypeSpec s;
     s.name = "exploratory";
     s.truth = Modality::kExploratory;
-    s.count = mix.exploratory_users;
+    s.count = 140;
     s.per_week = params.exploratory.bursts_per_week;
     s.preferred_count = 1;
     s.behavior = params.exploratory;
@@ -172,7 +171,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params,
     ArchetypeSpec s;
     s.name = "gateway";
     s.truth = Modality::kGateway;
-    s.count = mix.gateway_end_users;
+    s.count = 240;
     s.per_week = params.gateway.sessions_per_week;
     s.preferred_count = 3;  // community-account targets
     s.min_nodes = 96;

@@ -136,11 +136,12 @@ class ArchetypeRegistry {
 
   /// The canonical eight builtin specs in the legacy population order
   /// (capacity, capability, workflow, coupled, viz, data, exploratory,
-  /// gateway), with counts from `mix` and rates/behavior from `params`.
+  /// gateway) with their default counts (300, 30, 100, 16, 40, 40, 140
+  /// accounts and 240 gateway end users) and rates/behavior from `params`.
   /// Drives the population and generator byte-identically to the retired
   /// enum-and-switch path.
   [[nodiscard]] static ArchetypeRegistry builtin(
-      const ArchetypeParams& params = {}, const PopulationMix& mix = {});
+      const ArchetypeParams& params = {});
 
  private:
   std::vector<ArchetypeSpec> specs_;

@@ -119,22 +119,4 @@ struct ArchetypeParams {
   ExploratoryParams exploratory;
 };
 
-/// How many synthetic actors of each kind to generate. Gateway entries are
-/// end-user labels (spread across the configured gateways), not accounts.
-struct PopulationMix {
-  int capacity_users = 300;
-  int capability_users = 30;
-  int gateway_end_users = 240;
-  int workflow_users = 100;
-  int coupled_users = 16;
-  int viz_users = 40;
-  int data_users = 40;
-  int exploratory_users = 140;
-
-  [[nodiscard]] int account_users() const {
-    return capacity_users + capability_users + workflow_users +
-           coupled_users + viz_users + data_users + exploratory_users;
-  }
-};
-
 }  // namespace tg

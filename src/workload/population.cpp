@@ -99,7 +99,7 @@ Population build_population(const Platform& platform,
   // Specs consume the preference/scale substreams strictly in registry
   // order, so appended specs never perturb the builtins' draws.
   pop.registry = config.registry.empty()
-                     ? ArchetypeRegistry::builtin(ArchetypeParams{}, config.mix)
+                     ? ArchetypeRegistry::builtin()
                      : config.registry;
   const ArchetypeSpec* gateway_spec = nullptr;
   for (std::size_t a = 0; a < pop.registry.size(); ++a) {

@@ -43,11 +43,9 @@ struct GatewayEndUser {
 };
 
 struct PopulationConfig {
-  /// Which archetypes exist and how many actors each gets. When empty, the
-  /// canonical builtin registry is derived from `mix` (the compat shim for
-  /// callers predating the registry).
+  /// Which archetypes exist and how many actors each gets. Empty means the
+  /// canonical builtin registry.
   ArchetypeRegistry registry;
-  PopulationMix mix;
   int gateways = 3;
   double gateway_attribute_coverage = 0.9;
   /// Fraction of gateway end users that adopt over the horizon (uniformly

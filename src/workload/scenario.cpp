@@ -1,29 +1,8 @@
 #include "workload/scenario.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace tg {
-
-ScenarioConfig& ScenarioConfig::with_scale(double factor) {
-  TG_REQUIRE(factor > 0.0, "scale factor must be positive, got " << factor);
-  const auto scaled = [factor](int n) {
-    if (n <= 0) return n;
-    return std::max(1, static_cast<int>(std::lround(n * factor)));
-  };
-  mix.capacity_users = scaled(mix.capacity_users);
-  mix.capability_users = scaled(mix.capability_users);
-  mix.gateway_end_users = scaled(mix.gateway_end_users);
-  mix.workflow_users = scaled(mix.workflow_users);
-  mix.coupled_users = scaled(mix.coupled_users);
-  mix.viz_users = scaled(mix.viz_users);
-  mix.data_users = scaled(mix.data_users);
-  mix.exploratory_users = scaled(mix.exploratory_users);
-  if (!registry.empty()) registry.scale(factor);
-  return *this;
-}
 
 Scenario::Scenario(ScenarioConfig config)
     : config_(std::move(config)),
@@ -34,10 +13,8 @@ Scenario::Scenario(ScenarioConfig config)
         // Resolve the registry here (not in build_population's fallback) so
         // config_.archetypes reaches the builtin specs' rates/behavior.
         pc.registry = config_.registry.empty()
-                          ? ArchetypeRegistry::builtin(config_.archetypes,
-                                                       config_.mix)
+                          ? ArchetypeRegistry::builtin(config_.archetypes)
                           : config_.registry;
-        pc.mix = config_.mix;
         pc.gateways = config_.gateways;
         pc.gateway_attribute_coverage = config_.gateway_attribute_coverage;
         pc.gateway_adoption_ramp = config_.gateway_adoption_ramp;

@@ -32,12 +32,10 @@ namespace tg {
 struct ScenarioConfig {
   std::uint64_t seed = 42;
   Duration horizon = kYear;
-  PopulationMix mix;
   ArchetypeParams archetypes;
-  /// Composable archetype registry. Empty (the default) means "derive the
-  /// canonical builtin registry from `archetypes` + `mix`" — the compat
-  /// shim that keeps every pre-registry caller byte-identical. Non-empty
-  /// registries are taken verbatim; `mix`/`archetypes` are then ignored.
+  /// Composable archetype registry. Empty (the default) means "the builtin
+  /// registry with behavior from `archetypes`". Non-empty registries are
+  /// taken verbatim; `archetypes` is then ignored.
   ArchetypeRegistry registry;
   /// Replica catalog + site caches + stage-in model. Disabled by default:
   /// no DataGrid is constructed, no "data" RNG substream is forked, and
@@ -102,14 +100,15 @@ struct ScenarioConfig {
     horizon = h;
     return *this;
   }
-  ScenarioConfig& with_mix(PopulationMix m) {
-    mix = m;
+  /// Multiplies every archetype count by `factor` (rounded, floor 1 for
+  /// counts that started positive). An empty registry is first seeded from
+  /// builtin(archetypes), so set `archetypes` before scaling — later
+  /// changes no longer reach the seeded registry.
+  ScenarioConfig& with_scale(double factor) {
+    if (registry.empty()) registry = ArchetypeRegistry::builtin(archetypes);
+    registry.scale(factor);
     return *this;
   }
-  /// Multiplies every archetype count in the current mix by `factor`
-  /// (rounded, floor 1 for counts that started positive). Scales the
-  /// explicit registry too when one is set.
-  ScenarioConfig& with_scale(double factor);
   ScenarioConfig& with_archetypes(ArchetypeParams a) {
     archetypes = a;
     return *this;
@@ -120,13 +119,11 @@ struct ScenarioConfig {
     return *this;
   }
   /// Adds (or replaces, by name) one archetype spec. On first use the
-  /// registry is seeded from the current `archetypes` + `mix`, so call this
-  /// *after* with_mix()/with_archetypes() — later changes to those fields
-  /// no longer reach a non-empty registry.
+  /// registry is seeded from builtin(archetypes), so call this *after*
+  /// with_archetypes() — later changes no longer reach a non-empty
+  /// registry.
   ScenarioConfig& with_archetype(ArchetypeSpec spec) {
-    if (registry.empty()) {
-      registry = ArchetypeRegistry::builtin(archetypes, mix);
-    }
+    if (registry.empty()) registry = ArchetypeRegistry::builtin(archetypes);
     registry.add(std::move(spec));
     return *this;
   }

@@ -17,21 +17,20 @@ namespace tg {
 namespace {
 
 TEST(ArchetypeRegistry, BuiltinKeepsLegacyOrderAndCounts) {
-  PopulationMix mix;
-  const ArchetypeRegistry reg = ArchetypeRegistry::builtin({}, mix);
+  const ArchetypeRegistry reg = ArchetypeRegistry::builtin();
   ASSERT_EQ(reg.size(), 8u);
   // The builtin order IS the population RNG draw order — appending new
-  // specs must never reorder it.
+  // specs must never reorder it. The counts are the legacy defaults.
   const char* expected[] = {"capacity", "capability", "workflow", "coupled",
                             "viz",      "data",       "exploratory",
                             "gateway"};
+  const int counts[] = {300, 30, 100, 16, 40, 40, 140, 240};
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(reg.at(i).name, expected[i]) << i;
+    EXPECT_EQ(reg.at(i).count, counts[i]) << i;
   }
-  EXPECT_EQ(reg.find("capacity")->count, mix.capacity_users);
-  EXPECT_EQ(reg.find("gateway")->count, mix.gateway_end_users);
   EXPECT_TRUE(reg.find("gateway")->is_gateway());
-  EXPECT_EQ(reg.account_users(), mix.account_users());
+  EXPECT_EQ(reg.account_users(), 300 + 30 + 100 + 16 + 40 + 40 + 140);
   // No builtin spec carries a data trait: the data grid is opt-in.
   for (const ArchetypeSpec& spec : reg.specs()) {
     EXPECT_FALSE(spec.data.enabled) << spec.name;

@@ -12,11 +12,14 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}/spill")
 
 set(variants batch stream spill)
-set(args_batch "")
-set(args_stream --streaming)
+# Every variant audits its store at exit, so the invariant line (and its
+# check count) must match across storage modes too.
+set(args_batch --check-invariants)
+set(args_stream --streaming --check-invariants)
 # A small cap relative to the two-year record volume, so many segments
 # seal and the resident budget forces real spills + mmap reads.
-set(args_spill --streaming --segment-cap=4096 --spill-dir=${WORK_DIR}/spill)
+set(args_spill --streaming --segment-cap=4096 --spill-dir=${WORK_DIR}/spill
+    --check-invariants)
 
 foreach(v IN LISTS variants)
   execute_process(

@@ -2,13 +2,20 @@
 // by the segment log — per-user windows on sealed and open segments, the
 // end-sorted fast path and the unsorted by_end permutation, mmap-backed
 // spilled segments — must match a brute-force append-order scan exactly,
-// at every segment cap. Plus the UsageDatabase segmented-mode parity and
-// the SWF import path that streams through it.
+// at every segment cap. Plus the UsageDatabase segmented-mode parity, the
+// SWF import path that streams through it, recovery's rejection of corrupt
+// spill files, and full-history consumers (audit, annual report, record
+// hash, SWF export) agreeing between resident and spilling stores.
 #include "accounting/segment_log.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -16,8 +23,11 @@
 
 #include "accounting/swf.hpp"
 #include "accounting/usage_db.hpp"
+#include "core/annual_report.hpp"
+#include "mc/hash.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "workload/scenario.hpp"
 
 namespace tg {
 namespace {
@@ -140,7 +150,9 @@ TEST(SegmentLog, QueriesMatchBruteForceAcrossCaps) {
       for (const JobRecord& r : all) log.append(r);
       EXPECT_EQ(log.size(), all.size());
       EXPECT_EQ(log.user_limit(), 9);
-      if (cap > 0) EXPECT_GE(log.stats().sealed, all.size() / cap - 1);
+      if (cap > 0) {
+        EXPECT_GE(log.stats().sealed, all.size() / cap - 1);
+      }
       expect_log_matches_brute(log, all);
     }
   }
@@ -219,15 +231,27 @@ TEST(SegmentLog, DatabaseSegmentedModeParity) {
 }
 
 TEST(SegmentLog, SegmentedModeForbidsRowAccess) {
+  // A cap-0 store is one resident segment: contiguous access always works.
+  UsageDatabase plain;
+  plain.enable_segments(SegmentLogConfig{});
+  EXPECT_FALSE(plain.segmented());
+  plain.add(job_rec(0, kHour));
+  EXPECT_EQ(plain.jobs().size(), 1u);
+  // A capped store allows it only until the stream's first seal.
+  SegmentLogConfig cfg;
+  cfg.segment_records = 2;
   UsageDatabase db;
-  db.enable_segments(SegmentLogConfig{});
+  db.enable_segments(cfg);
+  EXPECT_TRUE(db.segmented());
   db.add(job_rec(0, kHour));
-  EXPECT_THROW(db.jobs(), PreconditionError);
-  EXPECT_THROW(db.job_rows_of(UserId{0}), PreconditionError);
-  EXPECT_THROW(db.job_window(0, kDay), PreconditionError);
+  db.add(job_rec(0, 2 * kHour));
+  EXPECT_EQ(db.jobs().size(), 2u);
+  db.add(job_rec(0, 3 * kHour));  // seals the first segment
+  EXPECT_THROW((void)db.jobs(), PreconditionError);
+  EXPECT_EQ(db.transfers().size(), 0u);  // that stream has sealed nothing
   // ... but the shared query surface keeps working.
-  EXPECT_EQ(db.jobs_of(UserId{0}).size(), 1u);
-  EXPECT_EQ(db.job_count(), 1u);
+  EXPECT_EQ(db.jobs_of(UserId{0}).size(), 3u);
+  EXPECT_EQ(db.job_count(), 3u);
 }
 
 TEST(SegmentLog, EnableSegmentsRequiresEmptyDatabase) {
@@ -391,6 +415,179 @@ TEST(SegmentLog, CheckpointIsIdempotent) {
   UsageDatabase recovered;
   recovered.recover_segments(cfg);
   EXPECT_EQ(recovered.job_count(), 20u);
+}
+
+/// Checkpoints a small end-sorted job log to `dir` and returns the path of
+/// its first segment file.
+std::filesystem::path checkpoint_small_log(const std::filesystem::path& dir) {
+  SegmentLogConfig cfg;
+  cfg.segment_records = 32;
+  cfg.spill_dir = dir.string();
+  SegmentLog<JobRecord> log(cfg, "jobs");
+  for (const JobRecord& r : make_stream(/*sorted=*/true, 40)) log.append(r);
+  EXPECT_TRUE(log.checkpoint());
+  return dir / "jobs-0.tgseg";
+}
+
+/// Rewrites `path` after `patch` edits its bytes in place.
+void patch_file(const std::filesystem::path& path,
+                const std::function<void(std::vector<char>&,
+                                         seg_detail::SegmentFileHeader&)>&
+                    patch) {
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  seg_detail::SegmentFileHeader h;
+  ASSERT_GE(bytes.size(), sizeof(h));
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  patch(bytes, h);
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Writes one 32-bit word of a section.
+void put_word(std::vector<char>& bytes, std::uint64_t off, std::size_t index,
+              std::uint32_t value) {
+  std::memcpy(bytes.data() + off + index * sizeof(value), &value,
+              sizeof(value));
+}
+
+void expect_recovery_rejects(
+    const std::function<void(std::vector<char>&,
+                             seg_detail::SegmentFileHeader&)>& patch) {
+  const auto dir = spill_dir();
+  const auto file = checkpoint_small_log(dir);
+  patch_file(file, patch);
+  SegmentLogConfig cfg;
+  cfg.segment_records = 32;
+  cfg.spill_dir = dir.string();
+  SegmentLog<JobRecord> log(cfg, "jobs");
+  EXPECT_THROW(log.recover_from_spill(), PreconditionError);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SegmentLog, UnpatchedCheckpointRecovers) {
+  const auto dir = spill_dir();
+  checkpoint_small_log(dir);
+  SegmentLogConfig cfg;
+  cfg.segment_records = 32;
+  cfg.spill_dir = dir.string();
+  SegmentLog<JobRecord> log(cfg, "jobs");
+  EXPECT_EQ(log.recover_from_spill(), 2u);
+  EXPECT_EQ(log.size(), 40u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SegmentLog, RecoveryRejectsOffsetPastPostingRows) {
+  expect_recovery_rejects([](std::vector<char>& bytes,
+                             seg_detail::SegmentFileHeader& h) {
+    put_word(bytes, h.off_offsets, 1, h.posting_rows + 1);
+  });
+}
+
+TEST(SegmentLog, RecoveryRejectsCountLargerThanTheFile) {
+  expect_recovery_rejects(
+      [](std::vector<char>&, seg_detail::SegmentFileHeader& h) {
+        h.count = 1u << 30;
+      });
+}
+
+TEST(SegmentLog, RecoveryRejectsRowPastCount) {
+  expect_recovery_rejects([](std::vector<char>& bytes,
+                             seg_detail::SegmentFileHeader& h) {
+    put_word(bytes, h.off_rows, 0, h.count);
+  });
+}
+
+TEST(SegmentLog, RecoveryRejectsRecordsSectionPastEndOfFile) {
+  expect_recovery_rejects([](std::vector<char>& bytes,
+                             seg_detail::SegmentFileHeader& h) {
+    h.off_records = seg_detail::align64(bytes.size()) + 64;
+  });
+}
+
+/// One short faulty run, stored resident (cap 0) or in 64-record segments
+/// that spill — the full-history consumers must not tell them apart.
+class StorageParity : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = spill_dir();
+    resident_ = run(0, {});
+    spilled_ = run(64, dir_.string());
+  }
+  void TearDown() override {
+    spilled_.reset();  // unmaps the spill files before they are removed
+    std::filesystem::remove_all(dir_);
+  }
+
+  static std::unique_ptr<Scenario> run(std::uint32_t cap,
+                                       const std::string& spill) {
+    ScenarioConfig config;
+    config.mini_platform = true;
+    config.horizon = 30 * kDay;
+    config.seed = 1234;
+    config.faults.outage.mtbf_hours = 120.0;
+    config.faults.job_failure_rate_per_hour = 0.001;
+    config.streaming.enabled = true;
+    config.streaming.bucket = 10 * kDay;
+    config.streaming.segments.segment_records = cap;
+    config.streaming.segments.spill_dir = spill;
+    auto scenario = std::make_unique<Scenario>(std::move(config));
+    scenario->run();
+    return scenario;
+  }
+
+  static std::string swf(const Scenario& s) {
+    std::ostringstream out;
+    export_swf(s.db(), out);
+    return out.str();
+  }
+
+  std::filesystem::path dir_;
+  std::unique_ptr<Scenario> resident_;
+  std::unique_ptr<Scenario> spilled_;
+};
+
+TEST_F(StorageParity, SpilledRunReallySpilled) {
+  EXPECT_GT(resident_->fault_stats().outages, 0u);
+  EXPECT_FALSE(resident_->db().segmented());
+  EXPECT_GT(spilled_->db().segment_stats().spilled, 0u);
+  EXPECT_EQ(spilled_->db().segment_stats().spill_failures, 0u);
+  EXPECT_EQ(resident_->db().job_count(), spilled_->db().job_count());
+}
+
+TEST_F(StorageParity, FinalAuditPassesWithEqualChecks) {
+  const InvariantReport resident = resident_->audit_now(AuditPhase::kFinal);
+  const InvariantReport spilled = spilled_->audit_now(AuditPhase::kFinal);
+  EXPECT_TRUE(resident.ok()) << resident.to_string();
+  EXPECT_TRUE(spilled.ok()) << spilled.to_string();
+  EXPECT_GT(resident.checks, 0u);
+  EXPECT_EQ(resident.checks, spilled.checks);
+}
+
+TEST_F(StorageParity, AnnualReportTextIsEqual) {
+  AnnualReportOptions options;
+  options.to = 31 * kDay;
+  const std::string resident = generate_annual_report(
+      resident_->platform(), resident_->community(), resident_->db(), options);
+  EXPECT_EQ(resident, generate_annual_report(spilled_->platform(),
+                                             spilled_->community(),
+                                             spilled_->db(), options));
+}
+
+TEST_F(StorageParity, TerminalRecordHashIsEqual) {
+  EXPECT_EQ(mc::hash_terminal_records(resident_->db()),
+            mc::hash_terminal_records(spilled_->db()));
+}
+
+TEST_F(StorageParity, SwfExportIsEqual) {
+  const std::string resident = swf(*resident_);
+  EXPECT_GT(resident.size(), 1000u);
+  EXPECT_EQ(resident, swf(*spilled_));
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // StreamingExtractor equivalence (DESIGN.md §5.9): at every window
 // boundary the streaming features must be *exactly* equal — same bits, no
 // tolerance — to FeatureExtractor::extract over the same records, and the
-// streaming series must equal classify_series / quarterly_series. Checked
-// on fault-free and faulty scenarios, with and without the segment log,
-// plus the stream-order contract (drops counted, regressions throw).
+// streaming series must equal classify_series / quarterly_series. Both
+// paths share FeatureAccumulator, so this checks what the streaming side
+// adds: window assignment, drops and id order. Checked on fault-free and
+// faulty scenarios, with and without capped segments, plus the
+// stream-order contract (drops counted, regressions throw).
 #include "core/streaming.hpp"
 
 #include <gtest/gtest.h>
@@ -63,18 +65,20 @@ ScenarioConfig make_config(bool faulty, std::uint32_t segment_cap = 0,
   return config;
 }
 
-/// Runs the scenario with a window sink that checks, as each window
-/// closes, that the streaming features equal the batch extract of the same
-/// window. The batch pass reads the same database the stream populated, so
-/// this is valid only without segments (row access) — segment runs are
-/// covered by the series-equality tests below.
+/// Runs the scenario with a window sink that keeps every closed window,
+/// then checks that the streaming features equal the batch extract of the
+/// same window over the database the stream populated: both paths share
+/// the per-user accumulator, so this pins window assignment, drops and id
+/// order. Segment runs are covered by the series-equality tests below.
 void expect_windows_match_batch(bool faulty) {
   Scenario scenario(make_config(faulty));
   std::vector<StreamingWindow> closed;
   scenario.subscribe(
       [&closed](const StreamingWindow& w) { closed.push_back(w); });
   scenario.run();
-  if (faulty) ASSERT_GT(scenario.fault_stats().outages, 0u);
+  if (faulty) {
+    ASSERT_GT(scenario.fault_stats().outages, 0u);
+  }
   ASSERT_EQ(closed.size(), 3u);
   const FeatureExtractor extractor(scenario.platform(),
                                    scenario.config().features);
@@ -147,8 +151,9 @@ TEST(Streaming, TimeSeriesMatchesQuarterlySeries) {
   EXPECT_EQ(stream.bucket, batch.bucket);
 }
 
-/// The series must not depend on the storage mode: plain vectors, tiny
-/// segments, and spilled segments all produce identical classifications.
+/// The series must not depend on the storage mode: one resident segment,
+/// tiny segments, and spilled segments all produce identical
+/// classifications.
 TEST(Streaming, SeriesInvariantAcrossSegmentCaps) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
   const auto dir = std::filesystem::temp_directory_path() /
@@ -223,7 +228,7 @@ TEST(Streaming, FinishIsIdempotentAndGuardsAccessors) {
   config.series_end = kBucket;
   config.bucket = kBucket;
   StreamingExtractor ex(platform, config);
-  EXPECT_THROW(ex.series(), PreconditionError);
+  EXPECT_THROW((void)ex.series(), PreconditionError);
   ex.finish();
   ex.finish();
   EXPECT_TRUE(ex.finished());
