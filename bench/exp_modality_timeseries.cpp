@@ -15,16 +15,16 @@ int main(int argc, char** argv) {
   exp::Observability obsv(options);
   exp::banner("F1", "Quarterly active users per modality (2 years)");
 
+  // A positive --segment-cap routes record storage through the spillable
+  // columnar log in both modes; --streaming classifies on advance over the
+  // same eight whole quarters the batch pass below measures. Byte-identical
+  // output at every setting (tests/golden_streaming.cmake diffs them).
   ScenarioConfig::StreamingOptions streaming;
+  streaming.segments.segment_records = options.segment_cap;
+  streaming.segments.spill_dir = options.spill_dir;
   if (options.streaming) {
-    // Classify-on-advance over the same eight whole quarters the batch
-    // pass below measures; a positive --segment-cap additionally routes
-    // record storage through the spillable columnar log. Byte-identical
-    // output at every setting (tests/golden_streaming.cmake diffs them).
     streaming.enabled = true;
     streaming.series_end = 8 * kQuarter;
-    streaming.segments.segment_records = options.segment_cap;
-    streaming.segments.spill_dir = options.spill_dir;
   }
   Scenario scenario(ScenarioConfig::defaults()
                         .with_seed(42)

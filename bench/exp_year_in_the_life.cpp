@@ -90,11 +90,18 @@ int main(int argc, char** argv) {
                               static_cast<double>(kHour),
                           1)
             << " h total across the year\n";
+  int status = 0;
   if (scenario.db().segmented()) {
     const SegmentLogStats seg = scenario.db().segment_stats();
     std::cout << "Segment log: " << seg.sealed << " sealed, " << seg.spilled
-              << " spilled (" << Table::num(seg.spilled_bytes / 1e6, 1)
-              << " MB on disk)\n";
+              << " spilled, " << seg.spill_failures << " spill failures ("
+              << Table::num(seg.spilled_bytes / 1e6, 1) << " MB on disk)\n";
+    if (seg.spill_failures > 0) {
+      std::cerr << "exp_year_in_the_life: " << seg.spill_failures
+                << " segments failed to spill to '" << options.spill_dir
+                << "'\n";
+      status = 1;
+    }
   }
   if (options.engine_stats) {
     exp::print_engine_stats(scenario.engine());
@@ -106,5 +113,5 @@ int main(int argc, char** argv) {
         scenario.platform(), scenario.db(), &scenario.ledger(),
         &scenario.community(), &scenario.pool()));
   }
-  return 0;
+  return status;
 }

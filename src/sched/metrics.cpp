@@ -24,7 +24,7 @@ void SchedulerMetrics::record_preempted(double lost_core_seconds,
   lost_.add(lost_core_seconds);
 }
 
-void SchedulerMetrics::record_outage(int nodes_taken) {
+void SchedulerMetrics::record_outage([[maybe_unused]] int nodes_taken) {
   TG_METRIC_INC(outages_);
   TG_METRIC_ADD(outage_nodes_, static_cast<std::uint64_t>(nodes_taken));
 }
@@ -48,6 +48,9 @@ void SchedulerMetrics::bind_metrics(obs::MetricsRegistry& registry,
   registry.bind_counter(base + ".replan.full", replan_full_);
   registry.bind_counter(base + ".replan.incremental", replan_incremental_);
   registry.bind_counter(base + ".replan.coalesced", replan_coalesced_);
+  registry.bind_counter(base + ".passes", passes_);
+  registry.bind_counter(base + ".queue_scanned", queue_scanned_);
+  registry.bind_counter(base + ".fit_checks", fit_checks_);
   registry.bind_gauge(base + ".delivered_core_seconds", delivered_);
   registry.bind_gauge(base + ".lost_core_seconds", lost_);
 }

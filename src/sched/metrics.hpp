@@ -32,6 +32,15 @@ class SchedulerMetrics {
   void record_replan_incremental() { replan_incremental_.inc(); }
   /// One pass request absorbed by an already-pending same-tick pass.
   void record_replan_coalesced() { replan_coalesced_.inc(); }
+  /// One scheduling pass ran.
+  void record_pass() { TG_METRIC_INC(passes_); }
+  /// Work done inside a pass: queue entries examined (marked ones
+  /// included) and fits_at / earliest_fit calls made.
+  void record_pass_work([[maybe_unused]] std::uint64_t scanned,
+                        [[maybe_unused]] std::uint64_t fit_checks) {
+    TG_METRIC_ADD(queue_scanned_, scanned);
+    TG_METRIC_ADD(fit_checks_, fit_checks);
+  }
 
   [[nodiscard]] std::uint64_t jobs_finished() const { return finished_; }
   [[nodiscard]] std::uint64_t jobs_killed() const { return killed_; }
@@ -51,6 +60,9 @@ class SchedulerMetrics {
   [[nodiscard]] std::uint64_t replans_coalesced() const {
     return replan_coalesced_;
   }
+  [[nodiscard]] std::uint64_t passes() const { return passes_; }
+  [[nodiscard]] std::uint64_t queue_scanned() const { return queue_scanned_; }
+  [[nodiscard]] std::uint64_t fit_checks() const { return fit_checks_; }
   [[nodiscard]] int outage_nodes_taken() const {
     return static_cast<int>(outage_nodes_.value());
   }
@@ -80,6 +92,9 @@ class SchedulerMetrics {
   obs::Counter replan_full_;
   obs::Counter replan_incremental_;
   obs::Counter replan_coalesced_;
+  obs::Counter passes_;
+  obs::Counter queue_scanned_;
+  obs::Counter fit_checks_;
   RunningStats wait_;
   RunningStats slowdown_;
   obs::Gauge delivered_;

@@ -11,6 +11,34 @@ Profile::Profile(SimTime now, int free_nodes)
   TG_REQUIRE(free_nodes >= 0, "negative capacity");
 }
 
+void Profile::reset(SimTime now, int free_nodes) {
+  TG_REQUIRE(free_nodes >= 0, "negative capacity");
+  now_ = now;
+  capacity_ = free_nodes;
+  events_.clear();
+  built_ = false;
+  fences_.clear();
+  fence_period_ = 0;
+}
+
+void Profile::add_hold(SimTime release, int nodes) {
+  if (nodes == 0) return;
+  release = std::max(release, now_ + 1);
+  if (events_.empty()) {
+    events_.push_back({now_, 0});
+    built_ = true;
+  }
+  TG_CHECK(built_ && events_.front().time == now_ &&
+               release >= events_.back().time,
+           "add_hold out of order or after a subtract");
+  events_.front().delta -= nodes;
+  if (events_.back().time == release) {
+    events_.back().delta += nodes;
+  } else {
+    events_.push_back({release, nodes});
+  }
+}
+
 void Profile::subtract(SimTime from, SimTime to, int nodes) {
   if (nodes == 0 || to <= from) return;
   from = std::max(from, now_);

@@ -2,13 +2,15 @@
 // time, used by all scheduling policies to find feasible start times.
 //
 // Representation: a flat vector of (time, delta) breakpoints instead of a
-// std::map. Profiles are built in bulk (one subtract per running job /
-// reservation) and then swept repeatedly by earliest_fit, so the events
-// accumulate unsorted and are sorted + merged once on first query; the
-// occasional subtract *after* a query (a job started or reserved mid-pass)
-// splices into the sorted vector in place. The sweep itself is a linear
-// scan over contiguous memory — no per-node pointer chases, no tree
-// rebalancing, no per-breakpoint allocation.
+// std::map. Profiles are built in bulk and then swept repeatedly by
+// earliest_fit. Two bulk builds exist: plain subtracts accumulate unsorted
+// and are sorted + merged once on first query, while add_hold appends
+// releases that arrive already sorted (a scheduler's running jobs ordered
+// by planned end), so that build needs no sort. The occasional subtract
+// *after* either build (a job started or reserved mid-pass) splices into
+// the sorted vector in place. The sweep itself is a linear scan over
+// contiguous memory — no per-node pointer chases, no tree rebalancing, no
+// per-breakpoint allocation; reset() keeps the buffers for the next build.
 #pragma once
 
 #include <vector>
@@ -22,8 +24,18 @@ class Profile {
   /// Creates a profile with `free_nodes` free everywhere from `now` on.
   Profile(SimTime now, int free_nodes);
 
+  /// Empties the profile to `free_nodes` free everywhere from `now` on,
+  /// with no fences, keeping its buffers for the next build.
+  void reset(SimTime now, int free_nodes);
+
   /// Removes `nodes` of capacity during [from, to). `to` may be far future.
   void subtract(SimTime from, SimTime to, int nodes);
+
+  /// Presorted bulk build: `nodes` are held from origin() until `release`,
+  /// clamped to origin() + 1 (a hold always covers the current tick). All
+  /// calls must come before any other subtract, in nondecreasing `release`
+  /// order; the profile then counts as built, so no sort runs.
+  void add_hold(SimTime release, int nodes);
 
   /// Adds a fence at `t`: no job interval may straddle it (used for
   /// periodic full-machine drains).

@@ -122,9 +122,7 @@ ResourceScheduler::JobSlot& ResourceScheduler::acquire_slot(JobId id) {
     slots_.emplace_back();
   }
   slot_index_[local] = slot;
-  JobSlot& s = slots_[slot];
-  s.live = true;
-  return s;
+  return slots_[slot];
 }
 
 void ResourceScheduler::release_slot(JobId id) {
@@ -132,11 +130,9 @@ void ResourceScheduler::release_slot(JobId id) {
   const std::uint32_t slot = slot_index_[local];
   slot_index_[local] = kNoSlot;
   JobSlot& s = slots_[slot];
-  TG_CHECK(s.running_pos < 0, "releasing a slot still tracked as running");
   s.job = Job{};
   s.end_event = kInvalidEvent;
   s.reservation = ReservationId{};
-  s.live = false;
   free_slots_.push_back(slot);
 }
 
@@ -181,13 +177,14 @@ JobId ResourceScheduler::submit(JobRequest request) {
   TG_REQUIRE(request.actual_runtime > 0, "actual runtime must be positive");
 
   const JobId id = allocate_job_id();
-  Job& job = acquire_slot(id).job;
+  JobSlot& slot = acquire_slot(id);
+  Job& job = slot.job;
   job.id = id;
   job.resource = resource_.id;
   job.req = std::move(request);
   job.submit_time = engine_.now();
   job.state = JobState::kQueued;
-  queue_.push_back(id);
+  enqueue(slot);
   if (is_feedback(job.req)) add_feedback_queued();
   if (trace_ != nullptr) {
     trace_->emit(job.submit_time, obs::TraceCategory::kScheduler,
@@ -202,32 +199,63 @@ JobId ResourceScheduler::submit(JobRequest request) {
   return id;
 }
 
-bool ResourceScheduler::queue_entry_live(JobId id) const {
-  // A preempted job awaiting its backoff is kQueued but must not be
-  // schedulable through the stale entry of its previous attempt.
-  const JobSlot* s = find_slot(id);
-  return s != nullptr && s->job.state == JobState::kQueued &&
-         !s->job.requeue_pending;
+void ResourceScheduler::enqueue(JobSlot& s) {
+  s.queue_seq = next_queue_seq_++;
+  queue_.push_back(QueueEntry{s.job.id, planned_duration(s.job), s.queue_seq,
+                              s.job.req.nodes, false});
 }
 
-void ResourceScheduler::compact_queue() {
-  if (queue_.size() < 64 || queue_tombstones_ * 2 <= queue_.size()) return;
-  std::erase_if(queue_, [this](JobId id) { return !queue_entry_live(id); });
-  queue_tombstones_ = 0;
-  queue_front_ = 0;  // indices shifted; the dead prefix is gone anyway
-  invalidate_plan();  // the plan cursor indexes into the old queue_ layout
+std::size_t ResourceScheduler::queue_pos(std::uint64_t seq) const {
+  const auto it = std::lower_bound(
+      queue_.begin(), queue_.end(), seq,
+      [](const QueueEntry& e, std::uint64_t key) { return e.seq < key; });
+  TG_CHECK(it != queue_.end() && it->seq == seq && !it->marked,
+           "queue entry " << seq << " missing on " << resource_.name);
+  return static_cast<std::size_t>(it - queue_.begin());
 }
 
-void ResourceScheduler::untrack_running(JobSlot& s) {
-  if (s.running_pos < 0) return;
-  const auto pos = static_cast<std::size_t>(s.running_pos);
-  const JobId moved = running_ids_.back();
-  running_ids_[pos] = moved;
-  running_ids_.pop_back();
-  if (pos < running_ids_.size()) {
-    slot_at(moved).running_pos = static_cast<std::int32_t>(pos);
+void ResourceScheduler::mark_entry(std::size_t pos) {
+  queue_[pos].marked = true;
+  ++queue_marked_;
+}
+
+void ResourceScheduler::start_entry(std::size_t pos) {
+  mark_entry(pos);
+  start_job(slot_at(queue_[pos].id).job, /*from_reservation=*/false);
+}
+
+void ResourceScheduler::drop_marked(std::size_t end) {
+  // Compact toward `end`: survivors shift right past the marked entries,
+  // then the freed front is popped, so entries past `end` never move.
+  std::size_t write = end;
+  std::size_t before_cursor = 0;
+  for (std::size_t read = end; read-- > 0;) {
+    if (queue_[read].marked) {
+      if (read < plan_.cursor) ++before_cursor;
+      continue;
+    }
+    if (--write != read) queue_[write] = queue_[read];
   }
-  s.running_pos = -1;
+  queue_.erase(queue_.begin(),
+               queue_.begin() + static_cast<std::ptrdiff_t>(write));
+  queue_marked_ -= write;
+  plan_.cursor -= before_cursor;
+}
+
+void ResourceScheduler::track_running(const Job& job) {
+  const RunningEntry entry{job.start_time + planned_duration(job), job.id,
+                           job.req.nodes};
+  running_.insert(std::upper_bound(running_.begin(), running_.end(), entry),
+                  entry);
+}
+
+void ResourceScheduler::untrack_running(const Job& job) {
+  const RunningEntry entry{job.start_time + planned_duration(job), job.id,
+                           job.req.nodes};
+  const auto it = std::lower_bound(running_.begin(), running_.end(), entry);
+  TG_CHECK(it != running_.end() && *it == entry,
+           "job " << job.id << " not tracked as running");
+  running_.erase(it);
 }
 
 bool ResourceScheduler::cancel(JobId id) {
@@ -237,23 +265,22 @@ bool ResourceScheduler::cancel(JobId id) {
   // Reservation-attached and backoff-pending jobs are never planned.
   if (plan_.valid && !s->reservation.valid() && !s->job.requeue_pending) {
     if (!plan_.jobs.empty() && plan_.jobs.back() == id) {
-      // Un-plan the tail entry in place: give its window back and retry
-      // any horizon cut (the freed window may pull the cut job in).
+      // Un-plan the tail entry in place: give its window back.
       const Duration dur = planned_duration(s->job);
       const SimTime st = plan_.starts.back();
       plan_.profile.subtract(st, st + dur, -s->job.req.nodes);
       plan_.jobs.pop_back();
       plan_.starts.pop_back();
-      plan_.horizon_cut = false;
     } else if (std::find(plan_.jobs.begin(), plan_.jobs.end(), id) !=
                plan_.jobs.end()) {
       // A mid-plan hole shifts every later planned start.
       invalidate_plan();
     }
-    // Unplanned entries just tombstone; the cursor scan skips them.
+    // Unplanned entries are just marked; the cursor scan skips them.
   }
   Job job = std::move(s->job);
   const ReservationId res = s->reservation;
+  const std::uint64_t seq = s->queue_seq;
   release_slot(id);
   if (res.valid()) {
     // Reservation-attached jobs wait on their window, not in queue_;
@@ -261,11 +288,12 @@ bool ResourceScheduler::cancel(JobId id) {
     reservations_.at(res.value()).attached_job = JobId{};
   } else if (job.requeue_pending) {
     // Preempted and awaiting its backoff: not in queue_, so there is no
-    // entry to tombstone; the pending requeue event finds the job gone.
+    // entry to mark; the pending requeue event finds the job gone.
   } else {
     if (is_feedback(job.req)) remove_feedback_queued();
-    ++queue_tombstones_;  // entry stays in queue_ until compaction
-    compact_queue();
+    // Marked in place: a pass scanning queue_ right now (this cancel may
+    // come from a start observer) must see every entry where it was.
+    mark_entry(queue_pos(seq));
   }
   job.state = JobState::kCancelled;
   job.end_time = engine_.now();
@@ -285,7 +313,8 @@ ReservationId ResourceScheduler::reserve(SimTime start, Duration duration,
              "reservation width invalid");
   // Feasibility against running jobs + existing reservations + fences.
   // Queued jobs never block a reservation: they have no committed start.
-  const Profile profile = base_profile();
+  Profile profile(0, 0);
+  base_profile(profile);
   if (profile.earliest_fit(nodes, duration, start) != start) {
     return ReservationId{};  // invalid — window not free
   }
@@ -356,22 +385,15 @@ bool ResourceScheduler::cancel_reservation(ReservationId id) {
   return true;
 }
 
-Profile ResourceScheduler::base_profile() const {
+void ResourceScheduler::base_profile(Profile& profile) const {
   const SimTime now = engine_.now();
-  Profile profile(now, resource_.nodes);
-  // running_ids_ holds exactly the running non-reservation jobs, in no
-  // particular order; Profile::subtract is commutative (exact integer
-  // deltas), so the assembled profile is identical to a full slab walk —
-  // at O(running) instead of O(backlog) cost.
-  for (const JobId rid : running_ids_) {
-    const JobSlot& s = slot_at(rid);
-    // A job holds its nodes until its completion event is *processed*; a
-    // planned end <= now (event pending this tick, or overdue kill) must
-    // still occupy the profile or a same-tick pass would overcommit.
-    const SimTime planned_end =
-        std::max(s.job.start_time + planned_duration(s.job), now + 1);
-    profile.subtract(now, planned_end, s.job.req.nodes);
-  }
+  profile.reset(now, resource_.nodes);
+  // running_ holds exactly the running non-reservation jobs, sorted by
+  // planned end, so they load as presorted releases. A job holds its nodes
+  // until its completion event is *processed*: add_hold clamps a planned
+  // end <= now (event pending this tick, or overdue kill) to now + 1, or a
+  // same-tick pass would overcommit.
+  for (const RunningEntry& r : running_) profile.add_hold(r.end, r.nodes);
   reservations_.for_each([&](std::int64_t, const Reservation& r) {
     if (r.finished) return;
     const SimTime end = r.started ? std::max(r.end, now + 1) : r.end;
@@ -388,7 +410,6 @@ Profile ResourceScheduler::base_profile() const {
     // that a materialization cutoff would have hidden.
     profile.set_fence_period(config_.drain_period);
   }
-  return profile;
 }
 
 double ResourceScheduler::fair_share_usage(UserId user, SimTime now) const {
@@ -412,23 +433,26 @@ void ResourceScheduler::charge_fair_share(UserId user, double core_seconds,
   usage_[idx] = {current + core_seconds, now};
 }
 
-std::vector<JobId> ResourceScheduler::ordered_queue() const {
-  std::vector<JobId> order;
+std::vector<std::size_t> ResourceScheduler::ordered_queue() const {
+  std::vector<std::size_t> order;
   order.reserve(queue_length());
-  for (const JobId id : queue_) {
-    if (queue_entry_live(id)) order.push_back(id);
+  for (std::size_t pos = 0; pos < queue_.size(); ++pos) {
+    if (!queue_[pos].marked) order.push_back(pos);
   }
   if (config_.fair_share) {
     const SimTime now = engine_.now();
-    std::stable_sort(order.begin(), order.end(), [&](JobId a, JobId b) {
-      return fair_share_usage(slot_at(a).job.req.user, now) <
-             fair_share_usage(slot_at(b).job.req.user, now);
-    });
+    const auto usage = [&](std::size_t pos) {
+      return fair_share_usage(slot_at(queue_[pos].id).job.req.user, now);
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return usage(a) < usage(b);
+                     });
   }
   if (config_.drain_period > 0) {
     const int thresh = capability_threshold();
-    std::stable_partition(order.begin(), order.end(), [&](JobId id) {
-      return slot_at(id).job.req.nodes >= thresh;
+    std::stable_partition(order.begin(), order.end(), [&](std::size_t pos) {
+      return queue_[pos].nodes >= thresh;
     });
   }
   return order;
@@ -461,42 +485,31 @@ void ResourceScheduler::request_pass() {
 }
 
 std::size_t ResourceScheduler::extend_plan() const {
-  if (!plan_.valid || plan_.horizon_cut) return 0;
+  if (!plan_.valid) return 0;
   const auto depth = static_cast<std::size_t>(config_.backfill_depth);
   const SimTime now = engine_.now();
-  const SimTime horizon =
-      config_.plan_horizon > 0 ? now + config_.plan_horizon : -1;
+  const std::size_t from = plan_.cursor;
   std::size_t planned = 0;
   while (plan_.cursor < queue_.size() && plan_.jobs.size() < depth) {
-    const JobId id = queue_[plan_.cursor];
-    if (!queue_entry_live(id)) {
-      ++plan_.cursor;
-      continue;
-    }
-    const Job& job = slot_at(id).job;
-    const Duration dur = planned_duration(job);
-    const SimTime s = plan_.profile.earliest_fit(job.req.nodes, dur, now);
+    const QueueEntry& e = queue_[plan_.cursor++];
+    if (e.marked) continue;
+    const SimTime s = plan_.profile.earliest_fit(e.nodes, e.walltime, now);
     TG_CHECK(s >= 0, "job cannot ever fit");
-    if (horizon >= 0 && s > horizon && !plan_.jobs.empty()) {
-      plan_.horizon_cut = true;  // the cursor stays on this entry
-      break;
-    }
-    plan_.profile.subtract(s, s + dur, job.req.nodes);
-    plan_.jobs.push_back(id);
+    plan_.profile.subtract(s, s + e.walltime, e.nodes);
+    plan_.jobs.push_back(e.id);
     plan_.starts.push_back(s);
-    ++plan_.cursor;
     ++planned;
   }
+  if (in_pass_) metrics_.record_pass_work(plan_.cursor - from, planned);
   return planned;
 }
 
 void ResourceScheduler::rebuild_plan() const {
   const SimTime now = engine_.now();
-  plan_.profile = base_profile();
+  base_profile(plan_.profile);
   plan_.jobs.clear();
   plan_.starts.clear();
-  plan_.cursor = queue_front_;  // everything before it is dead
-  plan_.horizon_cut = false;
+  plan_.cursor = 0;
   plan_.built_at = now;
   metrics_.record_replan_full();
   if (plan_cacheable()) {
@@ -507,24 +520,18 @@ void ResourceScheduler::rebuild_plan() const {
   // Reference / reordered path: materialize the scheduling order and plan
   // the first backfill_depth jobs. Never reused across events.
   plan_.valid = false;
-  const std::vector<JobId> order = ordered_queue();
+  const std::vector<std::size_t> order = ordered_queue();
   const std::size_t scan_end = std::min(
       order.size(), static_cast<std::size_t>(config_.backfill_depth));
-  const SimTime horizon =
-      config_.plan_horizon > 0 ? now + config_.plan_horizon : -1;
   for (std::size_t i = 0; i < scan_end; ++i) {
-    const Job& job = slot_at(order[i]).job;
-    const Duration dur = planned_duration(job);
-    const SimTime s = plan_.profile.earliest_fit(job.req.nodes, dur, now);
+    const QueueEntry& e = queue_[order[i]];
+    const SimTime s = plan_.profile.earliest_fit(e.nodes, e.walltime, now);
     TG_CHECK(s >= 0, "job cannot ever fit");
-    if (horizon >= 0 && s > horizon && !plan_.jobs.empty()) {
-      plan_.horizon_cut = true;
-      break;
-    }
-    plan_.profile.subtract(s, s + dur, job.req.nodes);
-    plan_.jobs.push_back(order[i]);
+    plan_.profile.subtract(s, s + e.walltime, e.nodes);
+    plan_.jobs.push_back(e.id);
     plan_.starts.push_back(s);
   }
+  if (in_pass_) metrics_.record_pass_work(queue_.size(), scan_end);
 }
 
 const ResourceScheduler::PlanCache& ResourceScheduler::ensure_plan() const {
@@ -540,10 +547,6 @@ const ResourceScheduler::PlanCache& ResourceScheduler::ensure_plan() const {
       stale = plan_.starts[i] < now;
     }
     if (!stale) {
-      // The horizon window moves with `now`: a job cut at the last build
-      // may fall inside it by now, so retry the cut (one earliest_fit when
-      // it still stands — the knob's per-event cost).
-      plan_.horizon_cut = false;
       if (extend_plan() > 0) metrics_.record_replan_incremental();
       return plan_;
     }
@@ -559,23 +562,15 @@ void ResourceScheduler::schedule_pass() {
   obs::TraceSpan pass_span(trace_, now, obs::TraceCategory::kScheduler,
                            obs::TracePoint::kSchedulePass,
                            resource_.id.value());
+  constexpr std::size_t kNoEntry = ~std::size_t{0};
+  const bool fifo = !config_.fair_share && config_.drain_period <= 0;
   int started = 0;
-
-  const auto start_by_id = [&](JobId id) {
-    start_job(slot_at(id).job, /*from_reservation=*/false);
-    ++queue_tombstones_;  // its queue_ entry is dead now (state kRunning)
-    ++started;
-  };
-
-  // Compaction rewrites queue_ indices (and thereby the plan cursor), so
-  // it runs before planning instead of after. Then advance the dead-prefix
-  // pointer: under FIFO churn the head entries die first (start/cancel
-  // tombstones), and without the pointer every pass re-walks them.
-  compact_queue();
-  while (queue_front_ < queue_.size() &&
-         !queue_entry_live(queue_[queue_front_])) {
-    ++queue_front_;
-  }
+  // This pass's own queue entries examined and fit checks (plan building
+  // reports its share itself). `walked` bounds the queue_ prefix the pass
+  // walked; its marked entries are dropped before the pass returns.
+  std::size_t scanned = 0;
+  std::size_t fits = 0;
+  std::size_t walked = 0;
 
   // Earliest start gated by something that fires no callback (a drain
   // fence, a reservation window opening); -1 = nothing to wake for.
@@ -601,10 +596,13 @@ void ResourceScheduler::schedule_pass() {
     in_plan_start_ = true;
     for (const JobId id : due) {
       // An earlier start's callback may have cancelled a later due job.
-      if (!queue_entry_live(id)) continue;
-      start_by_id(id);
+      const JobSlot* s = find_slot(id);
+      if (s == nullptr || s->job.state != JobState::kQueued) continue;
+      start_entry(queue_pos(s->queue_seq));
+      ++started;
     }
     in_plan_start_ = false;
+    walked = plan_cacheable() ? plan_.cursor : queue_.size();
     if (!plan_.starts.empty()) {
       // The remaining head was planned against exactly the commitments a
       // fresh base profile would show, so its planned start doubles as
@@ -613,90 +611,98 @@ void ResourceScheduler::schedule_pass() {
     } else if (queue_length() > 0) {
       // Degenerate window (backfill_depth == 0, or every planned job just
       // left): fall back to an explicit head fit.
-      JobId head_id{};
-      if (!config_.fair_share && config_.drain_period <= 0) {
-        for (std::size_t i = queue_front_; i < queue_.size(); ++i) {
-          if (queue_entry_live(queue_[i])) {
-            head_id = queue_[i];
-            break;
-          }
-        }
+      std::size_t head = 0;
+      if (fifo) {
+        while (queue_[head].marked) ++head;
+        scanned += head + 1;
+        walked = std::max(walked, head + 1);
       } else {
-        head_id = ordered_queue().front();
+        head = ordered_queue().front();
+        scanned += queue_.size();
       }
-      const Job& head = slot_at(head_id).job;
-      wake = plan_.profile.earliest_fit(head.req.nodes,
-                                        planned_duration(head), now);
+      ++fits;
+      wake = plan_.profile.earliest_fit(queue_[head].nodes,
+                                        queue_[head].walltime, now);
     }
   } else {
-    Profile profile = base_profile();
-    // Lazy ordered-queue prefix: plain FIFO yields live entries on demand
-    // and stops at what the policy consumes (started run + head + the
-    // backfill window) instead of materializing the whole queue every
+    Profile& profile = pass_profile_;
+    base_profile(profile);
+    // Lazy ordered-queue prefix: plain FIFO yields unmarked entries on
+    // demand and stops at what the policy consumes (started run + head +
+    // the backfill window) instead of materializing the whole queue every
     // pass. Fair-share and drain ordering still sort the full queue.
-    std::vector<JobId> order;
-    const bool fifo = !config_.fair_share && config_.drain_period <= 0;
+    std::vector<std::size_t> order;
     if (!fifo) order = ordered_queue();
     // Entries appended by mid-pass callbacks are this pass's business no
     // more than they were when the order was a materialized snapshot.
-    const std::size_t limit = fifo ? queue_.size() : order.size();
-    std::size_t pos = fifo ? queue_front_ : 0;
-    const auto next_live = [&]() -> JobId {
-      while (pos < limit) {
-        const JobId id = fifo ? queue_[pos] : order[pos];
-        ++pos;
-        if (queue_entry_live(id)) return id;
+    const std::size_t queued = queue_.size();
+    const std::size_t limit = fifo ? queued : order.size();
+    std::size_t next = 0;
+    const auto next_live = [&]() -> std::size_t {
+      while (next < limit) {
+        const std::size_t pos = fifo ? next : order[next];
+        ++next;
+        if (!queue_[pos].marked) return pos;
       }
-      return JobId{};
+      return kNoEntry;
+    };
+    const auto fits_now = [&](const QueueEntry& e) {
+      ++fits;
+      return profile.fits_at(now, e.nodes, e.walltime);
     };
 
-    JobId head{};
-    for (JobId id = next_live(); id.valid(); id = next_live()) {
-      const Job& job = slot_at(id).job;
-      const Duration dur = planned_duration(job);
+    std::size_t head = kNoEntry;
+    for (std::size_t pos = next_live(); pos != kNoEntry; pos = next_live()) {
+      const QueueEntry& e = queue_[pos];
       // The profile's value at `now` never exceeds free_nodes_ (it also
       // carries unstarted reservation windows), so a width check is a free
       // short-circuit — on a packed machine the pass does no profile work.
-      if (job.req.nodes > free_nodes_ ||
-          !profile.fits_at(now, job.req.nodes, dur)) {
-        head = id;
+      if (e.nodes > free_nodes_ || !fits_now(e)) {
+        head = pos;
         break;
       }
-      profile.subtract(now, now + dur, job.req.nodes);
-      start_by_id(id);
+      profile.subtract(now, now + e.walltime, e.nodes);
+      start_entry(pos);
+      ++started;
     }
-    if (head.valid()) {
-      const Job& headjob = slot_at(head).job;
-      const Duration hdur = planned_duration(headjob);
+    if (head != kNoEntry) {
+      const int hnodes = queue_[head].nodes;
+      const Duration hdur = queue_[head].walltime;
       // At this point the profile holds base + started windows — exactly
       // the fresh base profile the old wakeup tail rebuilt — so the head
       // fit is computed once and reused as both the EASY shadow and the
       // wakeup target.
-      const SimTime shadow =
-          profile.earliest_fit(headjob.req.nodes, hdur, now);
+      ++fits;
+      const SimTime shadow = profile.earliest_fit(hnodes, hdur, now);
       TG_CHECK(shadow >= 0, "head job cannot ever fit");
       wake = shadow;
       if (config_.policy == SchedPolicy::kEasyBackfill) {
         // Reserve the head job's slot, then backfill anything that fits
         // now without disturbing it.
-        profile.subtract(shadow, shadow + hdur, headjob.req.nodes);
+        profile.subtract(shadow, shadow + hdur, hnodes);
         // free_nodes_ == 0 makes every remaining fits_at provably false
         // (see the width short-circuit above), so stop scanning outright.
-        for (int scanned = 0;
-             scanned < config_.backfill_depth && free_nodes_ > 0; ++scanned) {
-          const JobId id = next_live();
-          if (!id.valid()) break;
-          const Job& job = slot_at(id).job;
-          const Duration dur = planned_duration(job);
-          if (job.req.nodes <= free_nodes_ &&
-              profile.fits_at(now, job.req.nodes, dur)) {
-            profile.subtract(now, now + dur, job.req.nodes);
-            start_by_id(id);
+        for (int candidates = 0;
+             candidates < config_.backfill_depth && free_nodes_ > 0;
+             ++candidates) {
+          const std::size_t pos = next_live();
+          if (pos == kNoEntry) break;
+          const QueueEntry& e = queue_[pos];
+          if (e.nodes <= free_nodes_ && fits_now(e)) {
+            profile.subtract(now, now + e.walltime, e.nodes);
+            start_entry(pos);
+            ++started;
           }
         }
       }
     }
+    // FIFO walked the prefix it stepped over; a sorted order walked it all.
+    walked = fifo ? next : queued;
+    scanned += walked;
   }
+  drop_marked(walked);
+  metrics_.record_pass();
+  metrics_.record_pass_work(scanned, fits);
   in_pass_ = false;
   pass_span.set_payload(started, static_cast<std::int64_t>(queue_length()));
 
@@ -728,12 +734,10 @@ void ResourceScheduler::start_job(Job& job, bool from_reservation) {
     // already holds for it; any other start (EASY/FCFS pass, test harness)
     // commits nodes the plan knows nothing about.
     if (!in_plan_start_) invalidate_plan();
-    JobSlot& s = slot_at(job.id);
-    s.running_pos = static_cast<std::int32_t>(running_ids_.size());
-    running_ids_.push_back(job.id);
   }
   job.state = JobState::kRunning;
   job.start_time = engine_.now();
+  if (!from_reservation) track_running(job);
   ++running_count_;
   if (trace_ != nullptr) {
     trace_->emit(job.start_time, obs::TraceCategory::kScheduler,
@@ -781,8 +785,8 @@ void ResourceScheduler::complete_job(JobId id, JobState state) {
   JobSlot& s = slot_at(id);
   Job job = std::move(s.job);
   const ReservationId res = s.reservation;
-  untrack_running(s);
   release_slot(id);
+  if (!res.valid()) untrack_running(job);
   --running_count_;
 
   job.end_time = engine_.now();
@@ -841,18 +845,20 @@ int ResourceScheduler::begin_outage(int nodes, SimTime repair) {
   const SimTime now = engine_.now();
   // Block re-entrant scheduling while nodes are being taken: preemption
   // observers may submit, and a pass could otherwise grab the just-freed
-  // nodes before the outage claims them.
+  // nodes before the outage claims them. An outage begun from inside a
+  // pass (a start observer) leaves that pass's guard up.
+  const bool in_pass = in_pass_;
   in_pass_ = true;
   invalidate_plan();  // the cached profile has no down-nodes window
   while (free_nodes_ < nodes) {
     // Victim: youngest running non-reservation job (latest start, then
-    // highest id) — the cheapest partial work to lose. The slab is not
-    // id-ordered, so the tie-break the old ascending-id map walk got for
-    // free is spelled out explicitly.
+    // highest id) — the cheapest partial work to lose. running_ is ordered
+    // by planned end, not start, so the total order is spelled out and the
+    // scan order does not matter.
     JobId victim;
     SimTime latest = -1;
-    for (const JobId rid : running_ids_) {
-      const Job& job = slot_at(rid).job;
+    for (const RunningEntry& r : running_) {
+      const Job& job = slot_at(r.id).job;
       if (job.start_time > latest ||
           (job.start_time == latest && job.id.value() > victim.value())) {
         latest = job.start_time;
@@ -874,7 +880,7 @@ int ResourceScheduler::begin_outage(int nodes, SimTime repair) {
                    repair);
     }
   }
-  in_pass_ = false;
+  in_pass_ = in_pass;
   request_pass();
   return taken;
 }
@@ -919,7 +925,7 @@ void ResourceScheduler::preempt_job(JobId id) {
   TG_CHECK(s->end_event != kInvalidEvent, "running job without an end event");
   engine_.cancel(s->end_event);
   s->end_event = kInvalidEvent;
-  untrack_running(*s);
+  untrack_running(job);
   --running_count_;
   free_nodes_ += job.req.nodes;
 
@@ -974,9 +980,10 @@ void ResourceScheduler::preempt_job(JobId id) {
 }
 
 // [mc race] The requeue wakeup fires at kSubmission priority and can tie
-// with fresh submissions on this partition; whichever order fires, the
-// stale-entry erase below must keep exactly one queue entry per job (the
-// PR 3 queue-entry-resurrection bug was this race, lost).
+// with fresh submissions on this partition; whichever order fires, the job
+// must end up with exactly one unmarked queue entry (a stale entry that
+// resurrected as a duplicate was this race, lost). The entries of its
+// earlier attempts were marked when those attempts started.
 void ResourceScheduler::requeue_job(JobId id) {
   JobSlot* s = find_slot(id);
   if (s == nullptr || s->job.state != JobState::kQueued ||
@@ -984,18 +991,15 @@ void ResourceScheduler::requeue_job(JobId id) {
     return;  // cancelled while the backoff was pending
   }
   s->job.requeue_pending = false;
-  // Drop stale entries from this job's previous attempts (each was counted
-  // as a tombstone when that attempt started); left in place they would
-  // resurrect as schedulable duplicates now that the job is queued again.
-  queue_tombstones_ -= static_cast<std::size_t>(std::erase(queue_, id));
-  queue_front_ = 0;  // the erase shifted positions under the prefix pointer
-  queue_.push_back(id);
+  enqueue(*s);
   if (is_feedback(s->job.req)) add_feedback_queued();
   if (trace_ != nullptr) {
     trace_->emit(engine_.now(), obs::TraceCategory::kScheduler,
                  obs::TracePoint::kJobRequeue, id.value());
   }
-  invalidate_plan();  // the erase above shifts the plan cursor's indices
+  // Kept blunt: requeues are rare (outages only), and a from-scratch
+  // replan is the invalidation map's safe default.
+  invalidate_plan();
   request_pass();
 }
 

@@ -81,12 +81,6 @@ struct SchedulerConfig {
   /// scratch — the reference planner the equivalence tests compare
   /// against; outcomes must be byte-identical either way.
   bool plan_cache = true;
-  /// Fidelity knob, 0 = exact. When > 0, conservative planning stops at
-  /// the first job whose planned start falls past now + plan_horizon (the
-  /// queue head is always planned, so progress is never gated). Bounds
-  /// replan cost under deep backlog at the price of optimistic
-  /// estimate_start answers beyond the horizon.
-  Duration plan_horizon = 0;
   /// Model-checker self-test ONLY (tgmc --mutate, mc_test): re-introduces
   /// the pre-PR3 outage-vs-reservation over-commit. When an outage races
   /// ahead of a reservation start and takes its promised nodes, the
@@ -183,7 +177,7 @@ class ResourceScheduler {
   [[nodiscard]] SimTime now() const { return engine_.now(); }
   [[nodiscard]] int free_nodes() const { return free_nodes_; }
   [[nodiscard]] std::size_t queue_length() const {
-    return queue_.size() - queue_tombstones_;
+    return queue_.size() - queue_marked_;
   }
   [[nodiscard]] std::size_t running_jobs() const { return running_count_; }
   [[nodiscard]] const SchedulerMetrics& metrics() const { return metrics_; }
@@ -214,11 +208,31 @@ class ResourceScheduler {
     Job job;
     EventId end_event = kInvalidEvent;
     ReservationId reservation;  ///< invalid unless reservation-attached
-    bool live = false;
-    /// Index into running_ids_ while the job runs outside a reservation;
-    /// -1 otherwise. Keeps base_profile() proportional to *running* jobs
-    /// instead of scanning the whole slab (queued backlog included).
-    std::int32_t running_pos = -1;
+    /// Ticket of the job's current queue_ entry (see QueueEntry::seq).
+    std::uint64_t queue_seq = 0;
+  };
+
+  /// One waiting job in FIFO order. The entry carries what a pass reads
+  /// (width, planned duration, liveness), so scanning it never touches the
+  /// job's slot. `seq` is an enqueue ticket that increases along queue_,
+  /// which finds a job's entry by binary search. A start or a cancel marks
+  /// the entry; the next pass that walks it drops it.
+  struct QueueEntry {
+    JobId id;
+    Duration walltime = 0;
+    std::uint64_t seq = 0;
+    int nodes = 0;
+    bool marked = false;
+  };
+
+  /// One running non-reservation job. Ordered by (end, id), which is
+  /// unique per job: running_ is kept sorted by it.
+  struct RunningEntry {
+    SimTime end = 0;  ///< planned end: start + planned duration
+    JobId id;
+    int nodes = 0;
+    friend auto operator<=>(const RunningEntry&,
+                            const RunningEntry&) = default;
   };
 
   /// Slot for a live (queued or running) job, or nullptr.
@@ -237,7 +251,7 @@ class ResourceScheduler {
   /// with every planned job's window subtracted, plus the planned start of
   /// each of the first backfill_depth queued jobs in scheduling order.
   /// `cursor` is the queue_ index where lazy planning stopped; entries
-  /// before it are planned or dead. Rebuilt from scratch only when an
+  /// before it are planned or marked. Rebuilt from scratch only when an
   /// event invalidates it (see invalidate_plan call sites).
   struct PlanCache {
     Profile profile{0, 0};
@@ -246,7 +260,6 @@ class ResourceScheduler {
     std::size_t cursor = 0;
     SimTime built_at = -1;
     bool valid = false;
-    bool horizon_cut = false;  ///< planning stopped at plan_horizon
   };
 
   /// Requests a scheduling pass: synchronous when called outside the event
@@ -271,10 +284,12 @@ class ResourceScheduler {
   /// Returns a plan valid for `now`: the live cache (topped up) when
   /// reusable, a fresh rebuild otherwise.
   const PlanCache& ensure_plan() const;
-  /// Builds the availability profile from running jobs, reservations and
-  /// fences (queued jobs excluded).
-  [[nodiscard]] Profile base_profile() const;
-  /// Starts a queued job now (caller tombstones its queue_ entry).
+  /// Fills `out` with the availability profile of running jobs,
+  /// reservations, outages and fences (queued jobs excluded), reusing its
+  /// buffers. Running jobs load as presorted releases: no sort runs.
+  void base_profile(Profile& out) const;
+  /// Starts a job now. Jobs waiting in queue_ start through start_entry,
+  /// which marks their entry first.
   void start_job(Job& job, bool from_reservation);
   void finish_job(JobId id);
   /// Shared completion tail: removes the job, releases nodes, records
@@ -286,19 +301,25 @@ class ResourceScheduler {
   void requeue_job(JobId id);
   void on_reservation_start(ReservationId id);
   void on_reservation_end(ReservationId id);
-  /// Queue indices in scheduling order (capability first when draining,
-  /// fair-share within).
-  [[nodiscard]] std::vector<JobId> ordered_queue() const;
-  /// True if this queue_ entry still denotes a waiting job. Cancel and
-  /// start leave tombstones in queue_ instead of erasing (O(n) per event on
-  /// cancel-heavy workloads); dead entries are skipped here and reclaimed
-  /// in batch by compact_queue().
-  [[nodiscard]] bool queue_entry_live(JobId id) const;
-  /// Rebuilds queue_ without tombstones once they outnumber live entries
-  /// (amortized O(1) per cancel/start).
-  void compact_queue();
-  /// Swap-removes a running job from running_ids_ (no-op if untracked).
-  void untrack_running(JobSlot& s);
+  /// queue_ positions of the unmarked entries in scheduling order
+  /// (capability first when draining, fair-share within).
+  [[nodiscard]] std::vector<std::size_t> ordered_queue() const;
+  /// Appends `s`'s job to queue_ under a fresh ticket.
+  void enqueue(JobSlot& s);
+  /// queue_ position of the entry with ticket `seq` (it must be there).
+  [[nodiscard]] std::size_t queue_pos(std::uint64_t seq) const;
+  /// Marks an entry whose job started or was cancelled.
+  void mark_entry(std::size_t pos);
+  /// Marks the entry at `pos` and starts its job.
+  void start_entry(std::size_t pos);
+  /// Drops the marked entries of queue_[0, end) in one sweep, keeping the
+  /// survivors' order and every entry past `end` in place; the plan cursor
+  /// moves back by the entries dropped before it. Runs only at the end of
+  /// a pass, so nothing shifts entries under a scan.
+  void drop_marked(std::size_t end);
+  /// Adds / removes a running non-reservation job in running_.
+  void track_running(const Job& job);
+  void untrack_running(const Job& job);
   [[nodiscard]] int capability_threshold() const;
   /// Next id from this resource's band; throws once the band is exhausted.
   [[nodiscard]] JobId allocate_job_id();
@@ -340,17 +361,16 @@ class ResourceScheduler {
   /// kNoSlot. Local ids are a dense allocation counter, so every per-event
   /// lookup is one vector index instead of a tree walk.
   std::vector<std::uint32_t> slot_index_;
-  std::deque<JobId> queue_;    // FIFO arrival order; may hold tombstones
-  std::size_t queue_tombstones_ = 0;  ///< dead entries still in queue_
-  /// Every entry before this index is dead. Dead entries never resurrect
-  /// (requeue erases the stale ones before re-appending), so the pointer
-  /// only moves forward — FIFO scans start here instead of re-walking the
-  /// tombstoned prefix every pass. Reset to 0 whenever queue_ is rewritten
-  /// (compaction, requeue erase).
-  std::size_t queue_front_ = 0;
-  /// Ids of jobs running outside a reservation, unordered (profile
-  /// assembly is commutative); position mirrored in JobSlot::running_pos.
-  std::vector<JobId> running_ids_;
+  /// Waiting jobs in FIFO order, plus marked entries not yet dropped.
+  std::deque<QueueEntry> queue_;
+  std::size_t queue_marked_ = 0;  ///< marked entries still in queue_
+  std::uint64_t next_queue_seq_ = 0;
+  /// Jobs running outside a reservation, sorted by (planned end, id):
+  /// base_profile loads it as presorted releases, and the outage victim
+  /// scan reads it.
+  std::vector<RunningEntry> running_;
+  /// The EASY/FCFS pass's profile, refilled in place by every pass.
+  Profile pass_profile_{0, 0};
   /// Open-addressed by reservation id; erased on completion so the table
   /// tracks only pending/active reservations. Iterated (slot order) only
   /// for the commutative profile reduction.

@@ -77,11 +77,12 @@ Scenario::Scenario(ScenarioConfig config)
     for (auto& g : gateways_) g->set_trace(config_.trace);
     if (faults_) faults_->set_trace(config_.trace);
   }
+  // Out-of-core storage must be selected before the first record lands. It
+  // is a storage choice, so it holds with or without streaming measurement.
+  if (config_.streaming.segments.segment_records > 0) {
+    db_.enable_segments(config_.streaming.segments);
+  }
   if (config_.streaming.enabled) {
-    // Out-of-core storage must be selected before the first record lands.
-    if (config_.streaming.segments.segment_records > 0) {
-      db_.enable_segments(config_.streaming.segments);
-    }
     StreamingConfig sc;
     sc.series_start = 0;
     sc.bucket = config_.streaming.bucket;

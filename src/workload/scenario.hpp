@@ -71,8 +71,9 @@ struct ScenarioConfig {
   /// StreamingExtractor subscribes to the database's append stream and the
   /// quarterly modality series is produced *during* the run — byte-identical
   /// to the batch quarterly_series over the same range. A positive
-  /// `segments.segment_records` additionally switches the database to the
-  /// spillable columnar record log (out-of-core accounting).
+  /// `segments.segment_records` switches the database to the spillable
+  /// columnar record log (out-of-core accounting), whether or not
+  /// `enabled` is set.
   struct StreamingOptions {
     bool enabled = false;
     Duration bucket = kQuarter;

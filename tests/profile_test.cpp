@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -167,6 +171,53 @@ TEST(Profile, FitsAtMatchesEarliestFit) {
     const SimTime t = rng.uniform_int(0, 120 * kHour);
     // fits_at(t) must agree with "earliest_fit from t returns exactly t".
     ASSERT_EQ(p.fits_at(t, nodes, dur), p.earliest_fit(nodes, dur, t) == t)
+        << "t=" << t << " nodes=" << nodes << " dur=" << dur;
+  }
+}
+
+TEST(Profile, PresortedHoldsMatchSubtracts) {
+  // A scheduler's base profile: running jobs held from `now` until their
+  // releases (sorted, with ties and overdue releases that clamp to
+  // now + 1), then reservations spliced in. The presorted load must answer
+  // every query like the unsorted subtract build, also after a reset
+  // reuses the buffers of an unrelated profile.
+  Rng rng(5);
+  const SimTime now = 10 * kHour;
+  std::vector<std::pair<SimTime, int>> holds;
+  for (int i = 0; i < 40; ++i) {
+    holds.emplace_back(now + rng.uniform_int(-kHour, 30 * kHour) / kHour *
+                                 kHour,
+                       static_cast<int>(rng.uniform_int(1, 3)));
+  }
+  std::sort(holds.begin(), holds.end());
+  Profile loaded(0, 7);
+  loaded.subtract(0, kDay, 5);
+  loaded.add_fence(kHour);
+  loaded.reset(now, 128);
+  Profile reference(now, 128);
+  for (const auto& [release, nodes] : holds) {
+    loaded.add_hold(release, nodes);
+    reference.subtract(now, std::max(release, now + 1), nodes);
+  }
+  // Reservation edges on the same hour grid land on release times, where
+  // a spliced window start meets merged releases.
+  for (int i = 0; i < 8; ++i) {
+    const SimTime from = now + rng.uniform_int(0, 20) * kHour;
+    const Duration len = rng.uniform_int(1, 10) * kHour;
+    const int nodes = static_cast<int>(rng.uniform_int(1, 16));
+    loaded.subtract(from, from + len, nodes);
+    reference.subtract(from, from + len, nodes);
+  }
+  for (int q = 0; q < 600; ++q) {
+    const int nodes = static_cast<int>(rng.uniform_int(1, 128));
+    const Duration dur = rng.uniform_int(kMinute, 10 * kHour);
+    // A pass asks at `now`, where the clamped holds still count.
+    const SimTime t = q % 3 == 0 ? now : now + rng.uniform_int(0, 40 * kHour);
+    ASSERT_EQ(loaded.free_at(t), reference.free_at(t)) << "t=" << t;
+    ASSERT_EQ(loaded.earliest_fit(nodes, dur, t),
+              reference.earliest_fit(nodes, dur, t))
+        << "t=" << t << " nodes=" << nodes << " dur=" << dur;
+    ASSERT_EQ(loaded.fits_at(t, nodes, dur), reference.fits_at(t, nodes, dur))
         << "t=" << t << " nodes=" << nodes << " dur=" << dur;
   }
 }

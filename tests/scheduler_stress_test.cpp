@@ -209,7 +209,6 @@ INSTANTIATE_TEST_SUITE_P(
 struct EquivParams {
   SchedPolicy policy;
   Duration drain_period;
-  Duration plan_horizon;
   bool faulty;
   std::uint64_t seed;
 };
@@ -217,7 +216,6 @@ struct EquivParams {
 void PrintTo(const EquivParams& p, std::ostream* os) {
   *os << to_string(p.policy);
   if (p.drain_period > 0) *os << " drain=" << p.drain_period / kHour << "h";
-  if (p.plan_horizon > 0) *os << " plan=" << p.plan_horizon / kHour << "h";
   if (p.faulty) *os << " faulty";
   *os << " seed=" << p.seed;
 }
@@ -243,7 +241,6 @@ TEST_P(PlanCacheEquivalence, MatchesReferencePlannerExactly) {
     SchedulerConfig cfg;
     cfg.policy = params.policy;
     cfg.drain_period = params.drain_period;
-    cfg.plan_horizon = params.plan_horizon;
     cfg.plan_cache = cache;
     ResourceScheduler sched(engine, res, cfg);
 
@@ -330,13 +327,12 @@ TEST_P(PlanCacheEquivalence, MatchesReferencePlannerExactly) {
 INSTANTIATE_TEST_SUITE_P(
     Mixes, PlanCacheEquivalence,
     ::testing::Values(
-        EquivParams{SchedPolicy::kConservativeBackfill, 0, 0, false, 10},
-        EquivParams{SchedPolicy::kConservativeBackfill, 0, 0, true, 11},
-        EquivParams{SchedPolicy::kEasyBackfill, 0, 0, true, 12},
-        EquivParams{SchedPolicy::kFcfs, 0, 0, true, 13},
-        EquivParams{SchedPolicy::kConservativeBackfill, 0, 12 * kHour, true,
-                    14},
-        EquivParams{SchedPolicy::kEasyBackfill, 2 * kDay, 0, true, 15}));
+        EquivParams{SchedPolicy::kConservativeBackfill, 0, false, 10},
+        EquivParams{SchedPolicy::kConservativeBackfill, 0, true, 11},
+        EquivParams{SchedPolicy::kEasyBackfill, 0, true, 12},
+        EquivParams{SchedPolicy::kFcfs, 0, true, 13},
+        EquivParams{SchedPolicy::kConservativeBackfill, 0, true, 14},
+        EquivParams{SchedPolicy::kEasyBackfill, 2 * kDay, true, 15}));
 
 }  // namespace
 }  // namespace tg

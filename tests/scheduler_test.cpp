@@ -116,9 +116,9 @@ TEST(Scheduler, CancelQueuedJob) {
 }
 
 TEST(Scheduler, CancelHeavyQueueStaysConsistent) {
-  // Cancel storms leave tombstones in the FIFO queue; queue_length must
-  // track live jobs only, survivors must start in arrival order, and the
-  // batched compaction must not drop or duplicate anyone.
+  // Cancel storms leave marked entries in the FIFO queue; queue_length
+  // must track live jobs only, survivors must start in arrival order, and
+  // dropping the marked entries must not drop or duplicate anyone.
   Harness h;
   h.sched.submit(simple_job(16, kHour));  // occupies the whole machine
   std::vector<JobId> queued;
@@ -128,7 +128,7 @@ TEST(Scheduler, CancelHeavyQueueStaysConsistent) {
   }
   EXPECT_EQ(h.sched.queue_length(), static_cast<std::size_t>(kJobs));
   // Cancel every job except each 100th, interleaving front/back halves so
-  // tombstones land on both ends of the deque.
+  // marked entries land on both ends of the deque.
   std::size_t cancelled = 0;
   for (int i = 0; i < kJobs / 2; ++i) {
     for (const int j : {i, kJobs - 1 - i}) {
@@ -154,6 +154,40 @@ TEST(Scheduler, CancelHeavyQueueStaysConsistent) {
   std::vector<JobId> expected;
   for (int j = 0; j < kJobs; j += 100) expected.push_back(queued[j]);
   EXPECT_EQ(completed_order, expected);
+}
+
+TEST(Scheduler, CancelFromStartObserverKeepsFifoOrder) {
+  // A start observer cancels queued jobs while the pass that started the
+  // job is still scanning the queue. The cancels must not shift entries
+  // under the scan: the survivors start in FIFO order, and queue_length
+  // counts exactly the jobs that still wait.
+  Harness h(SchedulerConfig{}, 10);
+  const JobId blocker = h.sched.submit(simple_job(10, kHour));
+  std::vector<JobId> small;
+  for (int i = 0; i < 100; ++i) {
+    small.push_back(h.sched.submit(simple_job(1, kHour)));
+  }
+  h.sched.add_on_start([&](const Job& j) {
+    if (j.id != small[0]) return;
+    for (int i = 39; i <= 98; ++i) EXPECT_TRUE(h.sched.cancel(small[i]));
+  });
+  std::size_t waiting = 0;
+  h.engine.schedule_at(kHour + kMinute,
+                       [&] { waiting = h.sched.queue_length(); });
+  h.engine.run();
+
+  std::vector<JobId> expected{blocker};
+  for (int i = 0; i < 39; ++i) expected.push_back(small[i]);
+  expected.push_back(small[99]);
+  std::vector<JobId> order;
+  for (const Job& j : h.started) order.push_back(j.id);
+  EXPECT_EQ(order, expected);
+  ASSERT_GE(h.started.size(), 11u);
+  for (std::size_t i = 1; i <= 10; ++i) {
+    EXPECT_EQ(h.started[i].start_time, kHour) << "start " << i;
+  }
+  EXPECT_EQ(waiting, 30u);  // 100 - 10 started - 60 cancelled
+  EXPECT_EQ(h.sched.queue_length(), 0u);
 }
 
 TEST(Scheduler, CancelReservationAttachedJobDetaches) {
@@ -676,22 +710,76 @@ TEST(SchedulerPlanCache, CountsIncrementalAndCoalescedReplans) {
   EXPECT_EQ(h.finished.size(), 11u);
 }
 
-TEST(SchedulerPlanCache, HorizonKnobKeepsHeadProgress) {
-  // With a tight horizon only the queue head is guaranteed planned; jobs
-  // beyond the horizon must still run eventually as the window advances.
+TEST(SchedulerPassWork, ScanIsProportionalToDecisions) {
+  // A saturated EASY machine with a deep backlog: each pass walks the
+  // started run, the head and at most backfill_depth further live entries.
+  // Entries marked by a start or a cancel are walked once more at most —
+  // the pass that walks them drops them — so the entries examined stay
+  // within passes x (depth + 1) plus a constant per start and cancel, no
+  // matter how deep the backlog or how many jobs have left it.
   SchedulerConfig cfg;
-  cfg.policy = SchedPolicy::kConservativeBackfill;
-  cfg.plan_horizon = kHour;  // far smaller than any backlog depth
-  Harness h(cfg);
-  for (int i = 0; i < 20; ++i) {
-    h.sched.submit(simple_job(16, 3 * kHour));
+  cfg.backfill_depth = 8;
+  Harness h(cfg, 64);
+  Rng rng(7);
+  std::vector<JobId> submitted;
+  std::size_t cancelled = 0;
+  for (int i = 0; i < 3000; ++i) {
+    JobRequest req = simple_job(static_cast<int>(rng.uniform_int(1, 64)),
+                                rng.uniform_int(kMinute, 6 * kHour));
+    req.requested_walltime = req.actual_runtime + rng.uniform_int(0, kHour);
+    const SimTime at = rng.uniform_int(0, 20 * kDay);
+    h.engine.schedule_at(
+        at, [&, req] { submitted.push_back(h.sched.submit(req)); },
+        EventPriority::kSubmission);
+    if (i % 10 == 0) {
+      const std::uint64_t pick = rng.uniform_int(0, 1 << 20);
+      h.engine.schedule_at(at + kHour, [&, pick] {
+        if (!submitted.empty() &&
+            h.sched.cancel(submitted[pick % submitted.size()])) {
+          ++cancelled;
+        }
+      });
+    }
   }
+  std::size_t peak_queue = 0;
+  h.sched.add_on_start([&](const Job&) {
+    peak_queue = std::max(peak_queue, h.sched.queue_length());
+  });
   h.engine.run();
-  ASSERT_EQ(h.finished.size(), 20u);
-  for (const Job& j : h.finished) {
-    EXPECT_EQ(j.state, JobState::kCompleted);
+
+  const SchedulerMetrics& m = h.sched.metrics();
+  const std::uint64_t started = h.started.size();
+  ASSERT_EQ(started + cancelled, 3000u);
+  // The scenario is what the bound is about: a deep backlog and many
+  // backfilled starts (a job started ahead of an earlier submission).
+  EXPECT_GT(peak_queue, 500u);
+  std::size_t backfilled = 0;
+  for (std::size_t i = 1; i < h.started.size(); ++i) {
+    backfilled += h.started[i].id.value() < h.started[i - 1].id.value();
   }
-  EXPECT_EQ(h.sched.free_nodes(), 16);
+  EXPECT_GT(backfilled, 300u);
+  EXPECT_GT(m.passes(), 0u);
+  EXPECT_GE(m.fit_checks(), started);
+  EXPECT_LE(m.queue_scanned(),
+            m.passes() * static_cast<std::uint64_t>(cfg.backfill_depth + 1) +
+                2 * started + cancelled);
+  EXPECT_EQ(h.sched.queue_length(), 0u);
+}
+
+TEST(SchedulerPassWork, CountersExportPerResource) {
+  Harness h;
+  h.sched.submit(simple_job(16, kHour));
+  h.sched.submit(simple_job(8, kHour));
+  h.engine.run();
+  obs::MetricsRegistry registry;
+  h.sched.metrics().bind_metrics(registry, "sched.test");
+  for (const char* name : {"sched.test.passes", "sched.test.queue_scanned",
+                           "sched.test.fit_checks"}) {
+    EXPECT_TRUE(registry.contains(name)) << name;
+  }
+  // Two synchronous submit passes; at 1 h the head's wakeup and the
+  // deferred pass after the first end; at 2 h the pass after the second.
+  EXPECT_EQ(h.sched.metrics().passes(), 5u);
 }
 
 }  // namespace

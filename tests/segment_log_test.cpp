@@ -525,14 +525,15 @@ class StorageParity : public ::testing::Test {
   }
 
   static std::unique_ptr<Scenario> run(std::uint32_t cap,
-                                       const std::string& spill) {
+                                       const std::string& spill,
+                                       bool streaming = true) {
     ScenarioConfig config;
     config.mini_platform = true;
     config.horizon = 30 * kDay;
     config.seed = 1234;
     config.faults.outage.mtbf_hours = 120.0;
     config.faults.job_failure_rate_per_hour = 0.001;
-    config.streaming.enabled = true;
+    config.streaming.enabled = streaming;
     config.streaming.bucket = 10 * kDay;
     config.streaming.segments.segment_records = cap;
     config.streaming.segments.spill_dir = spill;
@@ -558,6 +559,22 @@ TEST_F(StorageParity, SpilledRunReallySpilled) {
   EXPECT_GT(spilled_->db().segment_stats().spilled, 0u);
   EXPECT_EQ(spilled_->db().segment_stats().spill_failures, 0u);
   EXPECT_EQ(resident_->db().job_count(), spilled_->db().job_count());
+}
+
+TEST_F(StorageParity, SegmentCapAppliesWithoutStreaming) {
+  // The segment cap is a storage choice: a batch run (no streaming
+  // measurement) must store out of core too, and report the same.
+  const std::filesystem::path batch_dir = dir_ / "batch";
+  std::filesystem::create_directories(batch_dir);
+  const std::unique_ptr<Scenario> batch =
+      run(64, batch_dir.string(), /*streaming=*/false);
+  EXPECT_EQ(batch->streaming(), nullptr);
+  EXPECT_TRUE(batch->db().segmented());
+  EXPECT_GT(batch->db().segment_stats().spilled, 0u);
+  EXPECT_EQ(batch->db().segment_stats().spill_failures, 0u);
+  const RuleClassifier classifier;
+  EXPECT_EQ(resident_->report(classifier).to_table().to_string(),
+            batch->report(classifier).to_table().to_string());
 }
 
 TEST_F(StorageParity, FinalAuditPassesWithEqualChecks) {
