@@ -1,7 +1,7 @@
 // B7 — data-grid microbenchmarks: site-cache lookup/admit throughput under
 // a Zipf-skewed reference stream (both eviction policies), per-job profile
-// draws, and end-to-end stage-in resolution on the analytic WAN path. The
-// perf-smoke CI job uploads these numbers as BENCH_data.json.
+// draws, and end-to-end stage-in resolution over WAN flows. The perf-smoke
+// CI job uploads these numbers as BENCH_data.json.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.hpp"
@@ -13,6 +13,7 @@
 #include "data/storage_cache.hpp"
 #include "des/engine.hpp"
 #include "infra/platform.hpp"
+#include "net/flow.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
 
@@ -75,11 +76,11 @@ BENCHMARK(BM_CacheLookupAdmit)
     ->Arg(static_cast<int>(CachePolicy::kSizeAwareLru))
     ->Unit(benchmark::kMillisecond);
 
-DataGrid make_grid(Engine& engine, const Platform& platform) {
+DataGrid make_grid(Engine& engine, const Platform& platform,
+                   FlowManager& flows) {
   std::vector<DataAccessSpec> specs(1, DataAccessSpec::enabled_defaults());
-  return DataGrid(engine, platform, nullptr,
-                  DataGridConfig::enabled_defaults(), std::move(specs),
-                  Rng(7).fork("data"));
+  return DataGrid(engine, platform, flows, DataGridConfig::enabled_defaults(),
+                  std::move(specs), Rng(7).fork("data"));
 }
 
 /// Profile draws/sec: the per-job cost the generator pays when an
@@ -88,7 +89,8 @@ DataGrid make_grid(Engine& engine, const Platform& platform) {
 void BM_DrawProfile(benchmark::State& state) {
   const Platform platform = teragrid_2010();
   Engine engine;
-  DataGrid grid = make_grid(engine, platform);
+  FlowManager flows(engine, platform);
+  DataGrid grid = make_grid(engine, platform, flows);
   Rng rng(11);
   for (auto _ : state) {
     const DataAccessProfile profile = grid.draw_profile(0, rng);
@@ -98,15 +100,16 @@ void BM_DrawProfile(benchmark::State& state) {
 }
 BENCHMARK(BM_DrawProfile);
 
-/// End-to-end stage-in resolutions/sec on the analytic WAN path (no
-/// FlowManager): draw a profile, resolve it against a site cache, run the
-/// engine until the completion callback lands.
+/// End-to-end stage-in resolutions/sec over WAN flows: draw a profile,
+/// resolve it against a site cache, run the engine until the last stage-in
+/// flow lands and the completion callback fires.
 void BM_StageIn(benchmark::State& state) {
   const Platform platform = teragrid_2010();
   for (auto _ : state) {
     state.PauseTiming();
     Engine engine;
-    DataGrid grid = make_grid(engine, platform);
+    FlowManager flows(engine, platform);
+    DataGrid grid = make_grid(engine, platform, flows);
     Rng rng(13);
     constexpr int kStageIns = 512;
     state.ResumeTiming();

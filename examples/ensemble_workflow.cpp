@@ -23,7 +23,7 @@ int main() {
   Recorder recorder(platform, db);
   recorder.attach(pool);
   recorder.attach(flows);
-  WorkflowEngine workflows(engine, pool, &flows, /*retry_limit=*/2);
+  WorkflowEngine workflows(engine, pool, flows, /*retry_limit=*/2);
 
   // One assimilation cycle: setup on Ranger, 48 ensemble members wherever
   // the metascheduler finds the earliest start, then a merge step that

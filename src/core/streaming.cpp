@@ -21,7 +21,7 @@ StreamingExtractor::StreamingExtractor(const Platform& platform,
 
 bool StreamingExtractor::admit(SimTime t) {
   if (t < config_.series_start || t >= config_.series_end) {
-    TG_METRIC_INC(stats_.records_dropped);
+    stats_.records_dropped.inc();
     return false;
   }
   TG_CHECK(!finished_, "record appended after finish()");
@@ -57,7 +57,7 @@ void StreamingExtractor::mark_end_user(EndUserId id) {
 }
 
 void StreamingExtractor::on_job(const JobRecord& r) {
-  TG_METRIC_INC(stats_.jobs_ingested);
+  stats_.jobs_ingested.inc();
   if (!admit(r.end_time)) return;
   // The end-user attribute counts for every job record in the window,
   // exactly like count_gateway_end_users (user validity is irrelevant).
@@ -66,12 +66,12 @@ void StreamingExtractor::on_job(const JobRecord& r) {
 }
 
 void StreamingExtractor::on_transfer(const TransferRecord& r) {
-  TG_METRIC_INC(stats_.transfers_ingested);
+  stats_.transfers_ingested.inc();
   if (admit(r.end_time) && r.user.valid()) touch(r.user.value()).add(r);
 }
 
 void StreamingExtractor::on_session(const SessionRecord& r) {
-  TG_METRIC_INC(stats_.sessions_ingested);
+  stats_.sessions_ingested.inc();
   if (admit(r.end_time) && r.user.valid()) touch(r.user.value()).add(r);
 }
 
@@ -99,8 +99,8 @@ void StreamingExtractor::close_window() {
     ++window_.primary_users[static_cast<std::size_t>(set.primary)];
   }
   window_.gateway_end_users = eu_count_;
-  TG_METRIC_INC(stats_.windows_closed);
-  TG_METRIC_ADD(stats_.users_classified, window_.features.size());
+  stats_.windows_closed.inc();
+  stats_.users_classified.add(window_.features.size());
   stats_.active_users_high_water.max_of(
       static_cast<double>(active_.size()));
   series_.push_back(std::move(mods));

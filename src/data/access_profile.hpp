@@ -110,10 +110,6 @@ struct DataGridConfig {
   /// Per-site storage cache capacity in bytes.
   double site_cache_bytes = 50e12;  ///< 50 TB
   CachePolicy policy = CachePolicy::kLru;
-  /// Analytic stage-in fallback when WAN flows are disabled: a miss of B
-  /// bytes costs rtt + B / (wan_gbps Gb/s).
-  double wan_gbps = 10.0;
-  Duration wan_rtt = 50 * kMillisecond;
 
   DataGridConfig& with_cache_bytes(double bytes) {
     site_cache_bytes = bytes;
@@ -121,11 +117,6 @@ struct DataGridConfig {
   }
   DataGridConfig& with_policy(CachePolicy p) {
     policy = p;
-    return *this;
-  }
-  DataGridConfig& with_wan(double gbps, Duration rtt) {
-    wan_gbps = gbps;
-    wan_rtt = rtt;
     return *this;
   }
 

@@ -9,9 +9,9 @@
 namespace tg {
 
 DataGrid::DataGrid(Engine& engine, const Platform& platform,
-                   FlowManager* flows, const DataGridConfig& config,
+                   FlowManager& flows, const DataGridConfig& config,
                    std::vector<DataAccessSpec> archetype_data, Rng rng)
-    : engine_(engine), platform_(platform), flows_(flows), config_(config) {
+    : engine_(engine), platform_(platform), flows_(flows) {
   const auto nsites = platform.sites().size();
   TG_REQUIRE(nsites > 0, "data grid needs at least one site");
   caches_.reserve(nsites);
@@ -38,9 +38,10 @@ DataGrid::DataGrid(Engine& engine, const Platform& platform,
         std::min<int>(std::max(1, spec.replicas), static_cast<int>(nsites));
     pool.datasets.reserve(static_cast<std::size_t>(spec.pool_datasets));
     for (int d = 0; d < spec.pool_datasets; ++d) {
-      const DatasetId id =
-          catalog_.add("a" + std::to_string(a) + "-ds-" + std::to_string(d),
-                       size_dist.sample(rng));
+      const DatasetId id = catalog_.add(
+          std::string("a").append(std::to_string(a)).append("-ds-").append(
+              std::to_string(d)),
+          size_dist.sample(rng));
       pool.datasets.push_back(id);
       // Distinct replica sites, first-draw order.
       for (int r = 0; r < replicas; ++r) {
@@ -115,20 +116,15 @@ void DataGrid::stage_in(ResourceId target, UserId user, ProjectId project,
       pending->result.bytes_from_cache += bytes;
       continue;
     }
-    // Nearest source by path latency (lowest site id on ties); without a
-    // flow manager there is no topology metric, so lowest id throughout.
+    // Nearest source by path latency (lowest site id on ties).
     SiteId src = replicas.front();
-    if (flows_ != nullptr) {
-      Duration best = flows_->path_latency(src, dst);
-      for (std::size_t i = 1; i < replicas.size(); ++i) {
-        const Duration lat = flows_->path_latency(replicas[i], dst);
-        if (lat < best || (lat == best && replicas[i] < src)) {
-          best = lat;
-          src = replicas[i];
-        }
+    Duration best = flows_.path_latency(src, dst);
+    for (std::size_t i = 1; i < replicas.size(); ++i) {
+      const Duration lat = flows_.path_latency(replicas[i], dst);
+      if (lat < best || (lat == best && replicas[i] < src)) {
+        best = lat;
+        src = replicas[i];
       }
-    } else {
-      src = *std::min_element(replicas.begin(), replicas.end());
     }
     auto group = std::find_if(groups.begin(), groups.end(),
                               [src](const auto& g) { return g.first == src; });
@@ -151,31 +147,16 @@ void DataGrid::stage_in(ResourceId target, UserId user, ProjectId project,
     return;
   }
 
-  if (flows_ != nullptr) {
-    pending->remaining = static_cast<int>(groups.size());
-    for (const auto& [src, bytes] : groups) {
-      stats_.bytes_transferred += bytes;
-      ++stats_.transfers;
-      flows_->start_transfer(src, dst, bytes, user, project,
-                             [this, pending](const Flow&) {
-                               if (--pending->remaining == 0) {
-                                 finish_stage_in(pending);
-                               }
-                             });
-    }
-  } else {
-    // Analytic fallback: the slowest group bounds the stage-in.
-    const double bps = config_.wan_gbps * 1e9 / 8.0;
-    Duration latency = 0;
-    for (const auto& [src, bytes] : groups) {
-      stats_.bytes_transferred += bytes;
-      ++stats_.transfers;
-      latency = std::max(
-          latency, config_.wan_rtt + from_seconds(bytes / bps));
-    }
-    engine_.schedule_in(latency,
-                        [this, pending] { finish_stage_in(pending); },
-                        EventPriority::kSubmission);
+  pending->remaining = static_cast<int>(groups.size());
+  for (const auto& [src, bytes] : groups) {
+    stats_.bytes_transferred += bytes;
+    ++stats_.transfers;
+    flows_.start_transfer(src, dst, bytes, user, project,
+                          [this, pending](const Flow&) {
+                            if (--pending->remaining == 0) {
+                              finish_stage_in(pending);
+                            }
+                          });
   }
 }
 

@@ -37,9 +37,8 @@ namespace tg {
 class DataGrid {
  public:
   /// `archetype_data[i]` is archetype i's DataAccessSpec (disabled entries
-  /// build no pool). `flows` may be null: stage-in then uses the analytic
-  /// WAN model from `config` instead of real flows.
-  DataGrid(Engine& engine, const Platform& platform, FlowManager* flows,
+  /// build no pool).
+  DataGrid(Engine& engine, const Platform& platform, FlowManager& flows,
            const DataGridConfig& config,
            std::vector<DataAccessSpec> archetype_data, Rng rng);
 
@@ -101,8 +100,7 @@ class DataGrid {
 
   Engine& engine_;
   const Platform& platform_;
-  FlowManager* flows_;
-  DataGridConfig config_;
+  FlowManager& flows_;
   ReplicaCatalog catalog_;
   std::vector<StorageCache> caches_;  ///< dense by SiteId
   std::vector<Pool> pools_;           ///< dense by archetype index

@@ -121,7 +121,7 @@ void FaultModel::begin_outage(std::size_t i) {
       std::min(nodes, sched.resource().nodes - sched.nodes_down());
   if (taken > 0) {
     const int got = sched.begin_outage(taken, until);
-    TG_METRIC_INC(stats_.outages);
+    stats_.outages.inc();
     stats_.node_hours_lost.add(static_cast<double>(got) * to_hours(repair));
     engine_.schedule_at(until, [this, i, got] { end_outage(i, got); },
                         EventPriority::kCompletion);
@@ -134,7 +134,7 @@ void FaultModel::begin_outage(std::size_t i) {
 void FaultModel::end_outage(std::size_t i, int taken) {
   if (taken > 0) {
     pool_.at(ids_[i]).end_outage(taken);
-    TG_METRIC_INC(stats_.repairs);
+    stats_.repairs.inc();
   }
   schedule_outage(i);
 }
@@ -150,7 +150,7 @@ void FaultModel::on_job_start(const Job& job) {
   const ResourceId res = job.resource;
   engine_.schedule_in(at, [this, id, res] {
     if (pool_.at(res).interrupt(id, JobState::kFailed)) {
-      TG_METRIC_INC(stats_.hazard_failures);
+      stats_.hazard_failures.inc();
       if (trace_ != nullptr) {
         trace_->emit(engine_.now(), obs::TraceCategory::kFault,
                      obs::TracePoint::kHazardFail, id.value(), res.value());
@@ -174,7 +174,7 @@ void FaultModel::begin_brownout(std::size_t g) {
   Rng& rng = gateway_rngs_[g];
   Gateway& gateway = *(*gateways_)[g];
   gateway.set_available(false);
-  TG_METRIC_INC(stats_.brownouts);
+  stats_.brownouts.inc();
   const Duration length = std::max<Duration>(
       kMinute, from_hours(Exponential(1.0 / config_.brownout_mean_hours)
                               .sample(rng)));

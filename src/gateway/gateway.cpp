@@ -26,7 +26,7 @@ Gateway::Gateway(Engine& engine, SchedulerPool& pool, GatewayId id,
 JobId Gateway::submit(EndUserId end_user, const GatewayJobSpec& spec,
                       Rng& rng) {
   if (!available_) {
-    TG_METRIC_INC(dropped_);
+    dropped_.inc();
     if (trace_ != nullptr) {
       trace_->emit(engine_.now(), obs::TraceCategory::kGateway,
                    obs::TracePoint::kGatewayDrop, end_user.value(),
@@ -47,7 +47,7 @@ JobId Gateway::submit(EndUserId end_user, const GatewayJobSpec& spec,
   if (rng.bernoulli(config_.attribute_coverage)) {
     req.gateway_end_user = end_user;
   }
-  TG_METRIC_INC(submitted_);
+  submitted_.inc();
   const JobId job = pool_.at(target).submit(std::move(req));
   if (trace_ != nullptr) {
     trace_->emit(engine_.now(), obs::TraceCategory::kGateway,

@@ -18,12 +18,70 @@ FlowManager::FlowManager(Engine& engine, const Platform& platform,
       platform_(platform),
       host_cap_bps_(host_gbps * kBytesPerGbps) {
   TG_REQUIRE(host_gbps > 0.0, "host cap must be positive");
+  // Dijkstra by latency from every source over the (small) site graph.
+  const std::size_t n = platform_.sites().size();
+  routes_.resize(n * n);
+  std::vector<Duration> dist(n);
+  std::vector<LinkId> via(n);      // link taken to reach node
+  std::vector<SiteId> prev(n);     // predecessor site
+  using QE = std::pair<Duration, SiteId::rep>;
+  for (std::size_t s = 0; s < n; ++s) {
+    std::fill(dist.begin(), dist.end(), std::numeric_limits<Duration>::max());
+    std::priority_queue<QE, std::vector<QE>, std::greater<>> q;
+    dist[s] = 0;
+    q.emplace(0, static_cast<SiteId::rep>(s));
+    while (!q.empty()) {
+      const auto [d, u] = q.top();
+      q.pop();
+      if (d > dist[static_cast<std::size_t>(u)]) continue;
+      for (const Link& link : platform_.links()) {
+        SiteId other;
+        if (link.a.value() == u) {
+          other = link.b;
+        } else if (link.b.value() == u) {
+          other = link.a;
+        } else {
+          continue;
+        }
+        const auto o = static_cast<std::size_t>(other.value());
+        const Duration nd = d + link.latency;
+        if (nd < dist[o]) {
+          dist[o] = nd;
+          via[o] = link.id;
+          prev[o] = SiteId{u};
+          q.emplace(nd, other.value());
+        }
+      }
+    }
+    for (std::size_t t = 0; t < n; ++t) {
+      Route& r = routes_[s * n + t];
+      r.reachable = dist[t] != std::numeric_limits<Duration>::max();
+      if (!r.reachable) continue;
+      r.latency = dist[t];  // the sum of the path's link latencies
+      for (std::size_t at = t; at != s;
+           at = static_cast<std::size_t>(prev[at].value())) {
+        r.links.push_back(via[at]);
+      }
+      std::reverse(r.links.begin(), r.links.end());
+    }
+  }
+}
+
+const FlowManager::Route& FlowManager::route_entry(SiteId src,
+                                                   SiteId dst) const {
+  const std::size_t n = platform_.sites().size();
+  const Route& r = routes_[static_cast<std::size_t>(src.value()) * n +
+                           static_cast<std::size_t>(dst.value())];
+  TG_REQUIRE(r.reachable,
+             "no WAN route from site " << src << " to " << dst);
+  return r;
 }
 
 TransferId FlowManager::start_transfer(SiteId src, SiteId dst, double bytes,
                                        UserId user, ProjectId project,
                                        CompletionCallback on_complete) {
   TG_REQUIRE(bytes >= 0.0, "transfer size must be non-negative");
+  const Route& route = route_entry(src, dst);
   const TransferId id{next_id_++};
   Pending p;
   p.flow.id = id;
@@ -34,12 +92,11 @@ TransferId FlowManager::start_transfer(SiteId src, SiteId dst, double bytes,
   p.flow.total_bytes = bytes;
   p.flow.remaining_bytes = bytes;
   p.flow.submitted = engine_.now();
-  p.flow.path = route(src, dst);
+  p.route = &route;
   p.on_complete = std::move(on_complete);
   flows_.emplace(id, std::move(p));
 
-  const Duration latency = path_latency(src, dst);
-  engine_.schedule_in(latency, [this, id] { activate(id); });
+  engine_.schedule_in(route.latency, [this, id] { activate(id); });
   return id;
 }
 
@@ -64,10 +121,8 @@ void FlowManager::complete(TransferId id) {
   flows_.erase(it);
   --active_count_;
   p.flow.active = false;
-  p.flow.done = true;
   p.flow.remaining_bytes = 0.0;
   p.flow.completed = engine_.now();
-  completed_log_.push_back(p.flow);
   if (observer_) observer_(p.flow);
   if (p.on_complete) p.on_complete(p.flow);
   rebalance();
@@ -99,7 +154,7 @@ void FlowManager::rebalance() {
     cap[l] = platform_.links()[l].gbps * kBytesPerGbps;
   }
   for (Pending* p : active) {
-    for (LinkId l : p->flow.path) {
+    for (LinkId l : p->route->links) {
       ++users_on_link[static_cast<std::size_t>(l.value())];
     }
   }
@@ -126,7 +181,7 @@ void FlowManager::rebalance() {
     for (std::size_t f = 0; f < active.size(); ++f) {
       if (frozen[f]) continue;
       bool at_bottleneck = host_cap[f] <= min_share * (1 + 1e-12);
-      for (LinkId l : active[f]->flow.path) {
+      for (LinkId l : active[f]->route->links) {
         const auto li = static_cast<std::size_t>(l.value());
         if (cap[li] / users_on_link[li] <= min_share * (1 + 1e-12)) {
           at_bottleneck = true;
@@ -137,7 +192,7 @@ void FlowManager::rebalance() {
       frozen[f] = true;
       froze_any = true;
       --remaining;
-      for (LinkId l : active[f]->flow.path) {
+      for (LinkId l : active[f]->route->links) {
         const auto li = static_cast<std::size_t>(l.value());
         cap[li] -= min_share;
         --users_on_link[li];
@@ -159,58 +214,6 @@ void FlowManager::rebalance() {
         engine_.schedule_in(from_seconds(secs), [this, id] { complete(id); },
                             EventPriority::kCompletion);
   }
-}
-
-std::vector<LinkId> FlowManager::route(SiteId src, SiteId dst) const {
-  if (src == dst) return {};
-  // Dijkstra by latency over the (small) site graph.
-  const std::size_t n = platform_.sites().size();
-  std::vector<Duration> dist(n, std::numeric_limits<Duration>::max());
-  std::vector<LinkId> via(n);      // link taken to reach node
-  std::vector<SiteId> prev(n);     // predecessor site
-  using QE = std::pair<Duration, SiteId::rep>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> q;
-  const auto s = static_cast<std::size_t>(src.value());
-  dist[s] = 0;
-  q.emplace(0, src.value());
-  while (!q.empty()) {
-    const auto [d, u] = q.top();
-    q.pop();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;
-    for (const Link& link : platform_.links()) {
-      SiteId other;
-      if (link.a.value() == u) {
-        other = link.b;
-      } else if (link.b.value() == u) {
-        other = link.a;
-      } else {
-        continue;
-      }
-      const auto o = static_cast<std::size_t>(other.value());
-      const Duration nd = d + link.latency;
-      if (nd < dist[o]) {
-        dist[o] = nd;
-        via[o] = link.id;
-        prev[o] = SiteId{u};
-        q.emplace(nd, other.value());
-      }
-    }
-  }
-  const auto t = static_cast<std::size_t>(dst.value());
-  TG_REQUIRE(dist[t] != std::numeric_limits<Duration>::max(),
-             "no WAN route from site " << src << " to " << dst);
-  std::vector<LinkId> path;
-  for (SiteId at = dst; at != src; at = prev[static_cast<std::size_t>(at.value())]) {
-    path.push_back(via[static_cast<std::size_t>(at.value())]);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-Duration FlowManager::path_latency(SiteId src, SiteId dst) const {
-  Duration total = 0;
-  for (LinkId l : route(src, dst)) total += platform_.link(l).latency;
-  return total;
 }
 
 double FlowManager::flow_rate_bps(TransferId id) const {

@@ -3,7 +3,8 @@
 // Active flows share link bandwidth max-min fairly (progressive filling).
 // Rates are recomputed on every flow arrival/departure — exact and cheap at
 // WAN flow counts. Each flow is also capped by an end-host rate, modelling
-// the data-mover nodes at each site.
+// the data-mover nodes at each site. Routes are computed once, at
+// construction: one Dijkstra per source site fills a site-by-site table.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +30,7 @@ struct Flow {
   SimTime submitted = 0;
   SimTime activated = 0;  ///< after path latency
   SimTime completed = 0;
-  std::vector<LinkId> path;
   bool active = false;
-  bool done = false;
 };
 
 class FlowManager {
@@ -48,18 +47,19 @@ class FlowManager {
                             ProjectId project,
                             CompletionCallback on_complete = nullptr);
 
-  /// Least-latency path between two sites (cached Dijkstra). Empty for
-  /// intra-site movement.
-  [[nodiscard]] std::vector<LinkId> route(SiteId src, SiteId dst) const;
-  [[nodiscard]] Duration path_latency(SiteId src, SiteId dst) const;
+  /// Least-latency path between two sites, from the route table. Empty for
+  /// intra-site movement; throws when no WAN path connects the sites.
+  [[nodiscard]] const std::vector<LinkId>& route(SiteId src,
+                                                 SiteId dst) const {
+    return route_entry(src, dst).links;
+  }
+  [[nodiscard]] Duration path_latency(SiteId src, SiteId dst) const {
+    return route_entry(src, dst).latency;
+  }
 
   [[nodiscard]] std::size_t active_flows() const { return active_count_; }
   /// Current rate of a live flow in bytes/sec; 0 if finished/unknown.
   [[nodiscard]] double flow_rate_bps(TransferId id) const;
-  /// Completed-flow log (kept for validation experiments).
-  [[nodiscard]] const std::vector<Flow>& completed() const {
-    return completed_log_;
-  }
 
   /// Global hook invoked for every completed flow (accounting taps this).
   void set_transfer_observer(CompletionCallback observer) {
@@ -67,12 +67,19 @@ class FlowManager {
   }
 
  private:
+  struct Route {
+    std::vector<LinkId> links;
+    Duration latency = 0;
+    bool reachable = false;
+  };
   struct Pending {
     Flow flow;
+    const Route* route = nullptr;  ///< entry of routes_
     CompletionCallback on_complete;
     EventId completion_event = kInvalidEvent;
   };
 
+  [[nodiscard]] const Route& route_entry(SiteId src, SiteId dst) const;
   void activate(TransferId id);
   void complete(TransferId id);
   /// Charges elapsed bytes, recomputes max-min rates, reschedules finishes.
@@ -81,8 +88,8 @@ class FlowManager {
   Engine& engine_;
   const Platform& platform_;
   double host_cap_bps_;
+  std::vector<Route> routes_;  ///< [src * sites + dst]
   std::map<TransferId, Pending> flows_;  // ordered for deterministic iteration
-  std::vector<Flow> completed_log_;
   CompletionCallback observer_;
   SimTime last_update_ = 0;
   std::size_t active_count_ = 0;

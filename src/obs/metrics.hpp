@@ -158,9 +158,12 @@ class MetricsRegistry {
 
 }  // namespace tg::obs
 
-/// Hot-path increment macros. Compile to a single add on the embedded
-/// cell; they exist so instrumented lines read as instrumentation and can
-/// be compiled out wholesale with -DTGSIM_DISABLE_METRICS for A/B runs.
+/// Hot-path increment macros for work counters read only through the
+/// registry (scheduler passes, queue entries scanned, fit checks). They
+/// compile to a single add on the embedded cell, or to nothing with
+/// -DTGSIM_DISABLE_METRICS for A/B runs. A tally that an experiment prints
+/// or a check reads (jobs finished, outages, ...) calls inc() directly, so
+/// that flag never changes a result.
 #ifdef TGSIM_DISABLE_METRICS
 #define TG_METRIC_INC(cell) ((void)0)
 #define TG_METRIC_ADD(cell, n) ((void)0)

@@ -8,9 +8,9 @@ void SchedulerMetrics::record_finished(Duration wait, Duration runtime,
                                        int nodes, int cores,
                                        double bounded_slowdown, bool killed,
                                        bool failed) {
-  TG_METRIC_INC(finished_);
-  if (killed) TG_METRIC_INC(killed_);
-  if (failed) TG_METRIC_INC(failed_);
+  finished_.inc();
+  if (killed) killed_.inc();
+  if (failed) failed_.inc();
   wait_.add(to_seconds(wait));
   slowdown_.add(bounded_slowdown);
   delivered_.add(to_seconds(runtime) * static_cast<double>(nodes) *
@@ -19,14 +19,14 @@ void SchedulerMetrics::record_finished(Duration wait, Duration runtime,
 
 void SchedulerMetrics::record_preempted(double lost_core_seconds,
                                         bool killed) {
-  TG_METRIC_INC(preempted_);
-  if (killed) TG_METRIC_INC(outage_killed_);
+  preempted_.inc();
+  if (killed) outage_killed_.inc();
   lost_.add(lost_core_seconds);
 }
 
-void SchedulerMetrics::record_outage([[maybe_unused]] int nodes_taken) {
-  TG_METRIC_INC(outages_);
-  TG_METRIC_ADD(outage_nodes_, static_cast<std::uint64_t>(nodes_taken));
+void SchedulerMetrics::record_outage(int nodes_taken) {
+  outages_.inc();
+  outage_nodes_.add(static_cast<std::uint64_t>(nodes_taken));
 }
 
 double SchedulerMetrics::utilization(int total_cores, SimTime horizon) const {

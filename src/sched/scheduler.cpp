@@ -1011,32 +1011,16 @@ void ResourceScheduler::on_reservation_start(ReservationId id) {
   // the canonical order starts the window before an outage can touch the
   // promised nodes, but the interleaving explorer also drives the flipped
   // order, where the shortfall branch below must hold the line.
-  if (free_nodes_ < rp->nodes) {
-    // reserve() validated this window against every other commitment, so a
-    // shortfall here means an outage took the promised nodes. Break the
-    // reservation (cancelling its attached job) rather than over-commit —
-    // what a real site does when a machine partition dies under an
-    // advance reservation. Erase before the callbacks: an observer that
-    // reserves would rehash the table out from under `rp`.
-    TG_CHECK(nodes_down_ > 0,
-             "reservation window not honoured on " << resource_.name);
-    if (config_.mc_mutate_overcommit_reservation) {
-      // Deliberately re-introduced over-commit (see SchedulerConfig): the
-      // window starts on nodes the outage owns and free_nodes_ keeps its
-      // pre-reservation value, so this resource is now promised to two
-      // holders at once. The capacity-conservation invariant family
-      // catches the resulting double allocation.
-      rp->started = true;
-      const JobId attached = rp->attached_job;
-      const SimTime rend = rp->end;
-      if (attached.valid()) {
-        start_job(slot_at(attached).job, /*from_reservation=*/true);
-      }
-      engine_.schedule_at(rend, [this, id] { on_reservation_end(id); },
-                          EventPriority::kCompletion,
-                          EventBinding{shard_, EventClass::kBarrier});
-      return;
-    }
+  // reserve() validated this window against every other commitment, so a
+  // shortfall here means an outage took the promised nodes.
+  const bool shortfall = free_nodes_ < rp->nodes;
+  TG_CHECK(!shortfall || nodes_down_ > 0,
+           "reservation window not honoured on " << resource_.name);
+  if (shortfall && !config_.mc_mutate_overcommit_reservation) {
+    // Break the reservation (cancelling its attached job) rather than
+    // over-commit — what a real site does when a machine partition dies
+    // under an advance reservation. Erase before the callbacks: an
+    // observer that reserves would rehash the table out from under `rp`.
     const JobId attached = rp->attached_job;
     reservations_.erase(id.value());
     if (attached.valid()) {
@@ -1054,7 +1038,12 @@ void ResourceScheduler::on_reservation_start(ReservationId id) {
     return;
   }
   rp->started = true;
-  free_nodes_ -= rp->nodes;
+  // The deliberately re-introduced over-commit (see SchedulerConfig) starts
+  // the window on nodes the outage owns and leaves free_nodes_ at its
+  // pre-reservation value, so this resource is now promised to two holders
+  // at once. The capacity-conservation invariant family catches the
+  // resulting double allocation.
+  if (!shortfall) free_nodes_ -= rp->nodes;
   // Copy what the tail needs: a start callback that places a new
   // reservation would invalidate `rp`.
   const JobId attached = rp->attached_job;

@@ -5,7 +5,7 @@
 namespace tg {
 
 WorkflowEngine::WorkflowEngine(Engine& engine, SchedulerPool& pool,
-                               FlowManager* flows, int retry_limit)
+                               FlowManager& flows, int retry_limit)
     : engine_(engine), pool_(pool), flows_(flows), retry_limit_(retry_limit) {
   TG_REQUIRE(retry_limit >= 0, "retry limit must be non-negative");
   pool_.add_on_end_all([this](const Job& job) { on_job_end(job); });
@@ -52,27 +52,24 @@ void WorkflowEngine::ready_task(WorkflowId wf, int task) {
   inst.placement[static_cast<std::size_t>(task)] = target;
 
   // Ship inter-site inputs before launch.
-  if (flows_ != nullptr) {
-    const SiteId dst_site =
-        pool_.platform().compute_at(target).site;
-    for (int p : inst.dag.parents(task)) {
-      const DagTask& pt = inst.dag.tasks()[static_cast<std::size_t>(p)];
-      if (pt.output_bytes <= 0) continue;
-      const ResourceId psrc = inst.placement[static_cast<std::size_t>(p)];
-      TG_CHECK(psrc.valid(), "parent finished without a placement");
-      const SiteId src_site = pool_.platform().compute_at(psrc).site;
-      if (src_site == dst_site) continue;
-      ++inst.pending_transfers[static_cast<std::size_t>(task)];
-      inst.result.bytes_moved += pt.output_bytes;
-      flows_->start_transfer(
-          src_site, dst_site, pt.output_bytes, inst.result.user, inst.project,
-          [this, wf, task](const Flow&) {
-            Instance& in = instances_.at(wf);
-            if (--in.pending_transfers[static_cast<std::size_t>(task)] == 0) {
-              launch_task(wf, task);
-            }
-          });
-    }
+  const SiteId dst_site = pool_.platform().compute_at(target).site;
+  for (int p : inst.dag.parents(task)) {
+    const DagTask& pt = inst.dag.tasks()[static_cast<std::size_t>(p)];
+    if (pt.output_bytes <= 0) continue;
+    const ResourceId psrc = inst.placement[static_cast<std::size_t>(p)];
+    TG_CHECK(psrc.valid(), "parent finished without a placement");
+    const SiteId src_site = pool_.platform().compute_at(psrc).site;
+    if (src_site == dst_site) continue;
+    ++inst.pending_transfers[static_cast<std::size_t>(task)];
+    inst.result.bytes_moved += pt.output_bytes;
+    flows_.start_transfer(
+        src_site, dst_site, pt.output_bytes, inst.result.user, inst.project,
+        [this, wf, task](const Flow&) {
+          Instance& in = instances_.at(wf);
+          if (--in.pending_transfers[static_cast<std::size_t>(task)] == 0) {
+            launch_task(wf, task);
+          }
+        });
   }
   if (inst.pending_transfers[static_cast<std::size_t>(task)] == 0) {
     launch_task(wf, task);
@@ -153,7 +150,6 @@ void WorkflowEngine::finish_if_done(WorkflowId wf) {
   Instance inst = std::move(it->second);
   instances_.erase(it);
   inst.result.end_time = engine_.now();
-  completed_.push_back(inst.result);
   if (inst.done) inst.done(inst.result);
 }
 

@@ -37,10 +37,8 @@ class WorkflowEngine {
  public:
   using DoneCallback = std::function<void(const WorkflowResult&)>;
 
-  /// `flows` may be null: inter-site data then moves instantaneously
-  /// (useful for scheduler-only studies).
-  WorkflowEngine(Engine& engine, SchedulerPool& pool,
-                 FlowManager* flows = nullptr, int retry_limit = 1);
+  WorkflowEngine(Engine& engine, SchedulerPool& pool, FlowManager& flows,
+                 int retry_limit = 1);
 
   /// Starts executing `dag` on behalf of (user, project). `done` fires when
   /// every task has completed or been abandoned.
@@ -48,9 +46,6 @@ class WorkflowEngine {
                     DoneCallback done = nullptr);
 
   [[nodiscard]] std::size_t active() const { return instances_.size(); }
-  [[nodiscard]] const std::vector<WorkflowResult>& completed() const {
-    return completed_;
-  }
 
  private:
   struct Instance {
@@ -73,12 +68,11 @@ class WorkflowEngine {
 
   Engine& engine_;
   SchedulerPool& pool_;
-  FlowManager* flows_;
+  FlowManager& flows_;
   ResourceSelector selector_;
   int retry_limit_;
   std::map<WorkflowId, Instance> instances_;
   std::map<JobId, std::pair<WorkflowId, int>> job_task_;
-  std::vector<WorkflowResult> completed_;
   WorkflowId::rep next_id_ = 0;
 };
 

@@ -37,7 +37,7 @@ int cores_to_nodes(const ComputeResource& res, int cores) {
 
 TrafficGenerator::TrafficGenerator(
     Engine& engine, const Platform& platform, SchedulerPool& pool,
-    FlowManager* flows, WorkflowEngine& workflows, CoAllocator& coalloc,
+    FlowManager& flows, WorkflowEngine& workflows, CoAllocator& coalloc,
     std::vector<std::unique_ptr<Gateway>>& gateways, Recorder& recorder,
     const Population& population, DataGrid* data_grid, Duration horizon,
     Rng rng)
@@ -384,7 +384,6 @@ void TrafficGenerator::campaign_viz(const SyntheticUser& user,
 
 void TrafficGenerator::campaign_data(const SyntheticUser& user,
                                      const DataParams& p, Rng& rng) {
-  if (flows_ == nullptr) return;
   const auto nsites = static_cast<std::int64_t>(platform_.sites().size());
   const SiteId src{static_cast<SiteId::rep>(rng.uniform_int(0, nsites - 1))};
   SiteId dst{static_cast<SiteId::rep>(rng.uniform_int(0, nsites - 1))};
@@ -396,7 +395,7 @@ void TrafficGenerator::campaign_data(const SyntheticUser& user,
 
   const bool analyse = rng.bernoulli(p.analysis_prob);
   const SyntheticUser* uptr = &user;
-  flows_->start_transfer(
+  flows_.start_transfer(
       src, dst, bytes, user.id, project_of(user.id),
       [this, uptr, analyse](const Flow&) {
         if (!analyse || engine_.now() >= horizon_) return;

@@ -32,7 +32,7 @@ namespace tg {
 class TrafficGenerator {
  public:
   TrafficGenerator(Engine& engine, const Platform& platform,
-                   SchedulerPool& pool, FlowManager* flows,
+                   SchedulerPool& pool, FlowManager& flows,
                    WorkflowEngine& workflows, CoAllocator& coalloc,
                    std::vector<std::unique_ptr<Gateway>>& gateways,
                    Recorder& recorder, const Population& population,
@@ -91,7 +91,7 @@ class TrafficGenerator {
   Engine& engine_;
   const Platform& platform_;
   SchedulerPool& pool_;
-  FlowManager* flows_;
+  FlowManager& flows_;
   WorkflowEngine& workflows_;
   CoAllocator& coalloc_;
   std::vector<std::unique_ptr<Gateway>>& gateways_;

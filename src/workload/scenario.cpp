@@ -22,6 +22,7 @@ Scenario::Scenario(ScenarioConfig config)
         pc.users_per_project = config_.users_per_project;
         return build_population(platform_, pc, rng);
       }()),
+      flows_(engine_, platform_),
       ledger_(population_.community) {
   // Partition the engine by topology before anything is scheduled: the
   // partition ids are part of the canonical event order.
@@ -31,15 +32,11 @@ Scenario::Scenario(ScenarioConfig config)
   db_.set_end_user_pool(&population_.end_user_pool);
   pool_ = std::make_unique<SchedulerPool>(engine_, platform_, config_.sched,
                                           &shard_plan_);
-  if (config_.enable_flows) {
-    flows_ = std::make_unique<FlowManager>(engine_, platform_);
-  }
   recorder_ =
       std::make_unique<Recorder>(platform_, db_, &ledger_, config_.charging);
   recorder_->attach(*pool_);
-  if (flows_) recorder_->attach(*flows_);
-  workflows_ =
-      std::make_unique<WorkflowEngine>(engine_, *pool_, flows_.get());
+  recorder_->attach(flows_);
+  workflows_ = std::make_unique<WorkflowEngine>(engine_, *pool_, flows_);
   coalloc_ = std::make_unique<CoAllocator>(engine_, *pool_);
   for (std::size_t g = 0; g < population_.gateway_configs.size(); ++g) {
     gateways_.push_back(std::make_unique<Gateway>(
@@ -55,12 +52,12 @@ Scenario::Scenario(ScenarioConfig config)
       archetype_data.push_back(s.data);
     }
     data_grid_ = std::make_unique<DataGrid>(
-        engine_, platform_, flows_.get(), config_.data_grid,
+        engine_, platform_, flows_, config_.data_grid,
         std::move(archetype_data), Rng(config_.seed).fork("data"));
   }
   Rng traffic_rng = Rng(config_.seed).fork("traffic");
   generator_ = std::make_unique<TrafficGenerator>(
-      engine_, platform_, *pool_, flows_.get(), *workflows_, *coalloc_,
+      engine_, platform_, *pool_, flows_, *workflows_, *coalloc_,
       gateways_, *recorder_, population_, data_grid_.get(),
       config_.horizon, traffic_rng);
   if (config_.faults.enabled()) {

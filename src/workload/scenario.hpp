@@ -46,7 +46,6 @@ struct ScenarioConfig {
   double gateway_attribute_coverage = 0.9;
   double gateway_adoption_ramp = 0.6;
   double users_per_project = 3.0;
-  bool enable_flows = true;
   FeatureConfig features;
   /// Fault injection; disabled by default (no events, no extra randomness,
   /// byte-identical output to a fault-free build).
@@ -165,10 +164,6 @@ struct ScenarioConfig {
     users_per_project = upp;
     return *this;
   }
-  ScenarioConfig& with_flows(bool enabled) {
-    enable_flows = enabled;
-    return *this;
-  }
   ScenarioConfig& with_features(FeatureConfig f) {
     features = f;
     return *this;
@@ -245,7 +240,7 @@ class Scenario {
   [[nodiscard]] const TrafficGenerator& generator() const {
     return *generator_;
   }
-  [[nodiscard]] FlowManager* flows() { return flows_.get(); }
+  [[nodiscard]] FlowManager& flows() { return flows_; }
   /// Null unless config.data_grid.enabled.
   [[nodiscard]] const DataGrid* data_grid() const { return data_grid_.get(); }
   /// Topology-derived partitioning (coordinator + one partition per site).
@@ -311,7 +306,7 @@ class Scenario {
   Engine engine_;
   Population population_;
   std::unique_ptr<SchedulerPool> pool_;
-  std::unique_ptr<FlowManager> flows_;
+  FlowManager flows_;
   std::unique_ptr<DataGrid> data_grid_;
   UsageDatabase db_;
   AllocationLedger ledger_;

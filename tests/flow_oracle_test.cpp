@@ -20,7 +20,8 @@ TEST_P(FlowOracle, RatesMatchReferenceSolver) {
   Platform platform;
   std::vector<SiteId> sites;
   for (int i = 0; i < 6; ++i) {
-    sites.push_back(platform.add_site("s" + std::to_string(i)));
+    sites.push_back(
+        platform.add_site(std::string("s").append(std::to_string(i))));
   }
   ComputeResource c;
   c.site = sites[0];

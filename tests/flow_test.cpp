@@ -15,7 +15,7 @@ Platform star_platform(int spokes, double gbps) {
   Platform p;
   const SiteId hub = p.add_site("hub");
   for (int i = 0; i < spokes; ++i) {
-    const SiteId s = p.add_site("s" + std::to_string(i));
+    const SiteId s = p.add_site(std::string("s").append(std::to_string(i)));
     p.add_link(hub, s, gbps, 10 * kMillisecond);
   }
   // At least one compute resource keeps Platform sane for other users.
@@ -56,7 +56,8 @@ TEST(FlowRouting, DisconnectedThrows) {
   p.add_site("island");
   Engine e;
   FlowManager fm(e, p);
-  EXPECT_THROW(fm.route(p.sites()[0].id, p.sites()[3].id), PreconditionError);
+  EXPECT_THROW((void)fm.route(p.sites()[0].id, p.sites()[3].id),
+               PreconditionError);
 }
 
 TEST(Flow, SingleFlowGetsFullBottleneck) {
@@ -164,22 +165,44 @@ TEST(Flow, ObserverSeesEveryCompletion) {
   }
   f.engine.run();
   EXPECT_EQ(observed, 5);
-  EXPECT_EQ(f.flows.completed().size(), 5u);
   EXPECT_EQ(f.flows.active_flows(), 0u);
 }
 
 TEST(Flow, CompletedRecordsCarryMetadata) {
   Fixture f;
+  std::vector<Flow> done;
+  f.flows.set_transfer_observer([&](const Flow& fl) { done.push_back(fl); });
   f.flows.start_transfer(f.site(1), f.site(3), 2e9, UserId{7}, ProjectId{3});
   f.engine.run();
-  ASSERT_EQ(f.flows.completed().size(), 1u);
-  const Flow& fl = f.flows.completed().front();
+  ASSERT_EQ(done.size(), 1u);
+  const Flow& fl = done.front();
   EXPECT_EQ(fl.user, UserId{7});
   EXPECT_EQ(fl.project, ProjectId{3});
   EXPECT_EQ(fl.total_bytes, 2e9);
-  EXPECT_TRUE(fl.done);
+  EXPECT_FALSE(fl.active);
   EXPECT_EQ(fl.remaining_bytes, 0.0);
   EXPECT_GT(fl.completed, fl.submitted);
+}
+
+TEST(Flow, SameTickCompletionsFireInTransferIdOrder) {
+  Fixture f;
+  // Four 12.5 GB flows share the 10 Gb/s spoke links at 2.5 Gb/s each, so
+  // all four land at 40 s + 20 ms. They complete in TransferId order, after
+  // a coordinator completion event armed at that tick before they started.
+  const SimTime tick = 40 * kSecond + 20 * kMillisecond;
+  std::vector<std::int64_t> order;
+  f.engine.schedule_at(tick, [&] { order.push_back(-1); },
+                       EventPriority::kCompletion, EventBinding{});
+  f.flows.set_transfer_observer([&](const Flow& fl) {
+    EXPECT_EQ(f.engine.now(), tick);
+    order.push_back(fl.id.value());
+  });
+  for (int i = 0; i < 4; ++i) {
+    f.flows.start_transfer(f.site(1), f.site(2), 12.5e9, UserId{i},
+                           ProjectId{0});
+  }
+  f.engine.run();
+  EXPECT_EQ(order, (std::vector<std::int64_t>{-1, 0, 1, 2, 3}));
 }
 
 TEST(Flow, RejectsNegativeBytes) {
@@ -210,10 +233,14 @@ TEST_P(FlowConservation, BytesConserved) {
                                  ProjectId{0});
         });
   }
-  f.engine.run();
   double delivered = 0.0;
-  for (const Flow& fl : f.flows.completed()) delivered += fl.total_bytes;
-  EXPECT_EQ(f.flows.completed().size(), static_cast<std::size_t>(n));
+  int completed = 0;
+  f.flows.set_transfer_observer([&](const Flow& fl) {
+    delivered += fl.total_bytes;
+    ++completed;
+  });
+  f.engine.run();
+  EXPECT_EQ(completed, n);
   EXPECT_NEAR(delivered, injected, injected * 1e-12);
 }
 

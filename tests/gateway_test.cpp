@@ -59,7 +59,9 @@ TEST_F(GatewayFixture, FullCoverageAttachesAllAttributes) {
   c.attribute_coverage = 1.0;
   Gateway gw(engine, pool, GatewayId{0}, c);
   Rng rng(2);
-  for (int i = 0; i < 20; ++i) gw.submit(eu("u" + std::to_string(i)), spec(), rng);
+  for (int i = 0; i < 20; ++i) {
+    gw.submit(eu(std::string("u").append(std::to_string(i))), spec(), rng);
+  }
   engine.run();
   for (const auto& r : db.jobs()) EXPECT_TRUE(r.gateway_end_user.valid());
 }
@@ -70,7 +72,9 @@ TEST_F(GatewayFixture, ZeroCoverageAttachesNone) {
   c.attribute_coverage = 0.0;
   Gateway gw(engine, pool, GatewayId{0}, c);
   Rng rng(3);
-  for (int i = 0; i < 20; ++i) gw.submit(eu("u" + std::to_string(i)), spec(), rng);
+  for (int i = 0; i < 20; ++i) {
+    gw.submit(eu(std::string("u").append(std::to_string(i))), spec(), rng);
+  }
   engine.run();
   for (const auto& r : db.jobs()) EXPECT_FALSE(r.gateway_end_user.valid());
 }

@@ -157,15 +157,6 @@ TEST(Scenario, MiniPlatformSmoke) {
   EXPECT_GT(s.db().jobs().size(), 100u);
 }
 
-TEST(Scenario, DisabledFlowsStillRuns) {
-  ScenarioConfig cfg = small_config();
-  cfg.enable_flows = false;
-  Scenario s(std::move(cfg));
-  s.run();
-  EXPECT_TRUE(s.db().transfers().empty());
-  EXPECT_GT(s.db().jobs().size(), 100u);
-}
-
 TEST(Scenario, AttributeCoverageControlsEndUserVisibility) {
   ScenarioConfig full = small_config();
   full.gateway_attribute_coverage = 1.0;

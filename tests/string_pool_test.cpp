@@ -65,10 +65,12 @@ TEST(StringPool, GrowthPreservesIdsAndLookups) {
   // Push well past the initial table size to force several rehashes.
   StringPool pool;
   for (int i = 0; i < 5000; ++i) {
-    ASSERT_EQ(pool.intern("u" + std::to_string(i)).value(), i);
+    const std::string name = std::string("u").append(std::to_string(i));
+    ASSERT_EQ(pool.intern(name).value(), i);
   }
   for (int i = 0; i < 5000; ++i) {
-    EXPECT_EQ(pool.find("u" + std::to_string(i)).value(), i);
+    const std::string name = std::string("u").append(std::to_string(i));
+    EXPECT_EQ(pool.find(name).value(), i);
   }
 }
 

@@ -34,7 +34,7 @@ struct WfFixture : ::testing::Test {
 };
 
 TEST_F(WfFixture, EnsembleRunsAllTasks) {
-  WorkflowEngine wf(engine, pool, &flows);
+  WorkflowEngine wf(engine, pool, flows);
   WorkflowResult result;
   bool done = false;
   wf.submit(make_ensemble(6, task()), UserId{1}, ProjectId{1},
@@ -49,12 +49,11 @@ TEST_F(WfFixture, EnsembleRunsAllTasks) {
   EXPECT_TRUE(result.success());
   EXPECT_EQ(db.jobs().size(), 6u);
   EXPECT_EQ(wf.active(), 0u);
-  EXPECT_EQ(wf.completed().size(), 1u);
   for (const auto& r : db.jobs()) EXPECT_TRUE(r.workflow.valid());
 }
 
 TEST_F(WfFixture, ChainRespectsOrder) {
-  WorkflowEngine wf(engine, pool, &flows);
+  WorkflowEngine wf(engine, pool, flows);
   wf.submit(make_chain(4, task(kHour)), UserId{1}, ProjectId{1});
   engine.run();
   ASSERT_EQ(db.jobs().size(), 4u);
@@ -68,7 +67,7 @@ TEST_F(WfFixture, ChainRespectsOrder) {
 }
 
 TEST_F(WfFixture, FanOutFanInMakespan) {
-  WorkflowEngine wf(engine, pool, &flows);
+  WorkflowEngine wf(engine, pool, flows);
   WorkflowResult result;
   // setup 1h -> 4 members 2h in parallel -> merge 1h. ClusterA has 16
   // nodes so all members run concurrently: makespan 4h.
@@ -81,7 +80,7 @@ TEST_F(WfFixture, FanOutFanInMakespan) {
 }
 
 TEST_F(WfFixture, PinnedPlacementHonoured) {
-  WorkflowEngine wf(engine, pool, &flows);
+  WorkflowEngine wf(engine, pool, flows);
   DagTask t = task();
   t.resource = platform.compute()[1].id;  // ClusterB
   wf.submit(make_ensemble(3, t), UserId{1}, ProjectId{1});
@@ -93,7 +92,7 @@ TEST_F(WfFixture, PinnedPlacementHonoured) {
 }
 
 TEST_F(WfFixture, CrossSiteDataDependencyMovesBytes) {
-  WorkflowEngine wf(engine, pool, &flows);
+  WorkflowEngine wf(engine, pool, flows);
   Dag dag;
   DagTask producer = task(kHour);
   producer.resource = platform.compute()[0].id;  // SiteA
@@ -119,7 +118,7 @@ TEST_F(WfFixture, CrossSiteDataDependencyMovesBytes) {
 }
 
 TEST_F(WfFixture, SameSiteDependencySkipsTransfer) {
-  WorkflowEngine wf(engine, pool, &flows);
+  WorkflowEngine wf(engine, pool, flows);
   Dag dag;
   DagTask producer = task(kHour);
   producer.resource = platform.compute()[0].id;
@@ -135,7 +134,7 @@ TEST_F(WfFixture, SameSiteDependencySkipsTransfer) {
 }
 
 TEST_F(WfFixture, FailedTaskRetriedOnce) {
-  WorkflowEngine wf(engine, pool, &flows, /*retry_limit=*/1);
+  WorkflowEngine wf(engine, pool, flows, /*retry_limit=*/1);
   DagTask t = task(kHour);
   t.fails = true;
   t.fail_after = 10 * kMinute;
@@ -150,7 +149,7 @@ TEST_F(WfFixture, FailedTaskRetriedOnce) {
 }
 
 TEST_F(WfFixture, ZeroRetriesAbandons) {
-  WorkflowEngine wf(engine, pool, &flows, /*retry_limit=*/0);
+  WorkflowEngine wf(engine, pool, flows, /*retry_limit=*/0);
   DagTask t = task(kHour);
   t.fails = true;
   t.fail_after = 10 * kMinute;
@@ -169,29 +168,12 @@ TEST_F(WfFixture, ZeroRetriesAbandons) {
 }
 
 TEST_F(WfFixture, EmptyDagRejected) {
-  WorkflowEngine wf(engine, pool, &flows);
+  WorkflowEngine wf(engine, pool, flows);
   EXPECT_THROW(wf.submit(Dag{}, UserId{1}, ProjectId{1}), PreconditionError);
 }
 
-TEST_F(WfFixture, NullFlowManagerSkipsTransfers) {
-  WorkflowEngine wf(engine, pool, nullptr);
-  Dag dag;
-  DagTask producer = task(kHour);
-  producer.resource = platform.compute()[0].id;
-  producer.output_bytes = 1e12;
-  DagTask consumer = task(kHour);
-  consumer.resource = platform.compute()[1].id;
-  dag.add_edge(dag.add_task(producer), dag.add_task(consumer));
-  WorkflowResult result;
-  wf.submit(std::move(dag), UserId{1}, ProjectId{1},
-            [&](const WorkflowResult& r) { result = r; });
-  engine.run();
-  EXPECT_EQ(result.makespan(), 2 * kHour);  // no transfer delay
-  EXPECT_DOUBLE_EQ(result.bytes_moved, 0.0);
-}
-
 TEST_F(WfFixture, ConcurrentWorkflowsIsolated) {
-  WorkflowEngine wf(engine, pool, &flows);
+  WorkflowEngine wf(engine, pool, flows);
   int done = 0;
   for (int i = 0; i < 5; ++i) {
     wf.submit(make_ensemble(3, task(30 * kMinute)), UserId{i}, ProjectId{1},
