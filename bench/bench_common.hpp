@@ -1,9 +1,9 @@
 // Shared main() for the bench_* binaries. Google-benchmark consumes its
-// --benchmark_* flags first; whatever remains must parse as the standard
-// exp::Options surface, so the benchmarks speak the same flag language as
-// the experiment binaries (and reject typos instead of ignoring them).
-// `--metrics=FILE` exports a registry snapshot with the process peak RSS —
-// the artifact the perf-smoke CI job uploads alongside the benchmark JSON.
+// --benchmark_* flags first; whatever remains must parse as exp::Options
+// with no optional flag accepted (only --help, --trace and --metrics), so
+// typos are rejected instead of ignored. `--metrics=FILE` exports a
+// registry snapshot with the process peak RSS — the artifact the
+// perf-smoke CI job uploads alongside the benchmark JSON.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -11,26 +11,15 @@
 #include <string>
 
 #include "bench/exp_common.hpp"
-#include "util/memstats.hpp"
 
 namespace tg::exp {
 
 inline int run_benchmarks(int argc, char** argv, const std::string& name) {
   benchmark::Initialize(&argc, argv);
-  const Options options = Options::parse(argc, argv, name);
+  const Options options = Options::parse(argc, argv, name, 0);
   Observability obsv(options);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (obsv.metrics_enabled()) {
-    obsv.registry()
-        .gauge("process.peak_rss_mb")
-        .set(static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
-    if (allocation_counting_enabled()) {
-      const AllocStats a = allocation_stats();
-      obsv.registry().counter("process.allocations").set(a.allocations);
-      obsv.registry().counter("process.allocated_bytes").set(a.bytes);
-    }
-  }
   obsv.finish();
   return 0;
 }

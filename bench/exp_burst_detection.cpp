@@ -28,7 +28,9 @@ Scenario make_scenario(double engine_prob, bool plan_cache) {
   config.seed = 42;
   config.sched.plan_cache = plan_cache;
   config.horizon = 120 * kDay;
-  config.archetypes.workflow.engine_prob = engine_prob;
+  ArchetypeParams params;
+  params.workflow.engine_prob = engine_prob;
+  config.registry = ArchetypeRegistry::builtin(params);
   return Scenario(std::move(config));
 }
 
@@ -36,7 +38,8 @@ Scenario make_scenario(double engine_prob, bool plan_cache) {
 
 int main(int argc, char** argv) {
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_burst_detection");
+      exp::Options::parse(argc, argv, "exp_burst_detection",
+                          exp::kCsv | exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("F10", "Burst-clustering ablation (untagged ensembles)");
   const bool plan_cache = !options.exact_replan;

@@ -34,7 +34,8 @@ SeedResult run_seed(std::uint64_t seed, bool plan_cache) {
 int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_classifier_accuracy");
+      exp::Options::parse(argc, argv, "exp_classifier_accuracy",
+                          exp::kJobs | exp::kCsv | exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("F3", "Classifier quality vs ground truth (10 seeds)");
 

@@ -100,7 +100,7 @@ LoadResult run_load(double load) {
 
 int main(int argc, char** argv) {
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_coallocation");
+      exp::Options::parse(argc, argv, "exp_coallocation", exp::kCsv);
   exp::Observability obsv(options);
   exp::banner("F6", "Co-allocation wait penalty vs background load");
   Table t({"Background load", "Probes", "Single-site wait (h)",

@@ -2,15 +2,15 @@
 // regenerates one table/figure of the reconstructed evaluation (see
 // DESIGN.md §4) and optionally dumps CSV next to its stdout table.
 //
-// Every binary parses the same declarative flag surface (exp::Options) and
-// wires observability the same way (exp::Observability): `--trace=FILE`
-// and `--metrics=FILE` export the obs subsystem's structured trace and
-// metric registry without touching stdout, so the primary outputs stay
-// byte-stable whether or not observability is enabled.
+// Every binary parses one declarative flag surface (exp::Options), limited
+// to the flags it honours, and wires observability the same way
+// (exp::Observability): `--trace=FILE` and `--metrics=FILE` export the obs
+// subsystem's structured trace and metric registry without touching
+// stdout, so the primary outputs stay byte-stable whether or not
+// observability is enabled.
 #pragma once
 
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -24,7 +24,6 @@
 #include <system_error>
 #include <vector>
 
-#include "des/engine.hpp"
 #include "fault/invariants.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -37,20 +36,31 @@
 
 namespace tg::exp {
 
+/// The flags a binary may accept besides --help, --trace and --metrics,
+/// which every binary accepts. Each binary passes Options::parse the set
+/// it honours.
+enum OptionFlag : unsigned {
+  kJobs = 1u << 0,
+  kCsv = 1u << 1,
+  kCheckInvariants = 1u << 2,
+  kExactReplan = 1u << 3,
+  kAuditEvery = 1u << 4,
+  kMcRandom = 1u << 5,  ///< --mc-random and --mc-seed
+  kStreaming = 1u << 6,
+  kSegments = 1u << 7,  ///< --segment-cap and --spill-dir
+};
+
 /// The declarative flag surface shared by every experiment and benchmark
-/// binary. parse() replaces the old per-binary argv scans: it recognizes
-/// exactly the flags below, prints usage and exits(2) on anything else —
-/// an unknown flag or a malformed numeric value — and exits(0) on --help,
-/// so a typo can no longer silently run the default configuration.
+/// binary. parse() recognizes --help, --trace and --metrics plus the
+/// accepted OptionFlags; it prints usage and exits(2) on anything else —
+/// an unknown flag, one the binary would ignore, or a malformed numeric
+/// value — and exits(0) on --help, so a typo or an unsupported flag can no
+/// longer silently run the default configuration.
 struct Options {
   /// --jobs=N: worker count for replication/analytics fan-out. 0 = one
   /// worker per hardware thread; 1 = inline, no threads. Output is
   /// byte-identical at every level (Replicator determinism contract).
   std::size_t jobs = 0;
-  /// --engine-stats: append the event-core counters after the tables.
-  bool engine_stats = false;
-  /// --stats: append a run-resource summary (throughput, RSS, allocs).
-  bool stats = false;
   /// --check-invariants: audit the run and exit non-zero on violation.
   bool check_invariants = false;
   /// --exact-replan: disable the incremental plan cache and replan every
@@ -77,17 +87,17 @@ struct Options {
   /// quarterly_series pass. Primary outputs must be byte-identical either
   /// way — CI diffs the two (see tests/golden_streaming.cmake).
   bool streaming = false;
-  /// --segment-cap=N: with --streaming, cap the record log's segments at N
-  /// records, so full segments seal and can spill (0 keeps one resident
-  /// segment). Output stays byte-identical at every value.
+  /// --segment-cap=N: cap the record log's segments at N records, so full
+  /// segments seal and can spill (0 keeps one resident segment). Output
+  /// stays byte-identical at every value.
   std::uint32_t segment_cap = 0;
   /// --spill-dir=PATH: with --segment-cap, seal-and-spill cold segments to
   /// PATH and read them back via mmap (bounded resident memory).
   std::string spill_dir;
   /// --csv[=path]: dump the table rows as CSV (default <name>.csv).
   std::optional<std::string> csv;
-  /// --trace[=path]: export the structured sim-time trace as JSONL (or
-  /// CSV by extension; default <name>.trace.jsonl).
+  /// --trace[=path]: export the structured sim-time trace as JSONL
+  /// (default <name>.trace.jsonl).
   std::optional<std::string> trace;
   /// --metrics[=path]: export the metric registry (default
   /// <name>.metrics.jsonl).
@@ -100,46 +110,26 @@ struct Options {
   }
 
   /// Parses argv. `name` seeds the default output filenames and the usage
-  /// text. Unknown flags, positional arguments and malformed values are
-  /// fatal (exit 2 with usage).
-  static Options parse(int argc, char** argv, const std::string& name) {
+  /// text; `accepted` is the set of OptionFlags the binary honours.
+  /// Unknown or unaccepted flags, positional arguments and malformed
+  /// values are fatal (exit 2 with usage).
+  static Options parse(int argc, char** argv, const std::string& name,
+                       unsigned accepted) {
     Options out;
+    const auto has = [accepted](OptionFlag f) { return (accepted & f) != 0; };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       const std::size_t eq = arg.find('=');
       const std::string_view value =
           eq == std::string::npos ? std::string_view()
                                   : std::string_view(arg).substr(eq + 1);
+      const auto require = [&](auto parsed) {
+        if (!parsed) reject(name, accepted, "invalid value in '" + arg + "'");
+        return *parsed;
+      };
       if (arg == "--help" || arg == "-h") {
-        print_usage(std::cout, name);
+        print_usage(std::cout, name, accepted);
         std::exit(0);
-      } else if (arg.rfind("--jobs=", 0) == 0) {
-        out.jobs = require(whole_number<std::size_t>(value), arg, name);
-      } else if (arg == "--engine-stats") {
-        out.engine_stats = true;
-      } else if (arg == "--stats") {
-        out.stats = true;
-      } else if (arg == "--check-invariants") {
-        out.check_invariants = true;
-      } else if (arg == "--exact-replan") {
-        out.exact_replan = true;
-      } else if (arg.rfind("--audit-every=", 0) == 0) {
-        out.audit_every = require(non_negative_number(value), arg, name);
-      } else if (arg.rfind("--mc-random=", 0) == 0) {
-        out.mc_random = require(whole_number<std::size_t>(value), arg, name);
-      } else if (arg.rfind("--mc-seed=", 0) == 0) {
-        out.mc_seed = require(whole_number<std::uint64_t>(value), arg, name);
-      } else if (arg == "--streaming") {
-        out.streaming = true;
-      } else if (arg.rfind("--segment-cap=", 0) == 0) {
-        out.segment_cap =
-            require(whole_number<std::uint32_t>(value), arg, name);
-      } else if (arg.rfind("--spill-dir=", 0) == 0) {
-        out.spill_dir = arg.substr(12);
-      } else if (arg == "--csv") {
-        out.csv = name + ".csv";
-      } else if (arg.rfind("--csv=", 0) == 0) {
-        out.csv = arg.substr(6);
       } else if (arg == "--trace") {
         out.trace = name + ".trace.jsonl";
       } else if (arg.rfind("--trace=", 0) == 0) {
@@ -148,39 +138,73 @@ struct Options {
         out.metrics = name + ".metrics.jsonl";
       } else if (arg.rfind("--metrics=", 0) == 0) {
         out.metrics = arg.substr(10);
+      } else if (has(kJobs) && arg.rfind("--jobs=", 0) == 0) {
+        out.jobs = require(whole_number<std::size_t>(value));
+      } else if (has(kCsv) && arg == "--csv") {
+        out.csv = name + ".csv";
+      } else if (has(kCsv) && arg.rfind("--csv=", 0) == 0) {
+        out.csv = arg.substr(6);
+      } else if (has(kCheckInvariants) && arg == "--check-invariants") {
+        out.check_invariants = true;
+      } else if (has(kExactReplan) && arg == "--exact-replan") {
+        out.exact_replan = true;
+      } else if (has(kAuditEvery) && arg.rfind("--audit-every=", 0) == 0) {
+        out.audit_every = require(non_negative_number(value));
+      } else if (has(kMcRandom) && arg.rfind("--mc-random=", 0) == 0) {
+        out.mc_random = require(whole_number<std::size_t>(value));
+      } else if (has(kMcRandom) && arg.rfind("--mc-seed=", 0) == 0) {
+        out.mc_seed = require(whole_number<std::uint64_t>(value));
+      } else if (has(kStreaming) && arg == "--streaming") {
+        out.streaming = true;
+      } else if (has(kSegments) && arg.rfind("--segment-cap=", 0) == 0) {
+        out.segment_cap = require(whole_number<std::uint32_t>(value));
+      } else if (has(kSegments) && arg.rfind("--spill-dir=", 0) == 0) {
+        out.spill_dir = arg.substr(12);
       } else {
-        reject(name, "unknown option '" + arg + "'");
+        reject(name, accepted, "unknown option '" + arg + "'");
       }
     }
     return out;
   }
 
-  static void print_usage(std::ostream& os, const std::string& name) {
-    os << "usage: " << name << " [options]\n"
-       << "  --jobs=N            worker threads (0 = hardware, 1 = inline)\n"
-       << "  --csv[=PATH]        dump table rows as CSV (default " << name
-       << ".csv)\n"
-       << "  --trace[=PATH]      export the sim-time trace (JSONL, or CSV "
-          "by extension)\n"
-       << "  --metrics[=PATH]    export the metric registry (JSONL or CSV)\n"
-       << "  --engine-stats      append event-core counters\n"
-       << "  --stats             append run-resource summary\n"
-       << "  --check-invariants  audit the run; non-zero exit on violation\n"
-       << "  --exact-replan      disable the incremental plan cache "
-          "(reference planner)\n"
-       << "  --audit-every=DAYS  mid-run invariant audit every DAYS of sim "
-          "time (0 = off)\n"
-       << "  --mc-random=N       N random tie-break replays instead of the "
-          "experiment\n"
-       << "  --mc-seed=S         seed for the --mc-random tie-break "
-          "streams\n"
-       << "  --streaming         classify-on-advance streaming series "
-          "(byte-identical to batch)\n"
-       << "  --segment-cap=N     with --streaming: N records per columnar "
-          "segment (0 = one resident segment)\n"
-       << "  --spill-dir=PATH    with --segment-cap: spill sealed segments "
-          "to PATH (mmap reads)\n"
-       << "  --help              show this help\n";
+  /// Usage text listing --help, --trace, --metrics and the `accepted`
+  /// flags.
+  static void print_usage(std::ostream& os, const std::string& name,
+                          unsigned accepted) {
+    const auto line = [&](OptionFlag flag, const char* text) {
+      if ((accepted & flag) != 0) os << text;
+    };
+    os << "usage: " << name << " [options]\n";
+    line(kJobs,
+         "  --jobs=N            worker threads (0 = hardware, 1 = inline)\n");
+    if ((accepted & kCsv) != 0) {
+      os << "  --csv[=PATH]        dump table rows as CSV (default " << name
+         << ".csv)\n";
+    }
+    os << "  --trace[=PATH]      export the sim-time trace (JSONL)\n"
+       << "  --metrics[=PATH]    export the metric registry (JSONL)\n";
+    line(kCheckInvariants,
+         "  --check-invariants  audit the run; non-zero exit on violation\n");
+    line(kExactReplan,
+         "  --exact-replan      disable the incremental plan cache "
+         "(reference planner)\n");
+    line(kAuditEvery,
+         "  --audit-every=DAYS  mid-run invariant audit every DAYS of sim "
+         "time (0 = off)\n");
+    line(kMcRandom,
+         "  --mc-random=N       N random tie-break replays instead of the "
+         "experiment\n"
+         "  --mc-seed=S         seed for the --mc-random tie-break "
+         "streams\n");
+    line(kStreaming,
+         "  --streaming         classify-on-advance streaming series "
+         "(byte-identical to batch)\n");
+    line(kSegments,
+         "  --segment-cap=N     N records per columnar record-log segment "
+         "(0 = one resident segment)\n"
+         "  --spill-dir=PATH    with --segment-cap: spill sealed segments "
+         "to PATH (mmap reads)\n");
+    os << "  --help              show this help\n";
   }
 
  private:
@@ -212,17 +236,11 @@ struct Options {
   }
 
   [[noreturn]] static void reject(const std::string& name,
+                                  unsigned accepted,
                                   const std::string& message) {
     std::cerr << name << ": " << message << "\n";
-    print_usage(std::cerr, name);
+    print_usage(std::cerr, name, accepted);
     std::exit(2);
-  }
-
-  template <class T>
-  static T require(std::optional<T> value, const std::string& arg,
-                   const std::string& name) {
-    if (!value) reject(name, "invalid value in '" + arg + "'");
-    return *value;
   }
 };
 
@@ -246,7 +264,7 @@ class Observability {
     return options_.metrics.has_value();
   }
 
-  /// Fans `n` replications out over `pool` (exactly run_seeds), charging
+  /// Fans `n` replications out over `pool` (Replicator::run), charging
   /// the wave's wall time to the profiler and bracketing it with a
   /// kReplicate span emitted from this (coordinating) thread — the trace
   /// stays single-writer and byte-identical at any --jobs level.
@@ -262,9 +280,18 @@ class Observability {
 
   /// Writes the requested export files. Stdout is never touched, so the
   /// primary outputs are byte-identical with or without observability.
+  /// The metrics export carries the process peak RSS and, where the
+  /// operator-new hooks are active, the allocation counters.
   void finish() {
     if (options_.metrics) {
       profiler_.publish(registry_);
+      registry_.gauge("process.peak_rss_mb")
+          .set(static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
+      if (allocation_counting_enabled()) {
+        const AllocStats a = allocation_stats();
+        registry_.counter("process.allocations").set(a.allocations);
+        registry_.counter("process.allocated_bytes").set(a.bytes);
+      }
       if (trace_) {
         registry_.counter("trace.events_emitted").set(trace_->emitted());
         registry_.counter("trace.events_dropped").set(trace_->dropped());
@@ -282,27 +309,6 @@ class Observability {
   std::int64_t wave_ = 0;
 };
 
-/// Fans `n` independent replications out over the pool and returns their
-/// results in seed-index order. The thin experiment-facing wrapper around
-/// Replicator::run — replications must be self-contained (own Engine/Rng,
-/// no printing); aggregate and print only after this returns.
-template <class Fn>
-auto run_seeds(Replicator& pool, std::size_t n, Fn fn)
-    -> std::vector<std::invoke_result_t<Fn, std::size_t>> {
-  return pool.run(n, std::move(fn));
-}
-
-/// Prints the engine's event-core counters (see Engine::Stats).
-inline void print_engine_stats(const Engine& engine) {
-  const Engine::Stats& s = engine.stats();
-  std::cout << "\n[engine] scheduled=" << s.scheduled
-            << " fired=" << s.fired << " cancelled=" << s.cancelled
-            << " tombstones=" << s.tombstones
-            << " tombstone_ratio=" << s.tombstone_ratio()
-            << " heap_high_water="
-            << static_cast<std::uint64_t>(s.heap_high_water.value()) << "\n";
-}
-
 /// Prints an invariant report and exits non-zero on violation. Call last:
 /// an experiment that produced tables from a corrupted simulation must not
 /// look successful to CI.
@@ -310,40 +316,6 @@ inline void print_invariants(const InvariantReport& report) {
   std::cout << "\n[invariants] " << report.to_string() << "\n";
   if (!report.ok()) std::exit(1);
 }
-
-/// Wall-clock scope for print_run_stats: construct before the simulation,
-/// print after the output is flushed.
-class RunStats {
- public:
-  RunStats() : start_(std::chrono::steady_clock::now()) {}
-
-  /// Prints events/sec (0 elapsed guards to 0), job count, peak RSS and the
-  /// operator-new counters ("n/a" under sanitizers; see util/memstats.hpp).
-  void print(std::uint64_t events, std::size_t jobs) const {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
-    std::cout << "\n[stats] events=" << events << " events/sec="
-              << static_cast<std::uint64_t>(
-                     seconds > 0.0 ? static_cast<double>(events) / seconds
-                                   : 0.0)
-              << " jobs=" << jobs << " peak_rss_mb="
-              << (peak_rss_bytes() / (1024.0 * 1024.0));
-    if (allocation_counting_enabled()) {
-      const AllocStats a = allocation_stats();
-      std::cout << " allocs=" << a.allocations
-                << " alloc_mb=" << (static_cast<double>(a.bytes) /
-                                    (1024.0 * 1024.0));
-    } else {
-      std::cout << " allocs=n/a";
-    }
-    std::cout << "\n";
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// Prints the standard experiment banner.
 inline void banner(const std::string& id, const std::string& title) {

@@ -111,7 +111,8 @@ RunResult run_one(const SweepPoint& point, bool plan_cache) {
 
 int main(int argc, char** argv) {
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_data_access");
+      exp::Options::parse(argc, argv, "exp_data_access",
+                          exp::kJobs | exp::kCsv | exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("D1", "Site-cache sweep: hit rates, stage-in, data modality");
 
@@ -167,9 +168,6 @@ int main(int argc, char** argv) {
   std::cout << "Data-centric accuracy (worst sweep point): "
             << Table::pct(min_accuracy) << " over " << results[0].users
             << " users\n";
-  if (options.engine_stats) {
-    std::cout << "(per-point engines are internal; rerun with --stats)\n";
-  }
   obsv.finish();
   return 0;
 }

@@ -73,9 +73,7 @@ RunResult run_one(double mtbf_hours, std::uint64_t seed, bool plan_cache,
   out.outage_killed =
       scenario.db().disposition_count(Disposition::kKilledByOutage);
   out.faults = scenario.fault_stats();
-  const InvariantReport audit = check_invariants(
-      scenario.platform(), scenario.db(), &scenario.ledger(),
-      &scenario.community(), &scenario.pool(), scenario.config().charging);
+  const InvariantReport audit = scenario.audit_now(AuditPhase::kFinal);
   out.invariants_ok = audit.ok();
   out.invariant_checks = audit.checks;
   if (!audit.ok()) out.first_violation = audit.violations.front();
@@ -85,8 +83,13 @@ RunResult run_one(double mtbf_hours, std::uint64_t seed, bool plan_cache,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Every run is audited and a violation exits non-zero, so
+  // --check-invariants is accepted and always in effect.
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_fault_sensitivity");
+      exp::Options::parse(argc, argv, "exp_fault_sensitivity",
+                          exp::kJobs | exp::kCsv | exp::kCheckInvariants |
+                          exp::kExactReplan | exp::kAuditEvery |
+                          exp::kMcRandom);
 
   if (options.mc_random > 0) {
     // Random tie-break replays instead of the experiment: a compact faulty

@@ -13,7 +13,8 @@
 int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_jobsize_distribution");
+      exp::Options::parse(argc, argv, "exp_jobsize_distribution",
+                          exp::kCsv | exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("F2", "Job width (cores) CDF by modality, 1 year");
 
@@ -71,9 +72,6 @@ int main(int argc, char** argv) {
               << static_cast<long>(widths[m].total()) << " ";
   }
   std::cout << "\n";
-  if (options.engine_stats) {
-    exp::print_engine_stats(scenario.engine());
-  }
   if (obsv.metrics_enabled()) scenario.publish_metrics(obsv.registry());
   obsv.finish();
   return 0;

@@ -33,7 +33,8 @@ tg::ScenarioConfig config_with_coverage(double coverage, bool plan_cache) {
 int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_mechanism_coverage");
+      exp::Options::parse(argc, argv, "exp_mechanism_coverage",
+                          exp::kJobs | exp::kCsv | exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("T3", "Measurement-mechanism coverage per modality");
   const bool plan_cache = !options.exact_replan;

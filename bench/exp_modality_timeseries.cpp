@@ -11,7 +11,9 @@
 int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_modality_timeseries");
+      exp::Options::parse(argc, argv, "exp_modality_timeseries",
+                          exp::kJobs | exp::kCsv | exp::kCheckInvariants |
+                          exp::kExactReplan | exp::kStreaming | exp::kSegments);
   exp::Observability obsv(options);
   exp::banner("F1", "Quarterly active users per modality (2 years)");
 
@@ -85,15 +87,10 @@ int main(int argc, char** argv) {
                              series.gateway_end_users.end());
   std::cout << "Gateway end-user growth: " << sparkline(growth) << "  ("
             << growth.front() << " -> " << growth.back() << ")\n";
-  if (options.engine_stats) {
-    exp::print_engine_stats(scenario.engine());
-  }
   if (obsv.metrics_enabled()) scenario.publish_metrics(obsv.registry());
   obsv.finish();
   if (options.check_invariants) {
-    exp::print_invariants(check_invariants(
-        scenario.platform(), scenario.db(), &scenario.ledger(),
-        &scenario.community(), &scenario.pool()));
+    exp::print_invariants(scenario.audit_now(AuditPhase::kFinal));
   }
   return 0;
 }

@@ -11,11 +11,12 @@
 int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_modality_usage");
+      exp::Options::parse(argc, argv, "exp_modality_usage",
+                          exp::kJobs | exp::kCsv | exp::kCheckInvariants |
+                          exp::kExactReplan | exp::kAuditEvery);
   exp::Observability obsv(options);
   exp::banner("T2", "Usage modalities on the simulated TeraGrid, 1 year");
 
-  const exp::RunStats stats;
   Scenario scenario(ScenarioConfig::defaults()
                         .with_seed(42)
                         .with_horizon(kYear)
@@ -62,19 +63,10 @@ int main(int argc, char** argv) {
              Table::num(row.nu, 1), Table::num(row.user_share, 4),
              Table::num(row.nu_share, 4)});
   }
-  if (options.engine_stats) {
-    exp::print_engine_stats(scenario.engine());
-  }
-  if (options.stats) {
-    stats.print(scenario.engine().events_processed(),
-                scenario.db().jobs().size());
-  }
   if (obsv.metrics_enabled()) scenario.publish_metrics(obsv.registry());
   obsv.finish();
   if (options.check_invariants) {
-    exp::print_invariants(check_invariants(
-        scenario.platform(), scenario.db(), &scenario.ledger(),
-        &scenario.community(), &scenario.pool()));
+    exp::print_invariants(scenario.audit_now(AuditPhase::kFinal));
   }
   return 0;
 }

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   // The reconfigurable cluster has no site topology (one machine, no
   // Platform), so there is nothing to partition.
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_recon_nodes");
+      exp::Options::parse(argc, argv, "exp_recon_nodes", exp::kCsv);
   exp::Observability obsv(options);
   exp::banner("F7", "Reconfigurable-node sweep (16-node cluster, 400 tasks)");
 

@@ -62,11 +62,7 @@ CellResult run_cell(int retry_limit, Duration backoff, bool plan_cache) {
     ++completed;
   }
   out.mean_wait_hours = completed > 0 ? wait_hours / completed : 0.0;
-  out.invariants_ok =
-      check_invariants(scenario.platform(), scenario.db(), &scenario.ledger(),
-                       &scenario.community(), &scenario.pool(),
-                       scenario.config().charging)
-          .ok();
+  out.invariants_ok = scenario.audit_now(AuditPhase::kFinal).ok();
   return out;
 }
 
@@ -74,7 +70,8 @@ CellResult run_cell(int retry_limit, Duration backoff, bool plan_cache) {
 
 int main(int argc, char** argv) {
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_retry_policies");
+      exp::Options::parse(argc, argv, "exp_retry_policies",
+                          exp::kJobs | exp::kCsv | exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("F13", "Outage retry policy sweep under heavy outage pressure");
 

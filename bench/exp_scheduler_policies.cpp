@@ -141,7 +141,7 @@ PolicyResult run_policy(const SchedulerConfig& cfg, double load) {
 
 int main(int argc, char** argv) {
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_scheduler_policies");
+      exp::Options::parse(argc, argv, "exp_scheduler_policies", exp::kCsv);
   exp::Observability obsv(options);
   exp::banner("F5",
               "Scheduling policies on a 1,024-node machine (30-day stream)");

@@ -16,7 +16,7 @@ using namespace tg;
 
 int main(int argc, char** argv) {
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_wan_transfers");
+      exp::Options::parse(argc, argv, "exp_wan_transfers", exp::kCsv);
   exp::Observability obsv(options);
   exp::banner("F8", "WAN flow model validation");
 

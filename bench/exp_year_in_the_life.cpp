@@ -18,7 +18,9 @@
 int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_year_in_the_life");
+      exp::Options::parse(argc, argv, "exp_year_in_the_life",
+                          exp::kCsv | exp::kCheckInvariants |
+                          exp::kExactReplan | exp::kSegments);
   exp::Observability obsv(options);
   exp::banner("D2", "A year in the life of the data grid (streaming)");
 
@@ -103,15 +105,10 @@ int main(int argc, char** argv) {
       status = 1;
     }
   }
-  if (options.engine_stats) {
-    exp::print_engine_stats(scenario.engine());
-  }
   if (obsv.metrics_enabled()) scenario.publish_metrics(obsv.registry());
   obsv.finish();
   if (options.check_invariants) {
-    exp::print_invariants(check_invariants(
-        scenario.platform(), scenario.db(), &scenario.ledger(),
-        &scenario.community(), &scenario.pool()));
+    exp::print_invariants(scenario.audit_now(AuditPhase::kFinal));
   }
   return status;
 }

@@ -4,12 +4,11 @@
 
 namespace tg {
 
-Charge charge_for(const Job& job, const ComputeResource& res,
-                  const ChargePolicy& policy) {
+Charge charge_for(const Job& job, const ComputeResource& res) {
   TG_REQUIRE(job.start_time >= 0 && job.end_time >= job.start_time,
              "charging a job that did not run");
-  if (!policy.charge_lost_work && (job.state == JobState::kRequeued ||
-                                   job.state == JobState::kKilledByOutage)) {
+  if (job.state == JobState::kRequeued ||
+      job.state == JobState::kKilledByOutage) {
     return {};  // lost to an outage: time held is refunded
   }
   const double hours = to_hours(job.end_time - job.start_time);

@@ -1,5 +1,5 @@
-// Charging policy: converts finished jobs into service units (SUs,
-// core-hours) and normalized units (NUs, cross-machine comparable).
+// Charging: converts finished jobs into service units (SUs, core-hours)
+// and normalized units (NUs, cross-machine comparable).
 #pragma once
 
 #include "infra/platform.hpp"
@@ -12,20 +12,12 @@ struct Charge {
   double nu = 0.0;  ///< su x machine normalization factor
 };
 
-struct ChargePolicy {
-  /// Charge for work lost to infrastructure outages (requeued attempts and
-  /// killed-by-outage jobs). TeraGrid sites typically refunded such time;
-  /// the default follows them, so lost work shows up in records with a
-  /// zero charge.
-  bool charge_lost_work = false;
-};
-
 /// TeraGrid-style charging: jobs are charged for the node-hours they held,
 /// at the machine's normalization factor. Failed and killed jobs are
 /// charged for the time actually used (sites differed here; we follow the
-/// majority policy). Outage-lost attempts are refunded unless the policy
-/// says otherwise.
-[[nodiscard]] Charge charge_for(const Job& job, const ComputeResource& res,
-                                const ChargePolicy& policy = {});
+/// majority policy). Work lost to infrastructure outages (requeued attempts
+/// and killed-by-outage jobs) is refunded, as TeraGrid sites did, so it
+/// shows up in records with a zero charge.
+[[nodiscard]] Charge charge_for(const Job& job, const ComputeResource& res);
 
 }  // namespace tg

@@ -51,8 +51,8 @@ void UsageDatabase::records_of(UserId user, SimTime from, SimTime to,
 }
 
 Recorder::Recorder(const Platform& platform, UsageDatabase& db,
-                   AllocationLedger* ledger, ChargePolicy policy)
-    : platform_(platform), db_(db), ledger_(ledger), policy_(policy) {}
+                   AllocationLedger* ledger)
+    : platform_(platform), db_(db), ledger_(ledger) {}
 
 void Recorder::attach(SchedulerPool& pool) {
   pool.add_on_end_all([this](const Job& job) { on_job_end(job); });
@@ -91,7 +91,7 @@ void Recorder::record_session(UserId user, ResourceId resource, SimTime start,
 void Recorder::on_job_end(const Job& job) {
   if (job.state == JobState::kCancelled) return;  // never ran, no record
   const ComputeResource& res = platform_.compute_at(job.resource);
-  const Charge charge = charge_for(job, res, policy_);
+  const Charge charge = charge_for(job, res);
 
   JobRecord r;
   r.job = job.id;

@@ -309,7 +309,7 @@ class UsageDatabase {
 class Recorder {
  public:
   Recorder(const Platform& platform, UsageDatabase& db,
-           AllocationLedger* ledger = nullptr, ChargePolicy policy = {});
+           AllocationLedger* ledger = nullptr);
 
   /// Observes every scheduler in the pool.
   void attach(SchedulerPool& pool);
@@ -329,7 +329,6 @@ class Recorder {
   const Platform& platform_;
   UsageDatabase& db_;
   AllocationLedger* ledger_;
-  ChargePolicy policy_;
 };
 
 }  // namespace tg

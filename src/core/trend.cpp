@@ -122,15 +122,6 @@ ModalityChurn churn_from(const std::vector<WindowModalities>& series) {
   return churn;
 }
 
-ModalityChurn compute_churn(const Platform& platform, const UsageDatabase& db,
-                            const RuleClassifier& classifier, SimTime from,
-                            SimTime to, Duration bucket,
-                            FeatureConfig features, ThreadPool* pool,
-                            obs::TraceBuffer* trace) {
-  return churn_from(classify_series(platform, db, classifier, from, to,
-                                    bucket, features, pool, trace));
-}
-
 ModalityTrend trend_from(const std::vector<WindowModalities>& series) {
   ModalityTrend trend;
   trend.quarters = static_cast<int>(series.size());
@@ -154,15 +145,6 @@ ModalityTrend trend_from(const std::vector<WindowModalities>& series) {
     }
   }
   return trend;
-}
-
-ModalityTrend compute_trend(const Platform& platform, const UsageDatabase& db,
-                            const RuleClassifier& classifier, SimTime from,
-                            SimTime to, Duration bucket,
-                            FeatureConfig features, ThreadPool* pool,
-                            obs::TraceBuffer* trace) {
-  return trend_from(classify_series(platform, db, classifier, from, to,
-                                    bucket, features, pool, trace));
 }
 
 }  // namespace tg

@@ -72,17 +72,6 @@ struct ModalityChurn {
 [[nodiscard]] ModalityChurn churn_from(
     const std::vector<WindowModalities>& series);
 
-/// Computes churn over consecutive `bucket`-sized windows of [from, to).
-/// A non-null `pool` parallelizes the window classifications.
-[[nodiscard]] ModalityChurn compute_churn(const Platform& platform,
-                                          const UsageDatabase& db,
-                                          const RuleClassifier& classifier,
-                                          SimTime from, SimTime to,
-                                          Duration bucket = kQuarter,
-                                          FeatureConfig features = {},
-                                          ThreadPool* pool = nullptr,
-                                          obs::TraceBuffer* trace = nullptr);
-
 /// Per-modality compound quarterly growth rate of primary-user counts over
 /// the series (last vs first non-empty quarter, annualized per quarter).
 struct ModalityTrend {
@@ -95,15 +84,5 @@ struct ModalityTrend {
 /// Growth over an already-classified window series.
 [[nodiscard]] ModalityTrend trend_from(
     const std::vector<WindowModalities>& series);
-
-/// A non-null `pool` parallelizes the window classifications.
-[[nodiscard]] ModalityTrend compute_trend(const Platform& platform,
-                                          const UsageDatabase& db,
-                                          const RuleClassifier& classifier,
-                                          SimTime from, SimTime to,
-                                          Duration bucket = kQuarter,
-                                          FeatureConfig features = {},
-                                          ThreadPool* pool = nullptr,
-                                          obs::TraceBuffer* trace = nullptr);
 
 }  // namespace tg

@@ -41,30 +41,6 @@ struct DataAccessSpec {
   /// Replica copies per dataset, placed on distinct random sites.
   int replicas = 2;
 
-  DataAccessSpec& with_pool(int datasets) {
-    pool_datasets = datasets;
-    return *this;
-  }
-  DataAccessSpec& with_zipf(double s) {
-    zipf_s = s;
-    return *this;
-  }
-  DataAccessSpec& with_datasets_per_job(int min, int max) {
-    datasets_min = min;
-    datasets_max = max;
-    return *this;
-  }
-  DataAccessSpec& with_bytes(double alpha, double min, double max) {
-    bytes_alpha = alpha;
-    bytes_min = min;
-    bytes_max = max;
-    return *this;
-  }
-  DataAccessSpec& with_replicas(int n) {
-    replicas = n;
-    return *this;
-  }
-
   /// A ready-to-enable profile with the defaults above.
   [[nodiscard]] static DataAccessSpec enabled_defaults() {
     DataAccessSpec s;

@@ -61,7 +61,6 @@ InvariantReport check_invariants(const Platform& platform,
                                  const AllocationLedger* ledger,
                                  const Community* community,
                                  const SchedulerPool* pool,
-                                 const ChargePolicy& policy,
                                  AuditPhase phase) {
   InvariantReport report;
   Auditor audit(report);
@@ -123,9 +122,8 @@ InvariantReport check_invariants(const Platform& platform,
     audit.expect(close(r.charged_nu, r.charged_su * res.charge_factor),
                  "job record ", row, ": nu ", r.charged_nu, " != su ",
                  r.charged_su, " x factor ", res.charge_factor);
-    const bool refunded = !policy.charge_lost_work &&
-                          (r.disposition == Disposition::kRequeued ||
-                           r.disposition == Disposition::kKilledByOutage);
+    const bool refunded = r.disposition == Disposition::kRequeued ||
+                          r.disposition == Disposition::kKilledByOutage;
     const double held_su = to_hours(r.end_time - r.start_time) *
                            static_cast<double>(r.nodes) *
                            static_cast<double>(res.cores_per_node);

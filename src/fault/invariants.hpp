@@ -68,12 +68,11 @@ enum class AuditPhase {
 };
 
 /// Audits database/ledger/scheduler state. `ledger`, `community` and `pool`
-/// are optional; each unlocks the corresponding invariant family. `policy`
-/// must be the charge policy the run's Recorder used.
+/// are optional; each unlocks the corresponding invariant family.
 [[nodiscard]] InvariantReport check_invariants(
     const Platform& platform, const UsageDatabase& db,
     const AllocationLedger* ledger = nullptr,
     const Community* community = nullptr, const SchedulerPool* pool = nullptr,
-    const ChargePolicy& policy = {}, AuditPhase phase = AuditPhase::kFinal);
+    AuditPhase phase = AuditPhase::kFinal);
 
 }  // namespace tg

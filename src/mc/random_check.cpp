@@ -25,9 +25,7 @@ bool run_random_tiebreak_check(const ScenarioConfig& config,
     scenario.run();
     if (i > 0) scenario.engine().set_choice_hook(nullptr);
 
-    const InvariantReport report = check_invariants(
-        scenario.platform(), scenario.db(), &scenario.ledger(),
-        &scenario.community(), &scenario.pool(), untraced.charging);
+    const InvariantReport report = scenario.audit_now(AuditPhase::kFinal);
     const std::uint64_t hash = hash_terminal_records(scenario.db());
     if (i == 0) canonical_hash = hash;
 

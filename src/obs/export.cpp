@@ -12,10 +12,6 @@ namespace tg::obs {
 
 namespace {
 
-[[nodiscard]] bool ends_with_csv(const std::string& path) {
-  return path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-}
-
 /// Metric names are dot-separated identifiers and event names come from
 /// to_string tables, so escaping only needs to be defensive, not complete.
 void write_json_string(std::ostream& out, const std::string& s) {
@@ -56,67 +52,23 @@ void write_trace_jsonl(const TraceBuffer& trace, std::ostream& out) {
       [&out](const TraceEvent& e) { write_trace_event_jsonl(out, e); });
 }
 
-void write_trace_csv(const TraceBuffer& trace, std::ostream& out) {
-  out << "t,cat,ev,ph,depth,id,a,b\n";
-  trace.for_each([&out](const TraceEvent& e) {
-    out << e.sim_time << ',' << to_string(e.category) << ','
-        << to_string(e.point) << ',' << to_string(e.phase) << ','
-        << static_cast<int>(e.depth) << ',' << e.id << ',' << e.a << ','
-        << e.b << '\n';
-  });
-}
-
 void write_metrics_jsonl(const MetricsRegistry& registry, std::ostream& out) {
   for (const MetricsRegistry::Sample& s : registry.snapshot()) {
     out << "{\"metric\":";
     write_json_string(out, s.name);
-    out << ",\"kind\":\"" << to_string(s.kind) << "\"";
-    if (s.kind == MetricsRegistry::Kind::kHistogram) {
-      const Histogram& h = *s.hist;
-      out << ",\"count\":" << h.count() << ",\"sum\":"
-          << format_double(h.sum()) << ",\"min\":" << format_double(h.min())
-          << ",\"max\":" << format_double(h.max())
-          << ",\"mean\":" << format_double(h.mean()) << ",\"buckets\":[";
-      for (int i = 0; i < Histogram::kBuckets; ++i) {
-        if (i > 0) out << ',';
-        out << h.buckets()[static_cast<std::size_t>(i)];
-      }
-      out << "]";
-    } else {
-      out << ",\"value\":" << format_double(s.value);
-    }
-    out << "}\n";
-  }
-}
-
-void write_metrics_csv(const MetricsRegistry& registry, std::ostream& out) {
-  out << "metric,kind,value,count,sum,min,max,mean\n";
-  for (const MetricsRegistry::Sample& s : registry.snapshot()) {
-    out << s.name << ',' << to_string(s.kind) << ',';
-    if (s.kind == MetricsRegistry::Kind::kHistogram) {
-      const Histogram& h = *s.hist;
-      out << h.count() << ',' << h.count() << ',' << format_double(h.sum())
-          << ',' << format_double(h.min()) << ',' << format_double(h.max())
-          << ',' << format_double(h.mean());
-    } else {
-      out << format_double(s.value) << ",,,,,";
-    }
-    out << '\n';
+    out << ",\"kind\":\"" << to_string(s.kind)
+        << "\",\"value\":" << format_double(s.value) << "}\n";
   }
 }
 
 namespace {
 
-template <class Source, class JsonFn, class CsvFn>
-void write_file(const Source& source, const std::string& path, JsonFn jsonl,
-                CsvFn csv) {
+template <class Source, class WriteFn>
+void write_file(const Source& source, const std::string& path,
+                WriteFn write) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   TG_REQUIRE(out.is_open(), "cannot open '" << path << "' for writing");
-  if (ends_with_csv(path)) {
-    csv(source, out);
-  } else {
-    jsonl(source, out);
-  }
+  write(source, out);
   out.flush();
   TG_REQUIRE(out.good(), "write to '" << path << "' failed");
 }
@@ -124,21 +76,12 @@ void write_file(const Source& source, const std::string& path, JsonFn jsonl,
 }  // namespace
 
 void write_trace_file(const TraceBuffer& trace, const std::string& path) {
-  write_file(
-      trace, path,
-      [](const TraceBuffer& t, std::ostream& o) { write_trace_jsonl(t, o); },
-      [](const TraceBuffer& t, std::ostream& o) { write_trace_csv(t, o); });
+  write_file(trace, path, write_trace_jsonl);
 }
 
 void write_metrics_file(const MetricsRegistry& registry,
                         const std::string& path) {
-  write_file(registry, path,
-             [](const MetricsRegistry& r, std::ostream& o) {
-               write_metrics_jsonl(r, o);
-             },
-             [](const MetricsRegistry& r, std::ostream& o) {
-               write_metrics_csv(r, o);
-             });
+  write_file(registry, path, write_metrics_jsonl);
 }
 
 }  // namespace tg::obs

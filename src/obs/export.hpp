@@ -1,10 +1,9 @@
-// Trace and metrics exporters: JSON-lines and CSV.
+// Trace and metrics exporters: JSON-lines.
 //
 // Byte-stable by construction — doubles are rendered with std::to_chars
 // (shortest round-trip form, locale-independent), rows are emitted in a
 // deterministic order (ring order for traces, name order for metrics),
-// and nothing here consults a wall clock. The file format is picked from
-// the path extension: `.csv` writes CSV, anything else JSON-lines.
+// and nothing here consults a wall clock.
 #pragma once
 
 #include <iosfwd>
@@ -19,18 +18,12 @@ class TraceBuffer;
 /// preceded by a `{"trace":...}` header carrying capacity/drop counts.
 void write_trace_jsonl(const TraceBuffer& trace, std::ostream& out);
 
-/// `t,cat,ev,ph,depth,id,a,b` rows with a header line.
-void write_trace_csv(const TraceBuffer& trace, std::ostream& out);
-
 /// One `{"metric":...,"kind":...,"value":...}` object per metric, sorted
-/// by name; histograms carry count/sum/min/max/mean and dense buckets.
+/// by name.
 void write_metrics_jsonl(const MetricsRegistry& registry, std::ostream& out);
 
-/// `metric,kind,value` rows (histograms flattened to summary columns).
-void write_metrics_csv(const MetricsRegistry& registry, std::ostream& out);
-
-/// Writes to `path`, dispatching on its extension (.csv → CSV, else
-/// JSONL). Throws PreconditionError if the file cannot be opened.
+/// Writes JSON-lines to `path`. Throws PreconditionError if the file
+/// cannot be opened or written.
 void write_trace_file(const TraceBuffer& trace, const std::string& path);
 void write_metrics_file(const MetricsRegistry& registry,
                         const std::string& path);

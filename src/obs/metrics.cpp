@@ -1,35 +1,15 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
 namespace tg::obs {
 
-void Histogram::observe(double v) {
-  int bucket = 0;
-  if (v >= 1.0) {
-    // ilogb(v) is floor(log2(v)) >= 0 here; [2^(i-1), 2^i) lands in i.
-    bucket = std::min(kBuckets - 1, std::ilogb(v) + 1);
-  }
-  ++buckets_[static_cast<std::size_t>(bucket)];
-  if (count_ == 0) {
-    min_ = v;
-    max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  sum_ += v;
-}
-
 const char* to_string(MetricsRegistry::Kind kind) {
   switch (kind) {
     case MetricsRegistry::Kind::kCounter: return "counter";
     case MetricsRegistry::Kind::kGauge: return "gauge";
-    case MetricsRegistry::Kind::kHistogram: return "histogram";
   }
   return "unknown";
 }
@@ -74,18 +54,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return cell;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  if (const Entry* e = find(name)) {
-    TG_REQUIRE(e->kind == Kind::kHistogram,
-               "metric '" << std::string(name) << "' already registered as "
-                          << to_string(e->kind));
-    return *const_cast<Histogram*>(static_cast<const Histogram*>(e->cell));
-  }
-  Histogram& cell = histograms_.emplace_back();
-  add_entry(name, Kind::kHistogram, &cell);
-  return cell;
-}
-
 void MetricsRegistry::bind_counter(std::string_view name,
                                    const Counter& cell) {
   TG_REQUIRE(find(name) == nullptr,
@@ -99,13 +67,6 @@ void MetricsRegistry::bind_gauge(std::string_view name, const Gauge& cell) {
   add_entry(name, Kind::kGauge, &cell);
 }
 
-void MetricsRegistry::bind_histogram(std::string_view name,
-                                     const Histogram& cell) {
-  TG_REQUIRE(find(name) == nullptr,
-             "metric '" << std::string(name) << "' bound twice");
-  add_entry(name, Kind::kHistogram, &cell);
-}
-
 bool MetricsRegistry::contains(std::string_view name) const {
   return find(name) != nullptr;
 }
@@ -114,23 +75,11 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot() const {
   std::vector<Sample> out;
   out.reserve(entries_.size());
   for (const Entry& e : entries_) {
-    Sample s;
-    s.name = e.name;
-    s.kind = e.kind;
-    switch (e.kind) {
-      case Kind::kCounter:
-        s.value = static_cast<double>(
-            static_cast<const Counter*>(e.cell)->value());
-        break;
-      case Kind::kGauge:
-        s.value = static_cast<const Gauge*>(e.cell)->value();
-        break;
-      case Kind::kHistogram:
-        s.hist = static_cast<const Histogram*>(e.cell);
-        s.value = static_cast<double>(s.hist->count());
-        break;
-    }
-    out.push_back(std::move(s));
+    const double value =
+        e.kind == Kind::kCounter
+            ? static_cast<double>(static_cast<const Counter*>(e.cell)->value())
+            : static_cast<const Gauge*>(e.cell)->value();
+    out.push_back(Sample{e.name, e.kind, value});
   }
   std::sort(out.begin(), out.end(),
             [](const Sample& a, const Sample& b) { return a.name < b.name; });

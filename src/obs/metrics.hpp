@@ -1,7 +1,6 @@
-// Deterministic metrics: named counters, gauges and histograms behind one
-// registry, replacing the ad-hoc per-component stat structs as the public
-// surface (the structs keep their cells; the registry names and exports
-// them).
+// Deterministic metrics: named counters and gauges behind one registry,
+// replacing the ad-hoc per-component stat structs as the public surface
+// (the structs keep their cells; the registry names and exports them).
 //
 // Design constraints (see DESIGN.md §5.5):
 //  * Hot-path increments are a single inlined integer add on a plain member
@@ -17,7 +16,6 @@
 //    are exported under a dedicated prefix).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -64,37 +62,8 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Power-of-two-bucketed distribution: bucket i counts observations in
-/// [2^(i-1), 2^i), bucket 0 everything below 1. Fixed layout, so two
-/// histograms are comparable and the export is schema-stable.
-class Histogram {
- public:
-  static constexpr int kBuckets = 32;
-
-  void observe(double v);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  /// 0 when empty.
-  [[nodiscard]] double min() const { return count_ == 0 ? 0.0 : min_; }
-  [[nodiscard]] double max() const { return count_ == 0 ? 0.0 : max_; }
-  [[nodiscard]] double mean() const {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
-  [[nodiscard]] const std::array<std::uint64_t, kBuckets>& buckets() const {
-    return buckets_;
-  }
-
- private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Name → metric cell directory. Owns ad-hoc cells created through
-/// counter()/gauge()/histogram() and borrows component-embedded cells
+/// counter()/gauge() and borrows component-embedded cells
 /// registered through bind_*(); snapshot() renders both, sorted by name.
 ///
 /// Registration is not a hot path (linear name lookup, done once at
@@ -111,27 +80,23 @@ class MetricsRegistry {
   /// already registered with a different kind.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
 
   /// Registers a borrowed component cell under `name`. Throws on duplicate
   /// names: two components must not claim the same metric.
   void bind_counter(std::string_view name, const Counter& cell);
   void bind_gauge(std::string_view name, const Gauge& cell);
-  void bind_histogram(std::string_view name, const Histogram& cell);
 
   [[nodiscard]] bool contains(std::string_view name) const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+  enum class Kind : std::uint8_t { kCounter, kGauge };
 
-  /// One exported metric: `hist` is non-null iff kind == kHistogram, in
-  /// which case `value` is the observation count.
+  /// One exported metric.
   struct Sample {
     std::string name;
     Kind kind = Kind::kCounter;
     double value = 0.0;
-    const Histogram* hist = nullptr;
   };
 
   /// Renders every metric, sorted by name (deterministic export order).
@@ -151,7 +116,6 @@ class MetricsRegistry {
   // Deques: owned cells must never move, bound pointers are handed out.
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
-  std::deque<Histogram> histograms_;
 };
 
 [[nodiscard]] const char* to_string(MetricsRegistry::Kind kind);

@@ -12,11 +12,9 @@
 
 #include <cstddef>
 #include <memory>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
-#include "obs/profile.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace tg {
@@ -54,17 +52,6 @@ class Replicator {
     }
     return parallel_map<R>(*pool_, n,
                            [&fn](std::size_t i) { return fn(i); });
-  }
-
-  /// As run(), but charges the wave's wall time to `profiler` under
-  /// `phase` (one measure() scope around the whole fan-out — replications
-  /// overlap, so per-replication wall times would not add up).
-  template <class Fn>
-  auto run(std::size_t n, Fn fn, obs::PhaseProfiler& profiler,
-           std::string_view phase = "replicate")
-      -> std::vector<std::invoke_result_t<Fn, std::size_t>> {
-    const auto scope = profiler.measure(phase);
-    return run(n, std::move(fn));
   }
 
  private:

@@ -17,7 +17,6 @@ void Profile::reset(SimTime now, int free_nodes) {
   capacity_ = free_nodes;
   events_.clear();
   built_ = false;
-  fences_.clear();
   fence_period_ = 0;
 }
 
@@ -85,13 +84,6 @@ void Profile::ensure_built() const {
   built_ = true;
 }
 
-void Profile::add_fence(SimTime t) {
-  if (t < now_) return;
-  const auto it = std::lower_bound(fences_.begin(), fences_.end(), t);
-  if (it != fences_.end() && *it == t) return;
-  fences_.insert(it, t);
-}
-
 void Profile::set_fence_period(Duration period) {
   TG_REQUIRE(period >= 0, "negative fence period");
   fence_period_ = period;
@@ -113,13 +105,13 @@ SimTime Profile::earliest_fit(int nodes, Duration duration,
   ensure_built();
   earliest = std::max(earliest, now_);
   if (nodes > capacity_) return -1;
-  // Every window between consecutive periodic fences is one period long;
-  // a longer job straddles a fence wherever it starts.
+  // Every window between consecutive fences is one period long; a longer
+  // job straddles a fence wherever it starts.
   if (fence_period_ > 0 && duration > fence_period_) return -1;
 
-  // Single forward sweep over the merged (delta breakpoints, explicit
-  // fences, periodic fences) event stream, tracking the earliest candidate
-  // start `s` of a continuously-feasible run. O(B + F).
+  // Single forward sweep over the merged (delta breakpoints, fences) event
+  // stream, tracking the earliest candidate start `s` of a
+  // continuously-feasible run. O(B + F).
   SimTime s = -1;
   int free = capacity_;
   const auto note_feasible = [&](SimTime at) {
@@ -132,14 +124,11 @@ SimTime Profile::earliest_fit(int nodes, Duration duration,
   note_feasible(now_);
 
   auto d = events_.begin();
-  auto f = std::upper_bound(fences_.begin(), fences_.end(), earliest);
-  // Next periodic fence strictly after `earliest`; advanced analytically,
-  // so the fence stream has no horizon (-1 = none).
-  SimTime pf =
+  // Next fence strictly after `earliest`; advanced analytically, so the
+  // fence stream has no horizon (-1 = none).
+  SimTime fence =
       fence_period_ > 0 ? (earliest / fence_period_ + 1) * fence_period_ : -1;
   for (;;) {
-    SimTime fence = pf;
-    if (f != fences_.end() && (fence < 0 || *f < fence)) fence = *f;
     const bool have_delta = d != events_.end();
     if (!have_delta && fence < 0) break;
     const bool take_delta = have_delta && (fence < 0 || d->time <= fence);
@@ -154,14 +143,13 @@ SimTime Profile::earliest_fit(int nodes, Duration duration,
     if (fence == t) {
       // A candidate run may not straddle a fence; restart at it.
       if (s >= 0 && s < t) s = -1;
-      if (f != fences_.end() && *f == t) ++f;
-      if (pf == t) pf += fence_period_;
+      fence += fence_period_;
     }
     note_feasible(t);
-    if (!take_delta && d == events_.end() && f == fences_.end()) {
-      // Only periodic fences remain and the free count is `capacity_`
-      // forever: this fence opens a full period, which fits `duration`
-      // (checked up front), so the candidate set here is final.
+    if (!take_delta && d == events_.end()) {
+      // Only fences remain and the free count is `capacity_` forever: this
+      // fence opens a full period, which fits `duration` (checked up
+      // front), so the candidate set here is final.
       return s;
     }
   }
@@ -177,8 +165,6 @@ bool Profile::fits_at(SimTime t, int nodes, Duration duration) const {
   if (nodes > capacity_) return false;
   if (duration > 0) {
     // No fence may lie strictly inside (t, t + duration).
-    const auto f = std::upper_bound(fences_.begin(), fences_.end(), t);
-    if (f != fences_.end() && *f < t + duration) return false;
     if (fence_period_ > 0 &&
         (t / fence_period_ + 1) * fence_period_ < t + duration) {
       return false;

@@ -37,15 +37,12 @@ class Profile {
   /// order; the profile then counts as built, so no sort runs.
   void add_hold(SimTime release, int nodes);
 
-  /// Adds a fence at `t`: no job interval may straddle it (used for
-  /// periodic full-machine drains).
-  void add_fence(SimTime t);
-
-  /// Declares a fence at every positive multiple of `period`. Periodic
-  /// fences are handled analytically by the sweeps — never materialized —
-  /// so the stream extends arbitrarily far into the future: a plan pushed
-  /// out by deep backlog cannot cross a fence that a materialization
-  /// horizon would have hidden. Pass 0 to clear.
+  /// Declares a fence at every positive multiple of `period`: no job
+  /// interval may straddle one (periodic full-machine drains). Fences are
+  /// handled analytically by the sweeps — never materialized — so the
+  /// stream extends arbitrarily far into the future: a plan pushed out by
+  /// deep backlog cannot cross a fence that a materialization horizon
+  /// would have hidden. Pass 0 to clear.
   void set_fence_period(Duration period);
 
   /// Free nodes at instant `t` (t >= now).
@@ -84,8 +81,7 @@ class Profile {
   int capacity_;
   mutable std::vector<Event> events_;
   mutable bool built_ = false;
-  std::vector<SimTime> fences_;  // kept sorted
-  Duration fence_period_ = 0;    // 0 = no periodic fences
+  Duration fence_period_ = 0;  // 0 = no fences
 };
 
 }  // namespace tg

@@ -6,8 +6,9 @@ namespace tg {
 
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
-    : out_(path), columns_(header.size()) {
+    : out_(path), path_(path), columns_(header.size()) {
   TG_REQUIRE(!header.empty(), "CSV header must be non-empty");
+  TG_REQUIRE(out_.is_open(), "cannot open '" << path << "' for writing");
   write_row(header);
 }
 
@@ -16,7 +17,8 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
              "CSV row has " << cells.size() << " cells, expected " << columns_);
   // One buffered append per cell and a single stream write per row: the
   // per-cell operator<< path costs a sentry + virtual dispatch per insert,
-  // which dominates wide sweep outputs.
+  // which dominates wide sweep outputs. The flush makes a failed write
+  // (a full disk) show here instead of being lost when the file closes.
   row_buffer_.clear();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i) row_buffer_ += ',';
@@ -25,6 +27,8 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
   row_buffer_ += '\n';
   out_.write(row_buffer_.data(),
              static_cast<std::streamsize>(row_buffer_.size()));
+  out_.flush();
+  TG_REQUIRE(out_.good(), "write to '" << path_ << "' failed");
 }
 
 void CsvWriter::append_escaped(std::string& out, const std::string& field) {

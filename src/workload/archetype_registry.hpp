@@ -59,34 +59,6 @@ struct ArchetypeSpec {
   /// Orthogonal data-access trait; disabled specs draw nothing.
   DataAccessSpec data;
 
-  ArchetypeSpec& with_truth(Modality m) {
-    truth = m;
-    return *this;
-  }
-  ArchetypeSpec& with_count(int n) {
-    count = n;
-    return *this;
-  }
-  ArchetypeSpec& with_rate(double campaigns_per_week) {
-    per_week = campaigns_per_week;
-    return *this;
-  }
-  ArchetypeSpec& with_preference(int count_, bool viz, int min_nodes_) {
-    preferred_count = count_;
-    prefer_viz = viz;
-    min_nodes = min_nodes_;
-    return *this;
-  }
-  ArchetypeSpec& with_behavior(ArchetypeBehavior b) {
-    behavior = std::move(b);
-    return *this;
-  }
-  ArchetypeSpec& with_data(DataAccessSpec d) {
-    d.enabled = true;
-    data = d;
-    return *this;
-  }
-
   [[nodiscard]] bool is_gateway() const {
     return std::holds_alternative<GatewayUserParams>(behavior);
   }

@@ -10,11 +10,7 @@ Scenario::Scenario(ScenarioConfig config)
       population_([&] {
         Rng rng(config_.seed);
         PopulationConfig pc;
-        // Resolve the registry here (not in build_population's fallback) so
-        // config_.archetypes reaches the builtin specs' rates/behavior.
-        pc.registry = config_.registry.empty()
-                          ? ArchetypeRegistry::builtin(config_.archetypes)
-                          : config_.registry;
+        pc.registry = config_.registry;
         pc.gateways = config_.gateways;
         pc.gateway_attribute_coverage = config_.gateway_attribute_coverage;
         pc.gateway_adoption_ramp = config_.gateway_adoption_ramp;
@@ -32,8 +28,7 @@ Scenario::Scenario(ScenarioConfig config)
   db_.set_end_user_pool(&population_.end_user_pool);
   pool_ = std::make_unique<SchedulerPool>(engine_, platform_, config_.sched,
                                           &shard_plan_);
-  recorder_ =
-      std::make_unique<Recorder>(platform_, db_, &ledger_, config_.charging);
+  recorder_ = std::make_unique<Recorder>(platform_, db_, &ledger_);
   recorder_->attach(*pool_);
   recorder_->attach(flows_);
   workflows_ = std::make_unique<WorkflowEngine>(engine_, *pool_, flows_);
@@ -119,7 +114,7 @@ void Scenario::run() {
 
 InvariantReport Scenario::audit_now(AuditPhase phase) const {
   return check_invariants(platform_, db_, &ledger_, &population_.community,
-                          pool_.get(), config_.charging, phase);
+                          pool_.get(), phase);
 }
 
 void Scenario::schedule_audit(SimTime at) {

@@ -32,10 +32,8 @@ namespace tg {
 struct ScenarioConfig {
   std::uint64_t seed = 42;
   Duration horizon = kYear;
-  ArchetypeParams archetypes;
-  /// Composable archetype registry. Empty (the default) means "the builtin
-  /// registry with behavior from `archetypes`". Non-empty registries are
-  /// taken verbatim; `archetypes` is then ignored.
+  /// Composable archetype registry. Empty (the default) means
+  /// ArchetypeRegistry::builtin(); non-empty registries are taken verbatim.
   ArchetypeRegistry registry;
   /// Replica catalog + site caches + stage-in model. Disabled by default:
   /// no DataGrid is constructed, no "data" RNG substream is forked, and
@@ -50,8 +48,6 @@ struct ScenarioConfig {
   /// Fault injection; disabled by default (no events, no extra randomness,
   /// byte-identical output to a fault-free build).
   FaultConfig faults;
-  /// How lost work (requeued / outage-killed attempts) is charged.
-  ChargePolicy charging;
   /// Use the tiny 2-resource platform instead of the TeraGrid preset
   /// (integration tests).
   bool mini_platform = false;
@@ -85,7 +81,7 @@ struct ScenarioConfig {
   StreamingOptions streaming;
 
   // --- Fluent construction --------------------------------------------------
-  // `ScenarioConfig::defaults().with_scale(2.0).with_fault_model(f)` reads
+  // `ScenarioConfig::defaults().with_scale(2.0).with_streaming(s)` reads
   // as the experiment it configures. Every with_* mutates one knob and
   // returns the config for chaining; plain aggregate initialization keeps
   // working unchanged.
@@ -102,15 +98,10 @@ struct ScenarioConfig {
   }
   /// Multiplies every archetype count by `factor` (rounded, floor 1 for
   /// counts that started positive). An empty registry is first seeded from
-  /// builtin(archetypes), so set `archetypes` before scaling — later
-  /// changes no longer reach the seeded registry.
+  /// builtin().
   ScenarioConfig& with_scale(double factor) {
-    if (registry.empty()) registry = ArchetypeRegistry::builtin(archetypes);
+    if (registry.empty()) registry = ArchetypeRegistry::builtin();
     registry.scale(factor);
-    return *this;
-  }
-  ScenarioConfig& with_archetypes(ArchetypeParams a) {
-    archetypes = a;
     return *this;
   }
   /// Replaces the archetype registry wholesale.
@@ -119,11 +110,9 @@ struct ScenarioConfig {
     return *this;
   }
   /// Adds (or replaces, by name) one archetype spec. On first use the
-  /// registry is seeded from builtin(archetypes), so call this *after*
-  /// with_archetypes() — later changes no longer reach a non-empty
-  /// registry.
+  /// registry is seeded from builtin().
   ScenarioConfig& with_archetype(ArchetypeSpec spec) {
-    if (registry.empty()) registry = ArchetypeRegistry::builtin(archetypes);
+    if (registry.empty()) registry = ArchetypeRegistry::builtin();
     registry.add(std::move(spec));
     return *this;
   }
@@ -131,10 +120,6 @@ struct ScenarioConfig {
   /// stage-in before submission for specs with a data trait).
   ScenarioConfig& with_data_grid(DataGridConfig d) {
     data_grid = d;
-    return *this;
-  }
-  ScenarioConfig& with_sched(SchedulerConfig s) {
-    sched = s;
     return *this;
   }
   ScenarioConfig& with_policy(SchedPolicy p) {
@@ -148,36 +133,12 @@ struct ScenarioConfig {
     sched.plan_cache = on;
     return *this;
   }
-  ScenarioConfig& with_gateways(int n) {
-    gateways = n;
-    return *this;
-  }
   ScenarioConfig& with_gateway_attribute_coverage(double coverage) {
     gateway_attribute_coverage = coverage;
     return *this;
   }
   ScenarioConfig& with_gateway_adoption_ramp(double ramp) {
     gateway_adoption_ramp = ramp;
-    return *this;
-  }
-  ScenarioConfig& with_users_per_project(double upp) {
-    users_per_project = upp;
-    return *this;
-  }
-  ScenarioConfig& with_features(FeatureConfig f) {
-    features = f;
-    return *this;
-  }
-  ScenarioConfig& with_fault_model(FaultConfig f) {
-    faults = f;
-    return *this;
-  }
-  ScenarioConfig& with_charging(ChargePolicy c) {
-    charging = c;
-    return *this;
-  }
-  ScenarioConfig& with_mini_platform(bool mini = true) {
-    mini_platform = mini;
     return *this;
   }
   ScenarioConfig& with_trace(obs::TraceBuffer* t) {
@@ -243,8 +204,6 @@ class Scenario {
   [[nodiscard]] FlowManager& flows() { return flows_; }
   /// Null unless config.data_grid.enabled.
   [[nodiscard]] const DataGrid* data_grid() const { return data_grid_.get(); }
-  /// Topology-derived partitioning (coordinator + one partition per site).
-  [[nodiscard]] const ShardPlan& shard_plan() const { return shard_plan_; }
   /// Null unless config.faults.enabled().
   [[nodiscard]] const FaultModel* faults() const { return faults_.get(); }
   /// Null unless config.streaming.enabled. finish() has already run by the

@@ -1,10 +1,12 @@
 // exp::Options::parse, the flag surface shared by every experiment and
 // benchmark binary: numeric values parse exactly, and anything that is not
-// a well-formed value exits 2 with usage, like an unknown flag. Only the
-// parser runs here — no Replicator or thread pool is ever built.
+// a well-formed value exits 2 with usage, like an unknown flag or one the
+// binary does not accept. Only the parser runs here — no Replicator or
+// thread pool is ever built.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,11 +15,21 @@
 namespace tg::exp {
 namespace {
 
-Options parse(std::vector<std::string> args) {
+constexpr unsigned kEveryFlag = kJobs | kCsv | kCheckInvariants |
+                                kExactReplan | kAuditEvery | kMcRandom |
+                                kStreaming | kSegments;
+
+Options parse(std::vector<std::string> args, unsigned accepted = kEveryFlag) {
   std::vector<char*> argv{const_cast<char*>("exp_test")};
   for (std::string& a : args) argv.push_back(a.data());
   return Options::parse(static_cast<int>(argv.size()), argv.data(),
-                        "exp_test");
+                        "exp_test", accepted);
+}
+
+std::string usage(unsigned accepted) {
+  std::ostringstream os;
+  Options::print_usage(os, "exp_test", accepted);
+  return os.str();
 }
 
 TEST(ExpOptions, DefaultsWithoutFlags) {
@@ -56,6 +68,32 @@ TEST(ExpOptions, StringValuesPassThrough) {
   EXPECT_EQ(o.spill_dir, "/tmp/x=y");
 }
 
+TEST(ExpOptions, TraceAndMetricsAcceptedWithoutOptionalFlags) {
+  // The benchmark surface: no optional flag, yet both exports work.
+  const Options o = parse({"--trace=t.jsonl", "--metrics"}, 0);
+  EXPECT_EQ(o.trace, "t.jsonl");
+  EXPECT_EQ(o.metrics, "exp_test.metrics.jsonl");
+}
+
+TEST(ExpOptions, UsageListsOnlyAcceptedFlags) {
+  const std::string some = usage(kJobs | kCsv);
+  for (const char* flag : {"--jobs=", "--csv", "--trace", "--metrics",
+                           "--help"}) {
+    EXPECT_NE(some.find(flag), std::string::npos) << flag;
+  }
+  for (const char* flag :
+       {"--check-invariants", "--exact-replan", "--audit-every", "--mc-random",
+        "--mc-seed", "--streaming", "--segment-cap", "--spill-dir"}) {
+    EXPECT_EQ(some.find(flag), std::string::npos) << flag;
+  }
+  const std::string none = usage(0);
+  EXPECT_EQ(none.find("--jobs"), std::string::npos);
+  EXPECT_EQ(none.find("--csv"), std::string::npos);
+  EXPECT_NE(none.find("--trace"), std::string::npos);
+  EXPECT_NE(none.find("--metrics"), std::string::npos);
+  EXPECT_NE(usage(kEveryFlag).find("--spill-dir"), std::string::npos);
+}
+
 using ExpOptionsDeathTest = ::testing::Test;
 
 void expect_usage_exit(const std::string& arg) {
@@ -66,6 +104,23 @@ void expect_usage_exit(const std::string& arg) {
 TEST_F(ExpOptionsDeathTest, UnknownFlagExitsWithUsage) {
   expect_usage_exit("--bogus");
   expect_usage_exit("positional");
+}
+
+TEST_F(ExpOptionsDeathTest, UnacceptedFlagExitsWithUsage) {
+  // A flag the binary would ignore is rejected like an unknown one.
+  EXPECT_EXIT(parse({"--check-invariants"}, kCsv),
+              ::testing::ExitedWithCode(2),
+              "unknown option '--check-invariants'");
+  EXPECT_EXIT(parse({"--jobs=2"}, kCsv | kExactReplan),
+              ::testing::ExitedWithCode(2), "usage: exp_test");
+  EXPECT_EXIT(parse({"--csv"}, 0), ::testing::ExitedWithCode(2),
+              "usage: exp_test");
+}
+
+TEST_F(ExpOptionsDeathTest, StatsFlagsAreGone) {
+  // Engine counters and process resources are read through --metrics.
+  expect_usage_exit("--engine-stats");
+  expect_usage_exit("--stats");
 }
 
 TEST_F(ExpOptionsDeathTest, MalformedWholeNumbersExitWithUsage) {

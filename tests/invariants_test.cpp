@@ -72,7 +72,7 @@ TEST(Invariants, PassesOnFaultFreeScenario) {
   scenario.run();
   const InvariantReport report = check_invariants(
       scenario.platform(), scenario.db(), &scenario.ledger(),
-      &scenario.community(), &scenario.pool(), scenario.config().charging);
+      &scenario.community(), &scenario.pool());
   EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_GT(report.checks, 100u);
 }
@@ -90,7 +90,7 @@ TEST(Invariants, PassesOnFaultyScenario) {
   EXPECT_GT(scenario.fault_stats().outages, 0u);
   const InvariantReport report = check_invariants(
       scenario.platform(), scenario.db(), &scenario.ledger(),
-      &scenario.community(), &scenario.pool(), scenario.config().charging);
+      &scenario.community(), &scenario.pool());
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
@@ -147,8 +147,8 @@ TEST(Invariants, CatchesSuNotMatchingHeldNodeHours) {
 }
 
 TEST(Invariants, CatchesChargedRefundableAttempt) {
-  // Under the default refunding policy an outage-killed attempt must carry
-  // a zero charge.
+  // Work lost to an outage is refunded: an outage-killed attempt must
+  // carry a zero charge.
   const Platform platform = mini_platform();
   UsageDatabase db;
   JobRecord r = good_record(1, 0, kHour);
@@ -156,12 +156,6 @@ TEST(Invariants, CatchesChargedRefundableAttempt) {
   r.disposition = Disposition::kKilledByOutage;
   db.add(r);  // still charged full node-hours
   EXPECT_FALSE(check_invariants(platform, db).ok());
-  // With charging enabled for lost work the same record is legal.
-  ChargePolicy charging;
-  charging.charge_lost_work = true;
-  EXPECT_TRUE(check_invariants(platform, db, nullptr, nullptr, nullptr,
-                               charging)
-                  .ok());
 }
 
 TEST(Invariants, CatchesNonTerminalLastRecord) {
@@ -241,7 +235,7 @@ TEST(Invariants, MidRunAllowsPendingRetry) {
   r.charged_nu = 0.0;
   db.add(r);
   EXPECT_FALSE(check_invariants(platform, db).ok());
-  EXPECT_TRUE(check_invariants(platform, db, nullptr, nullptr, nullptr, {},
+  EXPECT_TRUE(check_invariants(platform, db, nullptr, nullptr, nullptr,
                                AuditPhase::kMidRun)
                   .ok());
 }
@@ -277,7 +271,7 @@ TEST(Invariants, MidRunChecksPoolBoundsNotQuiescence) {
       check_invariants(platform, db, nullptr, nullptr, &pool);
   EXPECT_FALSE(final_report.ok());  // running job + downed nodes
   const InvariantReport mid = check_invariants(
-      platform, db, nullptr, nullptr, &pool, {}, AuditPhase::kMidRun);
+      platform, db, nullptr, nullptr, &pool, AuditPhase::kMidRun);
   EXPECT_TRUE(mid.ok()) << mid.to_string();
   EXPECT_GT(mid.checks, 0u);
 }

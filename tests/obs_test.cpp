@@ -14,7 +14,7 @@
 namespace tg::obs {
 namespace {
 
-// --- Counter / Gauge / Histogram value cells -------------------------------
+// --- Counter / Gauge value cells -------------------------------------------
 
 TEST(CounterTest, IncAddSetAndImplicitRead) {
   Counter c;
@@ -40,49 +40,6 @@ TEST(GaugeTest, SetAddMaxOf) {
   g.max_of(3.25);
   EXPECT_DOUBLE_EQ(g.value(), 3.25);
   EXPECT_DOUBLE_EQ(g * 2.0, 6.5);
-}
-
-TEST(HistogramTest, EmptyReadsAsZero) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 0.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(HistogramTest, PowerOfTwoBucketPlacement) {
-  Histogram h;
-  // Bucket 0 holds everything below 1; bucket i holds [2^(i-1), 2^i).
-  h.observe(0.0);
-  h.observe(0.99);    // bucket 0
-  h.observe(1.0);     // bucket 1: [1, 2)
-  h.observe(1.99);    // bucket 1
-  h.observe(2.0);     // bucket 2: [2, 4)
-  h.observe(3.0);     // bucket 2
-  h.observe(4.0);     // bucket 3: [4, 8)
-  h.observe(1024.0);  // bucket 11: [1024, 2048)
-  const auto& buckets = h.buckets();
-  EXPECT_EQ(buckets[0], 2u);
-  EXPECT_EQ(buckets[1], 2u);
-  EXPECT_EQ(buckets[2], 2u);
-  EXPECT_EQ(buckets[3], 1u);
-  EXPECT_EQ(buckets[11], 1u);
-  std::uint64_t total = 0;
-  for (const std::uint64_t b : buckets) total += b;
-  EXPECT_EQ(total, h.count());
-}
-
-TEST(HistogramTest, CountSumMinMaxMean) {
-  Histogram h;
-  h.observe(2.0);
-  h.observe(6.0);
-  h.observe(10.0);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 18.0);
-  EXPECT_DOUBLE_EQ(h.min(), 2.0);
-  EXPECT_DOUBLE_EQ(h.max(), 10.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 6.0);
 }
 
 // --- MetricsRegistry -------------------------------------------------------
@@ -116,7 +73,6 @@ TEST(MetricsRegistryTest, KindMismatchThrows) {
   MetricsRegistry reg;
   reg.counter("x");
   EXPECT_THROW(reg.gauge("x"), PreconditionError);
-  EXPECT_THROW(reg.histogram("x"), PreconditionError);
   EXPECT_THROW(reg.counter(""), PreconditionError);
 }
 
@@ -148,34 +104,30 @@ TEST(MetricsRegistryTest, DuplicateBindThrows) {
   // Owned names collide with bound names too, in both directions.
   reg.counter("owned");
   EXPECT_THROW(reg.bind_counter("owned", a), PreconditionError);
-  Histogram h;
-  reg.bind_histogram("hist", h);
+  Gauge g;
+  reg.bind_gauge("level", g);
   // Same-kind accessor on a bound name finds the bound cell; a mismatched
   // kind throws.
-  EXPECT_EQ(&reg.histogram("hist"), &h);
-  EXPECT_THROW(reg.counter("hist"), PreconditionError);
+  EXPECT_EQ(&reg.gauge("level"), &g);
+  EXPECT_THROW(reg.counter("level"), PreconditionError);
 }
 
 TEST(MetricsRegistryTest, SnapshotSortedByNameNotRegistration) {
   MetricsRegistry reg;
   reg.counter("zeta").set(1);
   reg.gauge("alpha").set(2.0);
-  Histogram h;
-  h.observe(4.0);
-  h.observe(8.0);
-  reg.bind_histogram("mid", h);
+  Counter mid;
+  mid.add(2);
+  reg.bind_counter("mid", mid);
   const std::vector<MetricsRegistry::Sample> samples = reg.snapshot();
   ASSERT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples[0].name, "alpha");
   EXPECT_EQ(samples[1].name, "mid");
   EXPECT_EQ(samples[2].name, "zeta");
-  // Histogram samples carry the distribution; value is the count.
-  EXPECT_EQ(samples[1].kind, MetricsRegistry::Kind::kHistogram);
-  ASSERT_NE(samples[1].hist, nullptr);
+  EXPECT_EQ(samples[0].kind, MetricsRegistry::Kind::kGauge);
+  EXPECT_DOUBLE_EQ(samples[0].value, 2.0);
+  EXPECT_EQ(samples[1].kind, MetricsRegistry::Kind::kCounter);
   EXPECT_DOUBLE_EQ(samples[1].value, 2.0);
-  EXPECT_DOUBLE_EQ(samples[1].hist->sum(), 12.0);
-  EXPECT_EQ(samples[0].hist, nullptr);
-  EXPECT_EQ(samples[2].hist, nullptr);
 }
 
 // --- TraceBuffer ring ------------------------------------------------------

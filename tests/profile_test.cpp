@@ -88,34 +88,21 @@ TEST(Profile, ZeroNodeAndEmptyIntervalNoops) {
 
 TEST(Profile, FenceBlocksStraddlingJob) {
   Profile p(0, 10);
-  p.add_fence(kHour);
-  // A 2-hour job cannot span the fence: it must start at the fence.
-  EXPECT_EQ(p.earliest_fit(10, 2 * kHour, 0), kHour);
-  // A 1-hour job fits before the fence.
+  p.set_fence_period(kHour);
+  // A 1-hour job fits exactly between two fences.
   EXPECT_EQ(p.earliest_fit(10, kHour, 0), 0);
-  // A 30-minute job starting at 45min would straddle; from 0 it's fine.
+  // From 30min it would span the fence at 1h: it must start at the fence.
+  EXPECT_EQ(p.earliest_fit(10, kHour, 30 * kMinute), kHour);
+  // A 30-minute job starting at 45min would straddle; it snaps to 1h.
   EXPECT_EQ(p.earliest_fit(10, 30 * kMinute, 45 * kMinute), kHour);
-}
-
-TEST(Profile, MultipleFences) {
-  Profile p(0, 10);
-  p.add_fence(kHour);
-  p.add_fence(2 * kHour);
-  p.add_fence(2 * kHour);  // duplicate ignored
-  EXPECT_EQ(p.earliest_fit(5, 90 * kMinute, 0), 2 * kHour);
-  EXPECT_EQ(p.earliest_fit(5, 30 * kMinute, 90 * kMinute), 90 * kMinute);
-}
-
-TEST(Profile, FenceBeforeNowIgnored) {
-  Profile p(kHour, 10);
-  p.add_fence(0);
-  EXPECT_EQ(p.earliest_fit(10, kDay, kHour), kHour);
+  // A job ending exactly on the fence does not straddle it.
+  EXPECT_EQ(p.earliest_fit(10, 15 * kMinute, 45 * kMinute), 45 * kMinute);
 }
 
 TEST(Profile, FenceInteractsWithBusyInterval) {
   Profile p(0, 10);
   p.subtract(0, kHour, 10);  // busy first hour
-  p.add_fence(90 * kMinute);
+  p.set_fence_period(90 * kMinute);
   // 1h job: free at 1h, but would straddle the 1.5h fence -> starts there.
   EXPECT_EQ(p.earliest_fit(10, kHour, 0), 90 * kMinute);
   // 30m job fits right at 1h.
@@ -144,17 +131,6 @@ TEST(Profile, JobLongerThanFencePeriodNeverFits) {
   EXPECT_THROW(p.set_fence_period(-1), PreconditionError);
 }
 
-TEST(Profile, PeriodicAndExplicitFencesCompose) {
-  Profile p(0, 10);
-  p.set_fence_period(kDay);
-  p.add_fence(6 * kHour);
-  // The explicit fence splits the first window: a 12-hour job straddles it
-  // from 0, fits at 6h (next periodic fence is 1d, 18h away).
-  EXPECT_EQ(p.earliest_fit(10, 12 * kHour, 0), 6 * kHour);
-  // From 20h it would straddle the periodic fence at 1d; snaps to 1d.
-  EXPECT_EQ(p.earliest_fit(10, 12 * kHour, 20 * kHour), kDay);
-}
-
 TEST(Profile, FitsAtMatchesEarliestFit) {
   Rng rng(77);
   Profile p(0, 64);
@@ -163,8 +139,8 @@ TEST(Profile, FitsAtMatchesEarliestFit) {
     const Duration len = rng.uniform_int(kMinute, 20 * kHour);
     p.subtract(from, from + len, static_cast<int>(rng.uniform_int(1, 32)));
   }
-  p.add_fence(30 * kHour);
-  p.set_fence_period(7 * kDay);
+  // Shorter than the query range, so queries reach fences 30h apart.
+  p.set_fence_period(30 * kHour);
   for (int q = 0; q < 200; ++q) {
     const int nodes = static_cast<int>(rng.uniform_int(1, 64));
     const Duration dur = rng.uniform_int(kMinute, 10 * kHour);
@@ -192,7 +168,7 @@ TEST(Profile, PresortedHoldsMatchSubtracts) {
   std::sort(holds.begin(), holds.end());
   Profile loaded(0, 7);
   loaded.subtract(0, kDay, 5);
-  loaded.add_fence(kHour);
+  loaded.set_fence_period(kHour);  // reset() must clear it
   loaded.reset(now, 128);
   Profile reference(now, 128);
   for (const auto& [release, nodes] : holds) {
@@ -241,11 +217,12 @@ TEST_P(ProfileProperty, FitIsFeasibleAndMinimal) {
     const Duration len = rng.uniform_int(kMinute, 20 * kHour);
     p.subtract(from, from + len, static_cast<int>(rng.uniform_int(1, 32)));
   }
-  for (int i = 0; i < 3; ++i) {
-    p.add_fence(rng.uniform_int(0, 120 * kHour));
-  }
+  // At least as long as the longest query, so every query has an answer.
+  const Duration period = rng.uniform_int(10 * kHour, 120 * kHour);
+  p.set_fence_period(period);
   const auto feasible = [&](SimTime s, int nodes, Duration dur) {
     if (s < 0) return false;
+    if ((s / period + 1) * period < s + dur) return false;  // straddles
     for (SimTime t = s; t < s + dur; t += 7 * kMinute) {
       if (p.free_at(t) < nodes) return false;
     }

@@ -747,7 +747,6 @@ TEST(SchedulerPassWork, ScanIsProportionalToDecisions) {
   });
   h.engine.run();
 
-  const SchedulerMetrics& m = h.sched.metrics();
   const std::uint64_t started = h.started.size();
   ASSERT_EQ(started + cancelled, 3000u);
   // The scenario is what the bound is about: a deep backlog and many
@@ -758,12 +757,17 @@ TEST(SchedulerPassWork, ScanIsProportionalToDecisions) {
     backfilled += h.started[i].id.value() < h.started[i - 1].id.value();
   }
   EXPECT_GT(backfilled, 300u);
+  EXPECT_EQ(h.sched.queue_length(), 0u);
+#ifndef TGSIM_DISABLE_METRICS
+  // -DTGSIM_DISABLE_METRICS compiles these work counters out (they read
+  // 0), so the bound is checked only where they count.
+  const SchedulerMetrics& m = h.sched.metrics();
   EXPECT_GT(m.passes(), 0u);
   EXPECT_GE(m.fit_checks(), started);
   EXPECT_LE(m.queue_scanned(),
             m.passes() * static_cast<std::uint64_t>(cfg.backfill_depth + 1) +
                 2 * started + cancelled);
-  EXPECT_EQ(h.sched.queue_length(), 0u);
+#endif
 }
 
 TEST(SchedulerPassWork, CountersExportPerResource) {
@@ -777,9 +781,11 @@ TEST(SchedulerPassWork, CountersExportPerResource) {
                            "sched.test.fit_checks"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
   }
+#ifndef TGSIM_DISABLE_METRICS  // the pass counter compiles out there
   // Two synchronous submit passes; at 1 h the head's wakeup and the
   // deferred pass after the first end; at 2 h the pass after the second.
   EXPECT_EQ(h.sched.metrics().passes(), 5u);
+#endif
 }
 
 }  // namespace

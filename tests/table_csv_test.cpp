@@ -111,6 +111,21 @@ TEST_F(CsvFixture, ArityEnforced) {
   EXPECT_THROW(w.write_row({"1"}), PreconditionError);
 }
 
+TEST(CsvWriterErrors, MissingDirectoryThrows) {
+  // A path whose directory does not exist must fail loudly, not write
+  // nothing and report success; so must an empty path.
+  EXPECT_THROW(CsvWriter(::testing::TempDir() + "tg_no_such_dir/x.csv", {"a"}),
+               PreconditionError);
+  EXPECT_THROW(CsvWriter("", {"a"}), PreconditionError);
+}
+
+TEST(CsvWriterErrors, FailedWriteThrows) {
+  // /dev/full opens but fails every write: the header row must throw
+  // instead of vanishing when the file closes.
+  if (!std::ifstream("/dev/full").good()) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(CsvWriter("/dev/full", {"a"}), PreconditionError);
+}
+
 TEST(CsvEscape, PassThroughPlain) {
   EXPECT_EQ(CsvWriter::escape("plain"), "plain");
   EXPECT_EQ(CsvWriter::escape("new\nline"), "\"new\nline\"");

@@ -13,6 +13,11 @@ class TrendFixture : public ::testing::Test {
   UsageDatabase db;
   RuleClassifier classifier;
 
+  /// The quarterly window series over [0, to).
+  [[nodiscard]] std::vector<WindowModalities> series(SimTime to) const {
+    return classify_series(platform, db, classifier, 0, to);
+  }
+
   /// Adds a quarter's worth of capacity-style activity for `user` in
   /// quarter `q` (enough charge to not look exploratory).
   void add_capacity_quarter(UserId user, int q) {
@@ -55,8 +60,7 @@ TEST_F(TrendFixture, StableUserIsRetained) {
   add_capacity_quarter(UserId{1}, 0);
   add_capacity_quarter(UserId{1}, 1);
   add_capacity_quarter(UserId{1}, 2);
-  const auto churn =
-      compute_churn(platform, db, classifier, 0, 3 * kQuarter);
+  const auto churn = churn_from(series(3 * kQuarter));
   EXPECT_EQ(churn.quarter_pairs, 2);
   EXPECT_EQ(churn.transitions[static_cast<std::size_t>(
                 Modality::kCapacityBatch)]
@@ -71,8 +75,7 @@ TEST_F(TrendFixture, GraduationShowsAsTransition) {
   // Exploratory in Q1, capacity from Q2 on — the classic on-ramp.
   add_exploratory_quarter(UserId{2}, 0);
   add_capacity_quarter(UserId{2}, 1);
-  const auto churn =
-      compute_churn(platform, db, classifier, 0, 2 * kQuarter);
+  const auto churn = churn_from(series(2 * kQuarter));
   EXPECT_EQ(churn.transitions[static_cast<std::size_t>(
                 Modality::kExploratory)]
                              [static_cast<std::size_t>(
@@ -84,8 +87,7 @@ TEST_F(TrendFixture, GraduationShowsAsTransition) {
 TEST_F(TrendFixture, DepartureAndArrivalCounted) {
   add_capacity_quarter(UserId{3}, 0);   // leaves after Q1
   add_capacity_quarter(UserId{4}, 1);   // arrives in Q2
-  const auto churn =
-      compute_churn(platform, db, classifier, 0, 2 * kQuarter);
+  const auto churn = churn_from(series(2 * kQuarter));
   EXPECT_EQ(churn.departed[static_cast<std::size_t>(
                 Modality::kCapacityBatch)],
             1);
@@ -97,8 +99,7 @@ TEST_F(TrendFixture, DepartureAndArrivalCounted) {
 TEST_F(TrendFixture, ChurnTableRenders) {
   add_capacity_quarter(UserId{1}, 0);
   add_capacity_quarter(UserId{1}, 1);
-  const auto churn =
-      compute_churn(platform, db, classifier, 0, 2 * kQuarter);
+  const auto churn = churn_from(series(2 * kQuarter));
   const std::string table = churn.to_table().to_string();
   EXPECT_NE(table.find("capacity"), std::string::npos);
   EXPECT_NE(table.find("(new)"), std::string::npos);
@@ -109,8 +110,7 @@ TEST_F(TrendFixture, TrendGrowthComputed) {
   add_capacity_quarter(UserId{1}, 0);
   for (int q = 0; q < 4; ++q) add_capacity_quarter(UserId{1}, q);
   for (int u = 2; u <= 4; ++u) add_capacity_quarter(UserId{u}, 3);
-  const auto trend =
-      compute_trend(platform, db, classifier, 0, 4 * kQuarter);
+  const auto trend = trend_from(series(4 * kQuarter));
   EXPECT_EQ(trend.quarters, 4);
   const auto cap = static_cast<std::size_t>(Modality::kCapacityBatch);
   EXPECT_EQ(trend.first_quarter_users[cap], 1);
@@ -120,10 +120,10 @@ TEST_F(TrendFixture, TrendGrowthComputed) {
 }
 
 TEST_F(TrendFixture, EmptySeriesIsZero) {
-  const auto churn = compute_churn(platform, db, classifier, 0, kQuarter);
+  const auto churn = churn_from(series(kQuarter));
   EXPECT_EQ(churn.quarter_pairs, 0);
   EXPECT_EQ(churn.total_transitions(), 0);
-  const auto trend = compute_trend(platform, db, classifier, 0, kQuarter);
+  const auto trend = trend_from(series(kQuarter));
   EXPECT_EQ(trend.quarters, 1);
   for (double g : trend.quarterly_growth) EXPECT_DOUBLE_EQ(g, 0.0);
 }
