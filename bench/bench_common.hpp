@@ -1,8 +1,8 @@
 // Shared main() for the bench_* binaries. Google-benchmark consumes its
 // --benchmark_* flags first; whatever remains must parse as exp::Options
-// with no optional flag accepted (only --help, --trace and --metrics), so
-// typos are rejected instead of ignored. `--metrics=FILE` exports a
-// registry snapshot with the process peak RSS — the artifact the
+// with no optional flag accepted (only --help and --metrics: nothing here
+// traces), so typos are rejected instead of ignored. `--metrics=FILE`
+// exports a registry snapshot with the process peak RSS — the artifact the
 // perf-smoke CI job uploads alongside the benchmark JSON.
 #pragma once
 

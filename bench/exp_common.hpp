@@ -4,10 +4,10 @@
 //
 // Every binary parses one declarative flag surface (exp::Options), limited
 // to the flags it honours, and wires observability the same way
-// (exp::Observability): `--trace=FILE` and `--metrics=FILE` export the obs
-// subsystem's structured trace and metric registry without touching
-// stdout, so the primary outputs stay byte-stable whether or not
-// observability is enabled.
+// (exp::Observability): `--trace=FILE` (where the binary traces) and
+// `--metrics=FILE` export the obs subsystem's structured trace and metric
+// registry without touching stdout, so the primary outputs stay
+// byte-stable whether or not observability is enabled.
 #pragma once
 
 #include <charconv>
@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -31,14 +32,14 @@
 #include "obs/trace.hpp"
 #include "parallel/replicate.hpp"
 #include "util/csv.hpp"
+#include "util/error.hpp"
 #include "util/memstats.hpp"
 #include "util/table.hpp"
 
 namespace tg::exp {
 
-/// The flags a binary may accept besides --help, --trace and --metrics,
-/// which every binary accepts. Each binary passes Options::parse the set
-/// it honours.
+/// The flags a binary may accept besides --help and --metrics, which every
+/// binary accepts. Each binary passes Options::parse the set it honours.
 enum OptionFlag : unsigned {
   kJobs = 1u << 0,
   kCsv = 1u << 1,
@@ -48,14 +49,18 @@ enum OptionFlag : unsigned {
   kMcRandom = 1u << 5,  ///< --mc-random and --mc-seed
   kStreaming = 1u << 6,
   kSegments = 1u << 7,  ///< --segment-cap and --spill-dir
+  /// --trace: only binaries that wire Observability::trace() into their
+  /// simulation or fan out through Observability::replicate.
+  kTrace = 1u << 8,
 };
 
 /// The declarative flag surface shared by every experiment and benchmark
-/// binary. parse() recognizes --help, --trace and --metrics plus the
-/// accepted OptionFlags; it prints usage and exits(2) on anything else —
-/// an unknown flag, one the binary would ignore, or a malformed numeric
-/// value — and exits(0) on --help, so a typo or an unsupported flag can no
-/// longer silently run the default configuration.
+/// binary. parse() recognizes --help and --metrics plus the accepted
+/// OptionFlags; it prints usage and exits(2) on anything else — an unknown
+/// flag, one the binary would ignore, a malformed numeric value, or an
+/// output path that cannot be opened for writing — and exits(0) on
+/// --help, so a typo or an unsupported flag can no longer silently run the
+/// default configuration, and a bad path fails before the run, not after.
 struct Options {
   /// --jobs=N: worker count for replication/analytics fan-out. 0 = one
   /// worker per hardware thread; 1 = inline, no threads. Output is
@@ -111,8 +116,9 @@ struct Options {
 
   /// Parses argv. `name` seeds the default output filenames and the usage
   /// text; `accepted` is the set of OptionFlags the binary honours.
-  /// Unknown or unaccepted flags, positional arguments and malformed
-  /// values are fatal (exit 2 with usage).
+  /// Unknown or unaccepted flags, positional arguments, malformed values
+  /// and unwritable --csv/--trace/--metrics paths are fatal (exit 2 with
+  /// usage).
   static Options parse(int argc, char** argv, const std::string& name,
                        unsigned accepted) {
     Options out;
@@ -130,9 +136,9 @@ struct Options {
       if (arg == "--help" || arg == "-h") {
         print_usage(std::cout, name, accepted);
         std::exit(0);
-      } else if (arg == "--trace") {
+      } else if (has(kTrace) && arg == "--trace") {
         out.trace = name + ".trace.jsonl";
-      } else if (arg.rfind("--trace=", 0) == 0) {
+      } else if (has(kTrace) && arg.rfind("--trace=", 0) == 0) {
         out.trace = arg.substr(8);
       } else if (arg == "--metrics") {
         out.metrics = name + ".metrics.jsonl";
@@ -164,11 +170,22 @@ struct Options {
         reject(name, accepted, "unknown option '" + arg + "'");
       }
     }
+    // Append mode creates a missing file but leaves an existing one's
+    // content as it is until the run writes it.
+    const auto writable = [&](const char* flag,
+                              const std::optional<std::string>& path) {
+      if (path && !std::ofstream(*path, std::ios::app)) {
+        reject(name, accepted,
+               std::string("cannot write ") + flag + " path '" + *path + "'");
+      }
+    };
+    writable("--csv", out.csv);
+    writable("--trace", out.trace);
+    writable("--metrics", out.metrics);
     return out;
   }
 
-  /// Usage text listing --help, --trace, --metrics and the `accepted`
-  /// flags.
+  /// Usage text listing --help, --metrics and the `accepted` flags.
   static void print_usage(std::ostream& os, const std::string& name,
                           unsigned accepted) {
     const auto line = [&](OptionFlag flag, const char* text) {
@@ -181,8 +198,8 @@ struct Options {
       os << "  --csv[=PATH]        dump table rows as CSV (default " << name
          << ".csv)\n";
     }
-    os << "  --trace[=PATH]      export the sim-time trace (JSONL)\n"
-       << "  --metrics[=PATH]    export the metric registry (JSONL)\n";
+    line(kTrace, "  --trace[=PATH]      export the sim-time trace (JSONL)\n");
+    os << "  --metrics[=PATH]    export the metric registry (JSONL)\n";
     line(kCheckInvariants,
          "  --check-invariants  audit the run; non-zero exit on violation\n");
     line(kExactReplan,
@@ -244,6 +261,13 @@ struct Options {
   }
 };
 
+/// Reports an export that failed to write and exits 1: the run finished,
+/// but an output file it was asked for did not land.
+[[noreturn]] inline void exit_on_write_error(const PreconditionError& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  std::exit(1);
+}
+
 /// Owns the per-process observability state an experiment needs: the trace
 /// ring (allocated only when --trace was given, so tracing-off runs carry
 /// a null buffer everywhere), the metric registry, and a wall-clock phase
@@ -281,24 +305,29 @@ class Observability {
   /// Writes the requested export files. Stdout is never touched, so the
   /// primary outputs are byte-identical with or without observability.
   /// The metrics export carries the process peak RSS and, where the
-  /// operator-new hooks are active, the allocation counters.
+  /// operator-new hooks are active, the allocation counters. A failed
+  /// write exits 1.
   void finish() {
-    if (options_.metrics) {
-      profiler_.publish(registry_);
-      registry_.gauge("process.peak_rss_mb")
-          .set(static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
-      if (allocation_counting_enabled()) {
-        const AllocStats a = allocation_stats();
-        registry_.counter("process.allocations").set(a.allocations);
-        registry_.counter("process.allocated_bytes").set(a.bytes);
+    try {
+      if (options_.metrics) {
+        profiler_.publish(registry_);
+        registry_.gauge("process.peak_rss_mb")
+            .set(static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
+        if (allocation_counting_enabled()) {
+          const AllocStats a = allocation_stats();
+          registry_.counter("process.allocations").set(a.allocations);
+          registry_.counter("process.allocated_bytes").set(a.bytes);
+        }
+        if (trace_) {
+          registry_.counter("trace.events_emitted").set(trace_->emitted());
+          registry_.counter("trace.events_dropped").set(trace_->dropped());
+        }
+        obs::write_metrics_file(registry_, *options_.metrics);
       }
-      if (trace_) {
-        registry_.counter("trace.events_emitted").set(trace_->emitted());
-        registry_.counter("trace.events_dropped").set(trace_->dropped());
-      }
-      obs::write_metrics_file(registry_, *options_.metrics);
+      if (options_.trace) obs::write_trace_file(*trace_, *options_.trace);
+    } catch (const PreconditionError& e) {
+      exit_on_write_error(e);
     }
-    if (options_.trace) obs::write_trace_file(*trace_, *options_.trace);
   }
 
  private:
@@ -322,18 +351,26 @@ inline void banner(const std::string& id, const std::string& title) {
   std::cout << "=== " << id << ": " << title << " ===\n";
 }
 
-/// Writes rows to CSV when a path was requested.
+/// Writes rows to CSV when a path was requested; a failed write exits 1.
 class OptionalCsv {
  public:
   OptionalCsv(const std::optional<std::string>& path,
               const std::vector<std::string>& header) {
-    if (path) {
+    if (!path) return;
+    try {
       writer_ = std::make_unique<CsvWriter>(*path, header);
-      std::cout << "(writing " << *path << ")\n";
+    } catch (const PreconditionError& e) {
+      exit_on_write_error(e);
     }
+    std::cout << "(writing " << *path << ")\n";
   }
   void row(const std::vector<std::string>& cells) {
-    if (writer_) writer_->write_row(cells);
+    if (!writer_) return;
+    try {
+      writer_->write_row(cells);
+    } catch (const PreconditionError& e) {
+      exit_on_write_error(e);
+    }
   }
 
  private:

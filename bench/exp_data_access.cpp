@@ -112,7 +112,8 @@ RunResult run_one(const SweepPoint& point, bool plan_cache) {
 int main(int argc, char** argv) {
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_data_access",
-                          exp::kJobs | exp::kCsv | exp::kExactReplan);
+                          exp::kJobs | exp::kCsv | exp::kTrace |
+                          exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("D1", "Site-cache sweep: hit rates, stage-in, data modality");
 

@@ -87,9 +87,9 @@ int main(int argc, char** argv) {
   // --check-invariants is accepted and always in effect.
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_fault_sensitivity",
-                          exp::kJobs | exp::kCsv | exp::kCheckInvariants |
-                          exp::kExactReplan | exp::kAuditEvery |
-                          exp::kMcRandom);
+                          exp::kJobs | exp::kCsv | exp::kTrace |
+                          exp::kCheckInvariants | exp::kExactReplan |
+                          exp::kAuditEvery | exp::kMcRandom);
 
   if (options.mc_random > 0) {
     // Random tie-break replays instead of the experiment: a compact faulty

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_jobsize_distribution",
-                          exp::kCsv | exp::kExactReplan);
+                          exp::kCsv | exp::kTrace | exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("F2", "Job width (cores) CDF by modality, 1 year");
 

@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_mechanism_coverage",
-                          exp::kJobs | exp::kCsv | exp::kExactReplan);
+                          exp::kJobs | exp::kCsv | exp::kTrace |
+                          exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("T3", "Measurement-mechanism coverage per modality");
   const bool plan_cache = !options.exact_replan;

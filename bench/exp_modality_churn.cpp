@@ -12,7 +12,8 @@ int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_modality_churn",
-                          exp::kJobs | exp::kCsv | exp::kExactReplan);
+                          exp::kJobs | exp::kCsv | exp::kTrace |
+                          exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("F11", "Quarter-over-quarter modality churn & growth (2 years)");
 

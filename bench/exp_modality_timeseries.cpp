@@ -12,8 +12,9 @@ int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_modality_timeseries",
-                          exp::kJobs | exp::kCsv | exp::kCheckInvariants |
-                          exp::kExactReplan | exp::kStreaming | exp::kSegments);
+                          exp::kJobs | exp::kCsv | exp::kTrace |
+                          exp::kCheckInvariants | exp::kExactReplan |
+                          exp::kStreaming | exp::kSegments);
   exp::Observability obsv(options);
   exp::banner("F1", "Quarterly active users per modality (2 years)");
 

@@ -12,8 +12,9 @@ int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_modality_usage",
-                          exp::kJobs | exp::kCsv | exp::kCheckInvariants |
-                          exp::kExactReplan | exp::kAuditEvery);
+                          exp::kJobs | exp::kCsv | exp::kTrace |
+                          exp::kCheckInvariants | exp::kExactReplan |
+                          exp::kAuditEvery);
   exp::Observability obsv(options);
   exp::banner("T2", "Usage modalities on the simulated TeraGrid, 1 year");
 

@@ -50,7 +50,8 @@ void offer_background(Engine& engine, ResourceScheduler& sched, double load,
 
 int main(int argc, char** argv) {
   const exp::Options options =
-      exp::Options::parse(argc, argv, "exp_resource_selection", exp::kCsv);
+      exp::Options::parse(argc, argv, "exp_resource_selection",
+                          exp::kCsv | exp::kTrace);
   exp::Observability obsv(options);
   exp::banner("F9", "Time-to-start advisor accuracy (resource selection)");
 

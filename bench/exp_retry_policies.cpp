@@ -71,7 +71,8 @@ CellResult run_cell(int retry_limit, Duration backoff, bool plan_cache) {
 int main(int argc, char** argv) {
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_retry_policies",
-                          exp::kJobs | exp::kCsv | exp::kExactReplan);
+                          exp::kJobs | exp::kCsv | exp::kTrace |
+                          exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("F13", "Outage retry policy sweep under heavy outage pressure");
 

@@ -14,7 +14,8 @@ int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_threshold_sensitivity",
-                          exp::kJobs | exp::kCsv | exp::kExactReplan);
+                          exp::kJobs | exp::kCsv | exp::kTrace |
+                          exp::kExactReplan);
   exp::Observability obsv(options);
   exp::banner("F4", "Classifier threshold sensitivity (macro-F1)");
 

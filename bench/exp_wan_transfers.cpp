@@ -6,7 +6,6 @@
 #include "bench/exp_common.hpp"
 #include "infra/platform.hpp"
 #include "net/flow.hpp"
-#include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_year_in_the_life",
-                          exp::kCsv | exp::kCheckInvariants |
+                          exp::kCsv | exp::kTrace | exp::kCheckInvariants |
                           exp::kExactReplan | exp::kSegments);
   exp::Observability obsv(options);
   exp::banner("D2", "A year in the life of the data grid (streaming)");

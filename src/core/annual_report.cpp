@@ -129,33 +129,30 @@ std::string generate_annual_report(const Platform& platform,
   os << field_table << "\n";
 
   // --- data movement ---
-  if (options.include_transfers) {
-    os << "6. WAN data movement\n--------------------\n";
-    double total_bytes = 0.0;
-    std::map<std::pair<SiteId, SiteId>, double> by_pair;
-    long transfers = 0;
-    db.for_each<TransferRecord>(from, to, [&](const TransferRecord& r) {
-      ++transfers;
-      total_bytes += r.bytes;
-      by_pair[{r.src, r.dst}] += r.bytes;
-    });
-    os << transfers << " transfers, " << si_format(total_bytes)
-       << "B moved\n";
-    std::vector<std::pair<double, std::pair<SiteId, SiteId>>> top;
-    for (const auto& [pair, bytes] : by_pair) top.push_back({bytes, pair});
-    std::sort(top.rbegin(), top.rend());
-    Table pair_table({"Route", "Bytes", "Share"});
-    for (std::size_t i = 0; i < std::min<std::size_t>(5, top.size()); ++i) {
-      const auto& [bytes, pair] = top[i];
-      pair_table.add_row(
-          {platform.site(pair.first).name + " -> " +
-               platform.site(pair.second).name,
-           si_format(bytes) + "B",
-           Table::pct(total_bytes > 0 ? bytes / total_bytes : 0.0)});
-    }
-    if (!top.empty()) os << pair_table;
-    os << "\n";
+  os << "6. WAN data movement\n--------------------\n";
+  double total_bytes = 0.0;
+  std::map<std::pair<SiteId, SiteId>, double> by_pair;
+  long transfers = 0;
+  db.for_each<TransferRecord>(from, to, [&](const TransferRecord& r) {
+    ++transfers;
+    total_bytes += r.bytes;
+    by_pair[{r.src, r.dst}] += r.bytes;
+  });
+  os << transfers << " transfers, " << si_format(total_bytes) << "B moved\n";
+  std::vector<std::pair<double, std::pair<SiteId, SiteId>>> top;
+  for (const auto& [pair, bytes] : by_pair) top.push_back({bytes, pair});
+  std::sort(top.rbegin(), top.rend());
+  Table pair_table({"Route", "Bytes", "Share"});
+  for (std::size_t i = 0; i < std::min<std::size_t>(5, top.size()); ++i) {
+    const auto& [bytes, pair] = top[i];
+    pair_table.add_row(
+        {platform.site(pair.first).name + " -> " +
+             platform.site(pair.second).name,
+         si_format(bytes) + "B",
+         Table::pct(total_bytes > 0 ? bytes / total_bytes : 0.0)});
   }
+  if (!top.empty()) os << pair_table;
+  os << "\n";
   return os.str();
 }
 

@@ -19,8 +19,6 @@ struct AnnualReportOptions {
   SimTime to = kYear;
   FeatureConfig features;
   ClassifierThresholds thresholds;
-  /// Include the per-site data-movement section.
-  bool include_transfers = true;
 };
 
 /// Renders the full multi-section report as printable text.

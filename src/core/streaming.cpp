@@ -8,7 +8,7 @@ namespace tg {
 
 StreamingExtractor::StreamingExtractor(const Platform& platform,
                                        StreamingConfig config)
-    : platform_(platform), config_(config), classifier_(config.thresholds) {
+    : platform_(platform), config_(config) {
   TG_REQUIRE(config_.series_end > config_.series_start,
              "streaming series range is empty");
   TG_REQUIRE(config_.bucket > 0, "streaming bucket must be positive");

@@ -46,7 +46,6 @@ struct StreamingConfig {
   SimTime series_end = 0;
   Duration bucket = kQuarter;
   FeatureConfig features;
-  ClassifierThresholds thresholds;
 };
 
 /// One closed window, handed to the optional sink as it closes: the
@@ -132,6 +131,7 @@ class StreamingExtractor final : public UsageDatabase::RecordObserver {
 
   const Platform& platform_;
   StreamingConfig config_;
+  /// Classifies each closed window with the default thresholds.
   RuleClassifier classifier_;
 
   SimTime window_from_ = 0;

@@ -10,6 +10,8 @@ namespace tg {
 
 namespace {
 
+constexpr double kBrownoutMeanHours = 2.0;
+
 [[nodiscard]] Duration from_hours(double hours) {
   return static_cast<Duration>(
       std::llround(hours * static_cast<double>(kHour)));
@@ -29,7 +31,6 @@ FaultModel::FaultModel(Engine& engine, SchedulerPool& pool, FaultConfig config,
       hazard_rng_(rng.fork("hazards")) {
   const OutageProcess& o = config_.outage;
   TG_REQUIRE(o.mtbf_hours >= 0.0, "MTBF must be non-negative");
-  TG_REQUIRE(o.weibull_shape > 0.0, "Weibull shape must be positive");
   TG_REQUIRE(o.repair_mean_hours > 0.0, "mean repair time must be positive");
   TG_REQUIRE(o.repair_cv >= 0.0, "repair CV must be non-negative");
   TG_REQUIRE(0.0 <= o.nodes_fraction_min &&
@@ -42,8 +43,6 @@ FaultModel::FaultModel(Engine& engine, SchedulerPool& pool, FaultConfig config,
              "job failure rate must be non-negative");
   TG_REQUIRE(config_.gateway_brownouts_per_week >= 0.0,
              "brownout rate must be non-negative");
-  TG_REQUIRE(config_.brownout_mean_hours > 0.0,
-             "mean brownout duration must be positive");
 
   // Substreams are forked up front, in platform order, so fault randomness
   // is independent of event interleaving and of every other consumer.
@@ -74,18 +73,9 @@ void FaultModel::start() {
   }
 }
 
-double FaultModel::sample_interarrival_hours(Rng& rng) const {
-  const OutageProcess& o = config_.outage;
-  if (o.arrival == OutageProcess::Arrival::kWeibull) {
-    const double scale = o.mtbf_hours / std::tgamma(1.0 + 1.0 / o.weibull_shape);
-    return Weibull(o.weibull_shape, scale).sample(rng);
-  }
-  return Exponential(1.0 / o.mtbf_hours).sample(rng);
-}
-
 double FaultModel::sample_repair_hours(Rng& rng) const {
   const OutageProcess& o = config_.outage;
-  if (o.repair == OutageProcess::Repair::kLogNormal && o.repair_cv > 0.0) {
+  if (o.repair_cv > 0.0) {
     return LogNormal::from_mean_cv(o.repair_mean_hours, o.repair_cv)
         .sample(rng);
   }
@@ -94,8 +84,9 @@ double FaultModel::sample_repair_hours(Rng& rng) const {
 
 void FaultModel::schedule_outage(std::size_t i) {
   Rng& rng = resource_rngs_[i];
-  const Duration gap =
-      std::max<Duration>(kMinute, from_hours(sample_interarrival_hours(rng)));
+  const double hours =
+      Exponential(1.0 / config_.outage.mtbf_hours).sample(rng);
+  const Duration gap = std::max<Duration>(kMinute, from_hours(hours));
   const SimTime at = engine_.now() + gap;
   if (at >= horizon_) return;  // stop initiating; lets the drain terminate
   engine_.schedule_at(at, [this, i] { begin_outage(i); });
@@ -176,8 +167,7 @@ void FaultModel::begin_brownout(std::size_t g) {
   gateway.set_available(false);
   stats_.brownouts.inc();
   const Duration length = std::max<Duration>(
-      kMinute, from_hours(Exponential(1.0 / config_.brownout_mean_hours)
-                              .sample(rng)));
+      kMinute, from_hours(Exponential(1.0 / kBrownoutMeanHours).sample(rng)));
   if (trace_ != nullptr) {
     trace_->emit(engine_.now(), obs::TraceCategory::kFault,
                  obs::TracePoint::kBrownoutBegin, gateway.id().value(),

@@ -4,15 +4,14 @@
 // crashes, machine outages, failed and requeued jobs, gateway brownouts
 // (Grid'5000's operational studies put infrastructure failures among the
 // dominant trace features). FaultModel reproduces that noise as ordinary
-// DES events: per-resource outage processes (exponential or Weibull
-// interarrivals, fixed or lognormal repairs), per-job failure hazards, and
-// gateway brownouts. Everything is driven by forked Rng substreams, so a
-// fault-enabled run is exactly as reproducible as a clean one, and a
-// disabled FaultModel (the default config) schedules nothing and draws
-// nothing — zero behaviour change.
+// DES events: per-resource outage processes (exponential interarrivals,
+// lognormal repairs, or fixed ones at repair_cv = 0), per-job failure
+// hazards, and gateway brownouts. Everything is driven by forked Rng
+// substreams, so a fault-enabled run is exactly as reproducible as a clean
+// one, and a disabled FaultModel (the default config) schedules nothing and
+// draws nothing — zero behaviour change.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -30,15 +29,9 @@ struct OutageProcess {
   /// Mean time between outages per resource, in hours; 0 disables
   /// resource outages entirely.
   double mtbf_hours = 0.0;
-  enum class Arrival : std::uint8_t { kExponential, kWeibull };
-  Arrival arrival = Arrival::kExponential;
-  /// Weibull shape when arrival == kWeibull (scale is derived so the mean
-  /// stays mtbf_hours); > 1 models wear-out clustering.
-  double weibull_shape = 1.5;
-  enum class Repair : std::uint8_t { kFixed, kLogNormal };
-  Repair repair = Repair::kLogNormal;
   double repair_mean_hours = 4.0;
-  /// Coefficient of variation of lognormal repairs.
+  /// Coefficient of variation of lognormal repairs; 0 makes every repair
+  /// last exactly repair_mean_hours.
   double repair_cv = 1.0;
   /// Partial outages take a uniform fraction of the machine in
   /// [nodes_fraction_min, nodes_fraction_max] (rounded up, at least 1).
@@ -54,9 +47,8 @@ struct FaultConfig {
   /// runtime); 0 disables. Injected as JobState::kFailed interrupts.
   double job_failure_rate_per_hour = 0.0;
   /// Gateway brownout initiation rate per gateway per week; 0 disables.
+  /// Brownouts last an exponential 2 h on average.
   double gateway_brownouts_per_week = 0.0;
-  /// Mean brownout duration (exponential), hours.
-  double brownout_mean_hours = 2.0;
 
   /// False for the default config: no processes run, no randomness is
   /// drawn, simulation output is bit-identical to a build without faults.
@@ -109,7 +101,6 @@ class FaultModel {
   void on_job_start(const Job& job);
   void schedule_brownout(std::size_t g);
   void begin_brownout(std::size_t g);
-  [[nodiscard]] double sample_interarrival_hours(Rng& rng) const;
   [[nodiscard]] double sample_repair_hours(Rng& rng) const;
 
   Engine& engine_;

@@ -10,14 +10,9 @@ Gateway::Gateway(Engine& engine, SchedulerPool& pool, GatewayId id,
       pool_(pool),
       id_(id),
       config_(std::move(config)),
-      target_picker_(config_.target_weights.empty()
-                         ? std::vector<double>(config_.targets.size(), 1.0)
-                         : config_.target_weights) {
+      target_picker_(std::vector<double>(config_.targets.size(), 1.0)) {
   TG_REQUIRE(!config_.targets.empty(), "gateway " << config_.name
                                                   << " has no targets");
-  TG_REQUIRE(config_.target_weights.empty() ||
-                 config_.target_weights.size() == config_.targets.size(),
-             "gateway target/weight size mismatch");
   TG_REQUIRE(config_.attribute_coverage >= 0.0 &&
                  config_.attribute_coverage <= 1.0,
              "attribute coverage must be a probability");

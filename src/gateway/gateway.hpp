@@ -28,9 +28,8 @@ struct GatewayConfig {
   ProjectId project;
   /// Probability that a job record carries the end-user attribute.
   double attribute_coverage = 0.95;
-  /// Resources the gateway submits to, with selection weights.
+  /// Resources the gateway submits to, each picked with equal weight.
   std::vector<ResourceId> targets;
-  std::vector<double> target_weights;
 };
 
 /// Geometry of one gateway job, decided by the calling workload model.
@@ -49,7 +48,7 @@ class Gateway {
 
   /// Submits a job on behalf of `end_user` — the interned id of an opaque
   /// label such as "nanohub:4711" (see Population::end_user_pool). The
-  /// target resource is sampled from the configured weights; the end-user
+  /// target resource is sampled uniformly from the targets; the end-user
   /// attribute is attached with probability `attribute_coverage`. During a
   /// brownout the submission is dropped and an invalid JobId is returned —
   /// what a user of a browned-out gateway portal actually experiences.

@@ -13,7 +13,7 @@
 //    byte-identical metric files.
 //  * Nothing here reads a wall clock: every exported value is a function of
 //    the simulation alone (wall-clock phases live in obs::PhaseProfiler and
-//    are exported under a dedicated prefix).
+//    are exported as `phase.*`).
 #pragma once
 
 #include <cstdint>

@@ -26,16 +26,9 @@ PhaseProfiler::Scope PhaseProfiler::measure(std::string_view phase) {
   return Scope(this, index_of(phase));
 }
 
-void PhaseProfiler::add(std::string_view phase, double seconds) {
-  Phase& p = phases_[index_of(phase)];
-  p.seconds += seconds;
-  ++p.calls;
-}
-
-void PhaseProfiler::publish(MetricsRegistry& registry,
-                            std::string_view prefix) const {
+void PhaseProfiler::publish(MetricsRegistry& registry) const {
   for (const Phase& p : phases_) {
-    const std::string base = std::string(prefix) + "." + p.name;
+    const std::string base = "phase." + p.name;
     registry.gauge(base + ".seconds").set(p.seconds);
     registry.counter(base + ".calls").set(p.calls);
   }

@@ -55,16 +55,12 @@ class PhaseProfiler {
   /// Starts measuring `phase` (find-or-create by name).
   [[nodiscard]] Scope measure(std::string_view phase);
 
-  /// Direct accumulation for callers that time themselves.
-  void add(std::string_view phase, double seconds);
-
   /// Phases in first-use order.
   [[nodiscard]] const std::vector<Phase>& phases() const { return phases_; }
 
-  /// Exports every phase as `<prefix>.<phase>.seconds` (gauge) and
-  /// `<prefix>.<phase>.calls` (counter) owned by `registry`.
-  void publish(MetricsRegistry& registry,
-               std::string_view prefix = "wall") const;
+  /// Exports every phase as `phase.<name>.seconds` (gauge) and
+  /// `phase.<name>.calls` (counter) owned by `registry`.
+  void publish(MetricsRegistry& registry) const;
 
  private:
   std::size_t index_of(std::string_view phase);

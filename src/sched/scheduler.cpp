@@ -285,7 +285,9 @@ bool ResourceScheduler::cancel(JobId id) {
   if (res.valid()) {
     // Reservation-attached jobs wait on their window, not in queue_;
     // detach so the reservation opens empty instead of dangling.
-    reservations_.at(res.value()).attached_job = JobId{};
+    const auto r = find_reservation(res);
+    TG_CHECK(r != reservations_.end(), "unknown reservation " << res);
+    r->attached_job = JobId{};
   } else if (job.requeue_pending) {
     // Preempted and awaiting its backoff: not in queue_, so there is no
     // entry to mark; the pending requeue event finds the job gone.
@@ -324,7 +326,7 @@ ReservationId ResourceScheduler::reserve(SimTime start, Duration duration,
   r.start = start;
   r.end = start + duration;
   r.nodes = nodes;
-  reservations_.insert_or_assign(id.value(), r);
+  reservations_.push_back(r);
   // Default (not completion) priority: at a tick where a running job's
   // planned end coincides with the reservation start, the job's release
   // must be processed before this acquisition.
@@ -339,9 +341,9 @@ ReservationId ResourceScheduler::reserve(SimTime start, Duration duration,
 
 JobId ResourceScheduler::attach_to_reservation(ReservationId id,
                                                JobRequest request) {
-  Reservation* rp = reservations_.find(id.value());
-  TG_REQUIRE(rp != nullptr, "unknown reservation " << id);
-  Reservation& r = *rp;
+  const auto it = find_reservation(id);
+  TG_REQUIRE(it != reservations_.end(), "unknown reservation " << id);
+  Reservation& r = *it;
   TG_REQUIRE(!r.started, "reservation already started");
   TG_REQUIRE(!r.attached_job.valid(), "reservation already has a job");
   TG_REQUIRE(request.nodes <= r.nodes,
@@ -364,12 +366,12 @@ JobId ResourceScheduler::attach_to_reservation(ReservationId id,
 }
 
 bool ResourceScheduler::cancel_reservation(ReservationId id) {
-  const Reservation* rp = reservations_.find(id.value());
-  if (rp == nullptr || rp->started) return false;
+  const auto it = find_reservation(id);
+  if (it == reservations_.end() || it->started) return false;
   // Erase before firing callbacks: an observer that places a new
-  // reservation would rehash the table out from under `rp`.
-  const JobId attached = rp->attached_job;
-  reservations_.erase(id.value());
+  // reservation could reallocate the table out from under `it`.
+  const JobId attached = it->attached_job;
+  reservations_.erase(it);
   if (attached.valid()) {
     JobSlot* js = find_slot(attached);
     if (js != nullptr) {
@@ -394,11 +396,10 @@ void ResourceScheduler::base_profile(Profile& profile) const {
   // end <= now (event pending this tick, or overdue kill) to now + 1, or a
   // same-tick pass would overcommit.
   for (const RunningEntry& r : running_) profile.add_hold(r.end, r.nodes);
-  reservations_.for_each([&](std::int64_t, const Reservation& r) {
-    if (r.finished) return;
+  for (const Reservation& r : reservations_) {
     const SimTime end = r.started ? std::max(r.end, now + 1) : r.end;
     profile.subtract(std::max(r.start, now), end, r.nodes);
-  });
+  }
   if (nodes_down_ > 0) {
     // Out-of-service nodes block the planner until the advised repair time
     // (or at least past this tick when the repair is overdue).
@@ -811,11 +812,11 @@ void ResourceScheduler::complete_job(JobId id, JobState state) {
   // Release nodes. Reservation-attached jobs release through their
   // reservation (ending it early).
   if (res.valid()) {
-    Reservation& r = reservations_.at(res.value());
-    TG_CHECK(r.started && !r.finished, "job finished outside its reservation");
-    r.finished = true;
-    free_nodes_ += r.nodes;
-    reservations_.erase(res.value());
+    const auto r = find_reservation(res);
+    TG_CHECK(r != reservations_.end() && r->started,
+             "job finished outside its reservation");
+    free_nodes_ += r->nodes;
+    reservations_.erase(r);
   } else {
     free_nodes_ += job.req.nodes;
   }
@@ -953,13 +954,12 @@ void ResourceScheduler::preempt_job(JobId id) {
     job.start_time = -1;
     job.end_time = -1;
     job.requeue_pending = true;
+    constexpr Duration kBackoffCap = 8 * kHour;
     Duration backoff = config_.outage_retry_backoff;
-    for (int i = 1;
-         i < job.preemptions && backoff < config_.outage_retry_backoff_cap;
-         ++i) {
+    for (int i = 1; i < job.preemptions && backoff < kBackoffCap; ++i) {
       backoff *= 2;
     }
-    backoff = std::min(backoff, config_.outage_retry_backoff_cap);
+    backoff = std::min(backoff, kBackoffCap);
     backoff = std::max<Duration>(backoff, kMillisecond);
     // A feedback job's requeue re-enters the queue and re-serializes the
     // partition — a cross-cutting transition that must run on the merged
@@ -1004,8 +1004,8 @@ void ResourceScheduler::requeue_job(JobId id) {
 }
 
 void ResourceScheduler::on_reservation_start(ReservationId id) {
-  Reservation* rp = reservations_.find(id.value());
-  if (rp == nullptr) return;  // cancelled meanwhile
+  const auto rp = find_reservation(id);
+  if (rp == reservations_.end()) return;  // cancelled meanwhile
   // [mc race] This handler ties with same-tick outage events at
   // (time, kDefault) on this partition: reserve() scheduled it first, so
   // the canonical order starts the window before an outage can touch the
@@ -1020,9 +1020,10 @@ void ResourceScheduler::on_reservation_start(ReservationId id) {
     // Break the reservation (cancelling its attached job) rather than
     // over-commit — what a real site does when a machine partition dies
     // under an advance reservation. Erase before the callbacks: an
-    // observer that reserves would rehash the table out from under `rp`.
+    // observer that reserves could reallocate the table out from under
+    // `rp`.
     const JobId attached = rp->attached_job;
-    reservations_.erase(id.value());
+    reservations_.erase(rp);
     if (attached.valid()) {
       JobSlot* js = find_slot(attached);
       if (js != nullptr) {
@@ -1057,8 +1058,8 @@ void ResourceScheduler::on_reservation_start(ReservationId id) {
 }
 
 void ResourceScheduler::on_reservation_end(ReservationId id) {
-  Reservation* rp = reservations_.find(id.value());
-  if (rp == nullptr) return;  // released early by its job
+  const auto rp = find_reservation(id);
+  if (rp == reservations_.end()) return;  // released early by its job
   TG_CHECK(rp->started, "reservation ended before starting");
   if (rp->attached_job.valid() && find_slot(rp->attached_job) != nullptr) {
     // The attached job is still running at window end; it was validated to
@@ -1066,14 +1067,21 @@ void ResourceScheduler::on_reservation_end(ReservationId id) {
     // job's own finish release the nodes.
     return;
   }
-  const int nodes = rp->nodes;
-  reservations_.erase(id.value());
-  free_nodes_ += nodes;
+  free_nodes_ += rp->nodes;
+  reservations_.erase(rp);
   // The cached plan's window for this reservation ends exactly now, so it
   // survives — unless it was built this very tick, where base_profile
   // clamped the elapsed window to now + 1.
   if (plan_.built_at == engine_.now()) invalidate_plan();
   request_pass();
+}
+
+std::vector<Reservation>::iterator ResourceScheduler::find_reservation(
+    ReservationId id) {
+  const auto it = std::lower_bound(
+      reservations_.begin(), reservations_.end(), id,
+      [](const Reservation& r, ReservationId key) { return r.id < key; });
+  return it != reservations_.end() && it->id == id ? it : reservations_.end();
 }
 
 SimTime ResourceScheduler::estimate_start(int nodes, Duration walltime) const {

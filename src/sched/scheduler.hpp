@@ -20,7 +20,6 @@
 #include "sched/job.hpp"
 #include "sched/metrics.hpp"
 #include "sched/profile.hpp"
-#include "util/flat_map.hpp"
 
 namespace tg {
 
@@ -72,9 +71,8 @@ struct SchedulerConfig {
   /// state kKilledByOutage.
   int outage_retry_limit = 3;
   /// Backoff before the k-th requeued attempt re-enters the queue:
-  /// outage_retry_backoff * 2^(k-1), capped at outage_retry_backoff_cap.
+  /// outage_retry_backoff * 2^(k-1), capped at 8 h.
   Duration outage_retry_backoff = 15 * kMinute;
-  Duration outage_retry_backoff_cap = 8 * kHour;
   /// Incremental plan cache (the default): the conservative plan survives
   /// across events and is only invalidated/extended by what an event
   /// actually touches. When false every pass and estimate replans from
@@ -98,7 +96,6 @@ struct Reservation {
   SimTime end = 0;
   int nodes = 0;
   bool started = false;
-  bool finished = false;
   JobId attached_job;  ///< optional job launched at reservation start
 };
 
@@ -301,6 +298,9 @@ class ResourceScheduler {
   void requeue_job(JobId id);
   void on_reservation_start(ReservationId id);
   void on_reservation_end(ReservationId id);
+  /// The entry of reservations_ with `id`, or end() once it has gone.
+  [[nodiscard]] std::vector<Reservation>::iterator find_reservation(
+      ReservationId id);
   /// queue_ positions of the unmarked entries in scheduling order
   /// (capability first when draining, fair-share within).
   [[nodiscard]] std::vector<std::size_t> ordered_queue() const;
@@ -371,10 +371,10 @@ class ResourceScheduler {
   std::vector<RunningEntry> running_;
   /// The EASY/FCFS pass's profile, refilled in place by every pass.
   Profile pass_profile_{0, 0};
-  /// Open-addressed by reservation id; erased on completion so the table
-  /// tracks only pending/active reservations. Iterated (slot order) only
-  /// for the commutative profile reduction.
-  FlatMap<Reservation> reservations_;
+  /// Pending and active reservations, sorted by id: ids only grow, so
+  /// reserve() appends. An entry is erased when its window ends, breaks or
+  /// is cancelled, so only pending and open windows remain.
+  std::vector<Reservation> reservations_;
   std::vector<JobCallback> on_start_;
   std::vector<JobCallback> on_end_;
   /// Fair-share bookkeeping, dense by user id: decayed usage value and its

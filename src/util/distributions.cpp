@@ -34,14 +34,6 @@ double LogNormal::sample(Rng& rng) const {
 
 double LogNormal::mean() const { return std::exp(mu_ + 0.5 * sigma_ * sigma_); }
 
-Weibull::Weibull(double shape, double scale) : shape_(shape), scale_(scale) {
-  TG_REQUIRE(shape > 0.0 && scale > 0.0, "Weibull parameters must be positive");
-}
-
-double Weibull::sample(Rng& rng) const {
-  return scale_ * std::pow(-std::log(1.0 - rng.uniform()), 1.0 / shape_);
-}
-
 BoundedPareto::BoundedPareto(double alpha, double lo, double hi)
     : alpha_(alpha), lo_(lo), hi_(hi) {
   TG_REQUIRE(alpha > 0.0, "BoundedPareto alpha must be positive");

@@ -41,19 +41,6 @@ class LogNormal {
   double sigma_;
 };
 
-/// Weibull(shape k, scale lambda).
-class Weibull {
- public:
-  Weibull(double shape, double scale);
-  [[nodiscard]] double sample(Rng& rng) const;
-  [[nodiscard]] double shape() const { return shape_; }
-  [[nodiscard]] double scale() const { return scale_; }
-
- private:
-  double shape_;
-  double scale_;
-};
-
 /// Pareto truncated to [lo, hi]; heavy-tailed sizes (files, transfers).
 class BoundedPareto {
  public:

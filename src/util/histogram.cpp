@@ -7,39 +7,6 @@
 
 namespace tg {
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0.0) {
-  TG_REQUIRE(bins > 0, "Histogram needs at least one bin");
-  TG_REQUIRE(hi > lo, "Histogram range must be non-empty");
-}
-
-void Histogram::add(double x, double weight) {
-  auto idx = static_cast<std::int64_t>(std::floor((x - lo_) / width_));
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-std::vector<std::pair<double, double>> Histogram::cdf() const {
-  std::vector<std::pair<double, double>> out;
-  out.reserve(counts_.size());
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    out.emplace_back(bin_hi(i), total_ > 0 ? cum / total_ : 0.0);
-  }
-  return out;
-}
-
 Log2Histogram::Log2Histogram(std::size_t max_bins) : counts_(max_bins, 0.0) {
   TG_REQUIRE(max_bins > 0, "Log2Histogram needs at least one bin");
 }
@@ -52,21 +19,6 @@ void Log2Histogram::add(double x, double weight) {
   }
   counts_[idx] += weight;
   total_ += weight;
-}
-
-double Log2Histogram::bin_lo(std::size_t i) const {
-  return std::ldexp(1.0, static_cast<int>(i));
-}
-
-std::vector<std::pair<double, double>> Log2Histogram::cdf() const {
-  std::vector<std::pair<double, double>> out;
-  out.reserve(counts_.size());
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    out.emplace_back(bin_lo(i + 1), total_ > 0 ? cum / total_ : 0.0);
-  }
-  return out;
 }
 
 std::size_t Log2Histogram::used_bins() const {

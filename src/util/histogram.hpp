@@ -1,37 +1,12 @@
-// Fixed-bin and logarithmic histograms, plus CDF extraction for figures.
+// The log2-bin histogram that the job-size figure accumulates widths into,
+// and a terminal sparkline for quick looks at a series.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace tg {
-
-/// Linear-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin so no data is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-  [[nodiscard]] double count(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double total() const { return total_; }
-
-  /// (bin upper edge, cumulative fraction) pairs — a CDF series.
-  [[nodiscard]] std::vector<std::pair<double, double>> cdf() const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
 
 /// Log2-bin histogram for widths/sizes: bin i covers [2^i, 2^(i+1)).
 class Log2Histogram {
@@ -41,12 +16,8 @@ class Log2Histogram {
 
   void add(double x, double weight = 1.0);
 
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
   [[nodiscard]] double count(std::size_t i) const { return counts_[i]; }
   [[nodiscard]] double total() const { return total_; }
-  /// Lower edge (2^i) of bin i.
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] std::vector<std::pair<double, double>> cdf() const;
   /// Index of the highest non-empty bin + 1 (for compact printing).
   [[nodiscard]] std::size_t used_bins() const;
 

@@ -58,32 +58,6 @@ double percentile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
-double weighted_mean(const std::vector<double>& values,
-                     const std::vector<double>& weights) {
-  TG_REQUIRE(values.size() == weights.size(),
-             "weighted_mean size mismatch " << values.size() << " vs "
-                                            << weights.size());
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    num += values[i] * weights[i];
-    den += weights[i];
-  }
-  return den > 0.0 ? num / den : 0.0;
-}
-
-double jain_fairness(const std::vector<double>& values) {
-  if (values.empty()) return 1.0;
-  double sum = 0.0;
-  double sumsq = 0.0;
-  for (double v : values) {
-    sum += v;
-    sumsq += v * v;
-  }
-  if (sumsq == 0.0) return 1.0;
-  return sum * sum / (static_cast<double>(values.size()) * sumsq);
-}
-
 Summary summarize(std::vector<double> samples) {
   Summary s;
   s.count = samples.size();

@@ -40,13 +40,6 @@ class RunningStats {
 [[nodiscard]] double percentile_sorted(const std::vector<double>& sorted,
                                        double q);
 
-/// Weighted mean; returns 0 for empty input.
-[[nodiscard]] double weighted_mean(const std::vector<double>& values,
-                                   const std::vector<double>& weights);
-
-/// Jain's fairness index: (sum x)^2 / (n * sum x^2); 1.0 == perfectly fair.
-[[nodiscard]] double jain_fairness(const std::vector<double>& values);
-
 /// Five-number-ish summary used in experiment output.
 struct Summary {
   std::size_t count = 0;

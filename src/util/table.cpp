@@ -9,15 +9,8 @@
 
 namespace tg {
 
-Table::Table(std::vector<std::string> headers)
-    : headers_(std::move(headers)), aligns_(headers_.size(), Align::kRight) {
+Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
   TG_REQUIRE(!headers_.empty(), "Table needs at least one column");
-  aligns_[0] = Align::kLeft;
-}
-
-void Table::set_align(std::size_t column, Align align) {
-  TG_REQUIRE(column < aligns_.size(), "column out of range");
-  aligns_[column] = align;
 }
 
 Table& Table::add_row(std::vector<std::string> cells) {
@@ -47,10 +40,9 @@ std::string Table::to_string() const {
     for (std::size_t c = 0; c < cells.size(); ++c) {
       if (c) os << "  ";
       const auto pad = widths[c] - cells[c].size();
-      if (aligns_[c] == Align::kRight) os << std::string(pad, ' ');
+      if (c > 0) os << std::string(pad, ' ');
       os << cells[c];
-      if (aligns_[c] == Align::kLeft && c + 1 < cells.size())
-        os << std::string(pad, ' ');
+      if (c == 0 && cells.size() > 1) os << std::string(pad, ' ');
     }
     os << '\n';
   };

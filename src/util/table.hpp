@@ -11,15 +11,11 @@
 
 namespace tg {
 
-enum class Align : std::uint8_t { kLeft, kRight };
-
-/// Column-aligned table with a header row and optional title/rules.
+/// Column-aligned table with a header row and optional rules. Column 0 is
+/// left-aligned, every other column right-aligned.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);
-
-  /// Sets alignment per column; default is right for all but column 0.
-  void set_align(std::size_t column, Align align);
 
   Table& add_row(std::vector<std::string> cells);
   /// Inserts a horizontal rule before the next row.
@@ -35,7 +31,6 @@ class Table {
 
  private:
   std::vector<std::string> headers_;
-  std::vector<Align> aligns_;
   std::vector<std::vector<std::string>> rows_;  // empty row == rule
 };
 

@@ -66,18 +66,6 @@ void Dag::validate() const {
   TG_REQUIRE(seen == tasks_.size(), "workflow DAG contains a cycle");
 }
 
-Dag make_chain(int length, DagTask prototype) {
-  TG_REQUIRE(length >= 1, "chain length must be >= 1");
-  Dag dag;
-  int prev = -1;
-  for (int i = 0; i < length; ++i) {
-    const int t = dag.add_task(prototype);
-    if (prev >= 0) dag.add_edge(prev, t);
-    prev = t;
-  }
-  return dag;
-}
-
 Dag make_ensemble(int width, DagTask prototype) {
   TG_REQUIRE(width >= 1, "ensemble width must be >= 1");
   Dag dag;
@@ -99,22 +87,6 @@ Dag make_fan_out_fan_in(int width, DagTask setup, DagTask member,
   }
   const int g = dag.add_task(std::move(merge));
   for (int m : members) dag.add_edge(m, g);
-  return dag;
-}
-
-Dag make_layered(int levels, int width, DagTask prototype) {
-  TG_REQUIRE(levels >= 1 && width >= 1, "layered dims must be >= 1");
-  Dag dag;
-  std::vector<int> prev_level;
-  for (int l = 0; l < levels; ++l) {
-    std::vector<int> level;
-    for (int w = 0; w < width; ++w) {
-      const int t = dag.add_task(prototype);
-      for (int p : prev_level) dag.add_edge(p, t);
-      level.push_back(t);
-    }
-    prev_level = std::move(level);
-  }
   return dag;
 }
 

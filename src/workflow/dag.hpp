@@ -53,9 +53,6 @@ class Dag {
 
 // ---- Template builders for the common TeraGrid workflow shapes ----
 
-/// Sequential chain of `length` identical tasks.
-[[nodiscard]] Dag make_chain(int length, DagTask prototype);
-
 /// Independent bag of `width` identical tasks (parameter sweep / ensemble).
 [[nodiscard]] Dag make_ensemble(int width, DagTask prototype);
 
@@ -63,9 +60,5 @@ class Dag {
 /// (e.g. EnKF-style ensemble with assimilation step).
 [[nodiscard]] Dag make_fan_out_fan_in(int width, DagTask setup,
                                       DagTask member, DagTask merge);
-
-/// Montage-style diamond of `levels` levels, each `width` wide, with
-/// all-to-all edges between adjacent levels.
-[[nodiscard]] Dag make_layered(int levels, int width, DagTask prototype);
 
 }  // namespace tg

@@ -11,7 +11,6 @@ ArchetypeSpec ArchetypeSpec::data_intensive(std::string name, int count,
                                             DataAccessSpec data) {
   data.enabled = true;
   CapacityParams behavior;
-  behavior.campaigns_per_week = 2.0;
   behavior.jobs_per_campaign_min = 1;
   behavior.jobs_per_campaign_max = 4;
   behavior.cores_min = 8;
@@ -24,7 +23,7 @@ ArchetypeSpec ArchetypeSpec::data_intensive(std::string name, int count,
   spec.name = std::move(name);
   spec.truth = Modality::kDataCentric;
   spec.count = count;
-  spec.per_week = behavior.campaigns_per_week;
+  spec.per_week = 2.0;
   spec.preferred_count = 2;
   spec.prefer_viz = false;
   spec.min_nodes = 1;
@@ -65,14 +64,6 @@ ArchetypeRegistry& ArchetypeRegistry::set_count(std::string_view name,
   return *this;
 }
 
-ArchetypeRegistry& ArchetypeRegistry::set_rate(std::string_view name,
-                                               double per_week) {
-  const std::size_t i = index_of(name);
-  TG_REQUIRE(i < specs_.size(), "unknown archetype '" << name << "'");
-  specs_[i].per_week = per_week;
-  return *this;
-}
-
 int ArchetypeRegistry::account_users() const {
   int total = 0;
   for (const ArchetypeSpec& s : specs_) {
@@ -99,7 +90,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params) {
     s.name = "capacity";
     s.truth = Modality::kCapacityBatch;
     s.count = 300;
-    s.per_week = params.capacity.campaigns_per_week;
+    s.per_week = 0.8;
     s.preferred_count = 2;
     s.behavior = params.capacity;
     reg.add(std::move(s));
@@ -109,7 +100,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params) {
     s.name = "capability";
     s.truth = Modality::kCapabilityBatch;
     s.count = 30;
-    s.per_week = params.capability.campaigns_per_week;
+    s.per_week = 0.15;
     s.preferred_count = 1;
     s.min_nodes = 256;  // capability users need genuinely large machines
     s.behavior = params.capability;
@@ -120,7 +111,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params) {
     s.name = "workflow";
     s.truth = Modality::kWorkflowEnsemble;
     s.count = 100;
-    s.per_week = params.workflow.campaigns_per_week;
+    s.per_week = 0.3;
     s.preferred_count = 2;
     s.behavior = params.workflow;
     reg.add(std::move(s));
@@ -130,7 +121,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params) {
     s.name = "coupled";
     s.truth = Modality::kTightlyCoupled;
     s.count = 16;
-    s.per_week = params.coupled.campaigns_per_week;
+    s.per_week = 0.2;
     s.preferred_count = 2;
     s.min_nodes = 64;
     s.behavior = params.coupled;
@@ -141,7 +132,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params) {
     s.name = "viz";
     s.truth = Modality::kRemoteInteractive;
     s.count = 40;
-    s.per_week = params.viz.sessions_per_week;
+    s.per_week = 0.7;
     s.preferred_count = 1;
     s.prefer_viz = true;
     s.behavior = params.viz;
@@ -152,7 +143,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params) {
     s.name = "data";
     s.truth = Modality::kDataCentric;
     s.count = 40;
-    s.per_week = params.data.transfers_per_week;
+    s.per_week = 2.5;
     s.preferred_count = 1;
     s.behavior = params.data;
     reg.add(std::move(s));
@@ -162,7 +153,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params) {
     s.name = "exploratory";
     s.truth = Modality::kExploratory;
     s.count = 140;
-    s.per_week = params.exploratory.bursts_per_week;
+    s.per_week = 0.5;
     s.preferred_count = 1;
     s.behavior = params.exploratory;
     reg.add(std::move(s));
@@ -172,7 +163,7 @@ ArchetypeRegistry ArchetypeRegistry::builtin(const ArchetypeParams& params) {
     s.name = "gateway";
     s.truth = Modality::kGateway;
     s.count = 240;
-    s.per_week = params.gateway.sessions_per_week;
+    s.per_week = 0.6;
     s.preferred_count = 3;  // community-account targets
     s.min_nodes = 96;
     s.behavior = params.gateway;

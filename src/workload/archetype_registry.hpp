@@ -49,7 +49,8 @@ struct ArchetypeSpec {
   Modality truth = Modality::kCapacityBatch;
   /// Synthetic actors to create (gateway specs count end-user labels).
   int count = 0;
-  /// Campaign/session arrivals per week (scaled per user).
+  /// Campaign/session arrivals per week (scaled per user): the archetype's
+  /// one arrival rate, which the generator reads.
   double per_week = 0.0;
   // Preference trait: arguments to population pick_preferred().
   int preferred_count = 1;
@@ -96,8 +97,6 @@ class ArchetypeRegistry {
   /// Overrides one spec's population count (chainable test/experiment
   /// convenience). Requires the name to exist.
   ArchetypeRegistry& set_count(std::string_view name, int count);
-  /// Overrides one spec's arrival rate. Requires the name to exist.
-  ArchetypeRegistry& set_rate(std::string_view name, double per_week);
 
   /// Sum of non-gateway spec counts (the account-user population).
   [[nodiscard]] int account_users() const;
@@ -109,7 +108,8 @@ class ArchetypeRegistry {
   /// The canonical eight builtin specs in the legacy population order
   /// (capacity, capability, workflow, coupled, viz, data, exploratory,
   /// gateway) with their default counts (300, 30, 100, 16, 40, 40, 140
-  /// accounts and 240 gateway end users) and rates/behavior from `params`.
+  /// accounts and 240 gateway end users), their arrival rates (0.8, 0.15,
+  /// 0.3, 0.2, 0.7, 2.5, 0.5 and 0.6 per week) and behavior from `params`.
   /// Drives the population and generator byte-identically to the retired
   /// enum-and-switch path.
   [[nodiscard]] static ArchetypeRegistry builtin(

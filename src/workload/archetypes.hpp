@@ -1,7 +1,8 @@
-// Behavioural archetypes: the per-modality parameter sets that drive the
-// synthetic population. Defaults are calibrated to the published shape of
-// 2010 TeraGrid usage (job mix, widths, runtimes) at the platform's reduced
-// scale; every experiment can override them.
+// Behavioural archetypes: the per-modality parameter sets that shape each
+// campaign body. Defaults are calibrated to the published shape of 2010
+// TeraGrid usage (job mix, widths, runtimes) at the platform's reduced
+// scale; every experiment can override them. Arrival rates are not here:
+// each archetype has one, ArchetypeSpec::per_week.
 #pragma once
 
 #include "core/modality.hpp"
@@ -11,7 +12,6 @@ namespace tg {
 
 /// Capacity batch users: the bread-and-butter modality.
 struct CapacityParams {
-  double campaigns_per_week = 0.8;
   int jobs_per_campaign_min = 1;
   int jobs_per_campaign_max = 8;
   int cores_min = 8;
@@ -26,7 +26,6 @@ struct CapacityParams {
 
 /// Capability users: hero runs at half a machine and above.
 struct CapabilityParams {
-  double campaigns_per_week = 0.15;
   double machine_fraction_min = 0.5;
   double machine_fraction_max = 1.0;
   double runtime_mean_hours = 8.0;
@@ -38,7 +37,6 @@ struct CapabilityParams {
 /// Gateway end users: portal sessions that fan small jobs through a
 /// community account. These users are *labels*, not TeraGrid accounts.
 struct GatewayUserParams {
-  double sessions_per_week = 0.6;
   int jobs_per_session_min = 1;
   int jobs_per_session_max = 10;
   int nodes_min = 1;
@@ -50,7 +48,6 @@ struct GatewayUserParams {
 
 /// Workflow/ensemble users.
 struct WorkflowParams {
-  double campaigns_per_week = 0.3;
   int width_min = 10;
   int width_max = 120;
   int member_nodes_min = 1;
@@ -69,7 +66,6 @@ struct WorkflowParams {
 
 /// Tightly-coupled distributed users (co-allocated multi-site MPI).
 struct CoupledParams {
-  double campaigns_per_week = 0.2;
   int sites = 2;
   int nodes_per_site_min = 8;
   int nodes_per_site_max = 32;
@@ -79,7 +75,6 @@ struct CoupledParams {
 
 /// Remote interactive / visualization users.
 struct VizParams {
-  double sessions_per_week = 0.7;
   double session_hours_min = 1.0;
   double session_hours_max = 4.0;
   int nodes_min = 1;
@@ -90,7 +85,6 @@ struct VizParams {
 
 /// Data-centric users: movers and archivers.
 struct DataParams {
-  double transfers_per_week = 2.5;
   double bytes_alpha = 1.2;  ///< bounded-Pareto tail
   double bytes_min = 1e10;   ///< 10 GB
   double bytes_max = 2e13;   ///< 20 TB
@@ -100,7 +94,6 @@ struct DataParams {
 
 /// Exploratory / porting users.
 struct ExploratoryParams {
-  double bursts_per_week = 0.5;
   int jobs_per_burst_min = 1;
   int jobs_per_burst_max = 5;
   double runtime_mean_hours = 0.15;

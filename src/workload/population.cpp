@@ -55,20 +55,18 @@ FieldOfScience random_field(Rng& rng) {
 Population build_population(const Platform& platform,
                             const PopulationConfig& config, Rng& rng) {
   TG_REQUIRE(config.gateways >= 1, "need at least one gateway");
-  TG_REQUIRE(config.users_per_project >= 1.0, "users_per_project >= 1");
   Population pop;
   Rng prefs = rng.fork("population.preferred");
   Rng scales = rng.fork("population.scales");
   const LogNormal activity = LogNormal::from_mean_cv(1.0, 0.8);
 
-  // Projects are created on demand: a fresh project every
-  // ~users_per_project users.
+  // Projects are created on demand: a fresh project every ~3 users.
+  constexpr double kUsersPerProject = 3.0;
   ProjectId current_project;
   int users_in_project = 0;
   const auto next_project = [&](const char* kind) {
-    const double p = 1.0 / config.users_per_project;
     if (!current_project.valid() || users_in_project == 0 ||
-        scales.bernoulli(p)) {
+        scales.bernoulli(1.0 / kUsersPerProject)) {
       current_project = pop.community.add_project(
           std::string(kind) + "-proj-" +
               std::to_string(pop.community.projects().size()),

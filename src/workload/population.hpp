@@ -53,8 +53,6 @@ struct PopulationConfig {
   /// gateway-growth curve of figure F1.
   double gateway_adoption_ramp = 0.6;
   Duration horizon = kYear;
-  /// Average number of users per allocated project.
-  double users_per_project = 3.0;
 };
 
 /// Everything the generator needs about who exists.

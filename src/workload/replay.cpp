@@ -7,29 +7,17 @@
 namespace tg {
 
 ReplayStats replay_trace(Engine& engine, ResourceScheduler& scheduler,
-                         const std::vector<SwfJob>& trace,
-                         ReplayOptions options) {
+                         const std::vector<SwfJob>& trace) {
   const ComputeResource& res = scheduler.resource();
   ReplayStats stats;
   for (const SwfJob& job : trace) {
-    if (options.limit > 0 && stats.submitted >= options.limit) break;
     if (job.submit_seconds < 0) {
       ++stats.skipped;
       continue;
     }
     JobRequest req = to_request(job, res.cores_per_node);
-    if (req.nodes > res.nodes) {
-      if (!options.clamp_width) {
-        ++stats.skipped;
-        continue;
-      }
-      req.nodes = res.nodes;
-    }
+    req.nodes = std::min(req.nodes, res.nodes);
     if (req.requested_walltime > res.max_walltime) {
-      if (!options.clamp_walltime) {
-        ++stats.skipped;
-        continue;
-      }
       req.requested_walltime = res.max_walltime;
       req.actual_runtime = std::min(req.actual_runtime, res.max_walltime);
     }

@@ -11,26 +11,17 @@
 
 namespace tg {
 
-struct ReplayOptions {
-  /// Jobs wider than the machine are clamped to full-machine width when
-  /// true; skipped when false.
-  bool clamp_width = true;
-  /// Requested walltimes above the machine limit are clamped when true;
-  /// such jobs are skipped when false.
-  bool clamp_walltime = true;
-  /// Replay at most this many jobs (0 = all).
-  std::size_t limit = 0;
-};
-
 struct ReplayStats {
   std::size_t submitted = 0;
   std::size_t skipped = 0;
 };
 
 /// Schedules every trace job for submission at its recorded submit time.
-/// Call before Engine::run(); the engine then replays the trace.
+/// Jobs wider than the machine run at full-machine width, and requested
+/// walltimes above the machine limit are cut to it; jobs with a negative
+/// submit time are skipped. Call before Engine::run(); the engine then
+/// replays the trace.
 ReplayStats replay_trace(Engine& engine, ResourceScheduler& scheduler,
-                         const std::vector<SwfJob>& trace,
-                         ReplayOptions options = {});
+                         const std::vector<SwfJob>& trace);
 
 }  // namespace tg

@@ -15,7 +15,6 @@ Scenario::Scenario(ScenarioConfig config)
         pc.gateway_attribute_coverage = config_.gateway_attribute_coverage;
         pc.gateway_adoption_ramp = config_.gateway_adoption_ramp;
         pc.horizon = config_.horizon;
-        pc.users_per_project = config_.users_per_project;
         return build_population(platform_, pc, rng);
       }()),
       flows_(engine_, platform_),
@@ -84,7 +83,6 @@ Scenario::Scenario(ScenarioConfig config)
       if (sc.series_end == 0) sc.series_end = config_.horizon;
     }
     sc.features = config_.features;
-    sc.thresholds = config_.streaming.thresholds;
     streaming_ = std::make_unique<StreamingExtractor>(platform_, sc);
     db_.add_observer(streaming_.get());
   }
@@ -180,10 +178,6 @@ void Scenario::publish_metrics(obs::MetricsRegistry& registry) const {
       .set(static_cast<std::uint64_t>(population_.users.size()));
   registry.counter("scenario.gateway_end_users")
       .set(static_cast<std::uint64_t>(population_.gateway_end_users.size()));
-  if (config_.trace != nullptr) {
-    registry.counter("trace.events_emitted").set(config_.trace->emitted());
-    registry.counter("trace.events_dropped").set(config_.trace->dropped());
-  }
 }
 
 }  // namespace tg

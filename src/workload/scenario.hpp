@@ -43,7 +43,6 @@ struct ScenarioConfig {
   int gateways = 3;
   double gateway_attribute_coverage = 0.9;
   double gateway_adoption_ramp = 0.6;
-  double users_per_project = 3.0;
   FeatureConfig features;
   /// Fault injection; disabled by default (no events, no extra randomness,
   /// byte-identical output to a fault-free build).
@@ -75,7 +74,6 @@ struct ScenarioConfig {
     /// Series end (exclusive); 0 derives floor(horizon / bucket) * bucket,
     /// falling back to the horizon itself when it is under one bucket.
     SimTime series_end = 0;
-    ClassifierThresholds thresholds;
     SegmentLogConfig segments;
   };
   StreamingOptions streaming;

@@ -76,16 +76,6 @@ TEST_F(AnnualReportFixture, ReportContainsAllSections) {
   }
 }
 
-TEST_F(AnnualReportFixture, TransfersSectionOptional) {
-  const Scenario& s = scenario();
-  AnnualReportOptions options;
-  options.to = s.engine().now() + 1;
-  options.include_transfers = false;
-  const std::string report = generate_annual_report(
-      s.platform(), s.community(), s.db(), options);
-  EXPECT_EQ(report.find("WAN data movement"), std::string::npos);
-}
-
 TEST(AnnualReportEmpty, EmptyDatabaseStillRenders) {
   const Platform platform = mini_platform();
   Community community;

@@ -1,6 +1,6 @@
 // Unit tests for the composable archetype registry (the redesigned
 // population API): add/replace semantics, the builtin legacy order, count
-// and rate overrides, scaling, and the data-intensive spec.
+// overrides, scaling, and the data-intensive spec.
 #include "workload/archetype_registry.hpp"
 
 #include <gtest/gtest.h>
@@ -54,11 +54,9 @@ TEST(ArchetypeRegistry, AddReplacesInPlaceByName) {
 
 TEST(ArchetypeRegistry, SetCountAndRateRequireExistingName) {
   ArchetypeRegistry reg = ArchetypeRegistry::builtin();
-  reg.set_count("capacity", 7).set_rate("capacity", 2.5);
+  reg.set_count("capacity", 7);
   EXPECT_EQ(reg.find("capacity")->count, 7);
-  EXPECT_DOUBLE_EQ(reg.find("capacity")->per_week, 2.5);
   EXPECT_THROW(reg.set_count("nope", 1), PreconditionError);
-  EXPECT_THROW(reg.set_rate("nope", 1.0), PreconditionError);
 }
 
 TEST(ArchetypeRegistry, ScaleMatchesLegacyMixScaling) {

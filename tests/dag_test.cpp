@@ -61,21 +61,6 @@ TEST(Dag, SelfContainedDiamondValidates) {
   EXPECT_EQ(d.parents(e).size(), 2u);
 }
 
-TEST(DagTemplates, Chain) {
-  const Dag d = make_chain(5, task());
-  EXPECT_EQ(d.size(), 5u);
-  EXPECT_EQ(d.edges().size(), 4u);
-  EXPECT_EQ(d.roots().size(), 1u);
-  d.validate();
-  EXPECT_THROW(make_chain(0, task()), PreconditionError);
-}
-
-TEST(DagTemplates, ChainOfOne) {
-  const Dag d = make_chain(1, task());
-  EXPECT_EQ(d.size(), 1u);
-  EXPECT_TRUE(d.edges().empty());
-}
-
 TEST(DagTemplates, Ensemble) {
   const Dag d = make_ensemble(10, task(2));
   EXPECT_EQ(d.size(), 10u);
@@ -91,14 +76,6 @@ TEST(DagTemplates, FanOutFanIn) {
   EXPECT_EQ(d.children(0).size(), 4u);
   EXPECT_EQ(d.parents(5).size(), 4u);
   EXPECT_EQ(d.tasks()[5].nodes, 3);
-  d.validate();
-}
-
-TEST(DagTemplates, Layered) {
-  const Dag d = make_layered(3, 2, task());
-  EXPECT_EQ(d.size(), 6u);
-  EXPECT_EQ(d.edges().size(), 2u * 2u * 2u);  // all-to-all between layers
-  EXPECT_EQ(d.roots().size(), 2u);
   d.validate();
 }
 

@@ -63,18 +63,6 @@ TEST(LogNormal, ZeroSigmaIsConstant) {
   }
 }
 
-TEST(Weibull, ShapeOneIsExponential) {
-  // Weibull(k=1, lambda) == Exponential(1/lambda).
-  const Weibull dist(1.0, 4.0);
-  const auto s = sample_stats(dist, 6);
-  EXPECT_NEAR(s.mean(), 4.0, 0.1);
-}
-
-TEST(Weibull, RejectsBadParams) {
-  EXPECT_THROW(Weibull(0.0, 1.0), PreconditionError);
-  EXPECT_THROW(Weibull(1.0, -2.0), PreconditionError);
-}
-
 TEST(BoundedPareto, SamplesWithinBounds) {
   const BoundedPareto dist(1.2, 10.0, 1000.0);
   Rng rng(7);

@@ -1,11 +1,15 @@
 // exp::Options::parse, the flag surface shared by every experiment and
 // benchmark binary: numeric values parse exactly, and anything that is not
-// a well-formed value exits 2 with usage, like an unknown flag or one the
-// binary does not accept. Only the parser runs here — no Replicator or
-// thread pool is ever built.
+// a well-formed value exits 2 with usage, like an unknown flag, one the
+// binary does not accept, or an output path that cannot be written. A
+// write that fails after the run exits 1. Only the parser and the export
+// writers run here — no Replicator or thread pool is ever built.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,7 +19,7 @@
 namespace tg::exp {
 namespace {
 
-constexpr unsigned kEveryFlag = kJobs | kCsv | kCheckInvariants |
+constexpr unsigned kEveryFlag = kJobs | kCsv | kTrace | kCheckInvariants |
                                 kExactReplan | kAuditEvery | kMcRandom |
                                 kStreaming | kSegments;
 
@@ -66,31 +70,51 @@ TEST(ExpOptions, StringValuesPassThrough) {
   EXPECT_EQ(o.trace, "exp_test.trace.jsonl");
   EXPECT_EQ(o.metrics, "m.jsonl");
   EXPECT_EQ(o.spill_dir, "/tmp/x=y");
+  // The path check created the missing files; the run would fill them.
+  for (const std::string& path : {*o.csv, *o.trace, *o.metrics}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ExpOptions, TraceAndMetricsAcceptedWithoutOptionalFlags) {
-  // The benchmark surface: no optional flag, yet both exports work.
-  const Options o = parse({"--trace=t.jsonl", "--metrics"}, 0);
-  EXPECT_EQ(o.trace, "t.jsonl");
+  // The benchmark surface: no optional flag, yet metrics export; a binary
+  // that traces needs only kTrace.
+  const Options o = parse({"--metrics"}, 0);
   EXPECT_EQ(o.metrics, "exp_test.metrics.jsonl");
+  EXPECT_EQ(parse({"--trace=t.jsonl"}, kTrace).trace, "t.jsonl");
+  for (const char* path : {"exp_test.metrics.jsonl", "t.jsonl"}) {
+    std::remove(path);
+  }
+}
+
+TEST(ExpOptions, PathCheckKeepsExistingContent) {
+  const std::string path = ::testing::TempDir() + "exp_options_kept.out";
+  std::ofstream(path) << "kept\n";
+  parse({"--csv=" + path, "--trace=" + path, "--metrics=" + path});
+  std::ifstream in(path);
+  std::stringstream content;
+  content << in.rdbuf();
+  EXPECT_EQ(content.str(), "kept\n");
+  std::remove(path.c_str());
 }
 
 TEST(ExpOptions, UsageListsOnlyAcceptedFlags) {
   const std::string some = usage(kJobs | kCsv);
-  for (const char* flag : {"--jobs=", "--csv", "--trace", "--metrics",
-                           "--help"}) {
+  for (const char* flag : {"--jobs=", "--csv", "--metrics", "--help"}) {
     EXPECT_NE(some.find(flag), std::string::npos) << flag;
   }
   for (const char* flag :
-       {"--check-invariants", "--exact-replan", "--audit-every", "--mc-random",
-        "--mc-seed", "--streaming", "--segment-cap", "--spill-dir"}) {
+       {"--trace", "--check-invariants", "--exact-replan", "--audit-every",
+        "--mc-random", "--mc-seed", "--streaming", "--segment-cap",
+        "--spill-dir"}) {
     EXPECT_EQ(some.find(flag), std::string::npos) << flag;
   }
   const std::string none = usage(0);
   EXPECT_EQ(none.find("--jobs"), std::string::npos);
   EXPECT_EQ(none.find("--csv"), std::string::npos);
-  EXPECT_NE(none.find("--trace"), std::string::npos);
+  EXPECT_EQ(none.find("--trace"), std::string::npos);
   EXPECT_NE(none.find("--metrics"), std::string::npos);
+  EXPECT_NE(usage(kTrace).find("--trace"), std::string::npos);
   EXPECT_NE(usage(kEveryFlag).find("--spill-dir"), std::string::npos);
 }
 
@@ -115,6 +139,41 @@ TEST_F(ExpOptionsDeathTest, UnacceptedFlagExitsWithUsage) {
               ::testing::ExitedWithCode(2), "usage: exp_test");
   EXPECT_EXIT(parse({"--csv"}, 0), ::testing::ExitedWithCode(2),
               "usage: exp_test");
+  // A binary that traces nothing rejects --trace rather than writing an
+  // empty trace.
+  EXPECT_EXIT(parse({"--trace=t.jsonl"}, kCsv), ::testing::ExitedWithCode(2),
+              "unknown option '--trace=t.jsonl'");
+  EXPECT_EXIT(parse({"--trace"}, 0), ::testing::ExitedWithCode(2),
+              "usage: exp_test");
+}
+
+TEST_F(ExpOptionsDeathTest, UnwritableCsvPathExitsBeforeTheRun) {
+  EXPECT_EXIT(parse({"--csv=/nonexistent/dir/x.csv"}),
+              ::testing::ExitedWithCode(2),
+              "cannot write --csv path '/nonexistent/dir/x.csv'");
+  EXPECT_EXIT(parse({"--csv="}), ::testing::ExitedWithCode(2),
+              "cannot write --csv path ''");
+}
+
+TEST_F(ExpOptionsDeathTest, UnwritableTracePathExitsBeforeTheRun) {
+  EXPECT_EXIT(parse({"--trace=/nonexistent/dir/t.jsonl"}),
+              ::testing::ExitedWithCode(2),
+              "cannot write --trace path '/nonexistent/dir/t.jsonl'");
+}
+
+TEST_F(ExpOptionsDeathTest, UnwritableMetricsPathExitsBeforeTheRun) {
+  EXPECT_EXIT(parse({"--metrics=/nonexistent/dir/m.jsonl"}),
+              ::testing::ExitedWithCode(2),
+              "cannot write --metrics path '/nonexistent/dir/m.jsonl'");
+}
+
+TEST_F(ExpOptionsDeathTest, FailedExportWriteExitsOne) {
+  // /dev/full opens, so the path check passes; the write itself fails.
+  const Options o = parse({"--metrics=/dev/full"});
+  EXPECT_EXIT(Observability(o).finish(), ::testing::ExitedWithCode(1),
+              "write to '/dev/full' failed");
+  EXPECT_EXIT(OptionalCsv(std::optional<std::string>("/dev/full"), {"a"}),
+              ::testing::ExitedWithCode(1), "write to '/dev/full' failed");
 }
 
 TEST_F(ExpOptionsDeathTest, StatsFlagsAreGone) {

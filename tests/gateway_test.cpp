@@ -97,25 +97,9 @@ TEST_F(GatewayFixture, PartialCoverageApproximatesRate) {
               0.7, 0.05);
 }
 
-TEST_F(GatewayFixture, TargetWeightsRespected) {
-  recorder.attach(pool);
-  GatewayConfig c = config();
-  c.target_weights = {1.0, 0.0};  // everything to ClusterA
-  Gateway gw(engine, pool, GatewayId{0}, c);
-  Rng rng(5);
-  for (int i = 0; i < 30; ++i) gw.submit(eu("u"), spec(), rng);
-  engine.run();
-  for (const auto& r : db.jobs()) {
-    EXPECT_EQ(r.resource, platform.compute()[0].id);
-  }
-}
-
 TEST_F(GatewayFixture, ConfigValidation) {
   GatewayConfig c = config();
   c.targets.clear();
-  EXPECT_THROW(Gateway(engine, pool, GatewayId{0}, c), PreconditionError);
-  c = config();
-  c.target_weights = {1.0};  // size mismatch
   EXPECT_THROW(Gateway(engine, pool, GatewayId{0}, c), PreconditionError);
   c = config();
   c.attribute_coverage = 1.5;

@@ -2,70 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "util/error.hpp"
-
 namespace tg {
 namespace {
-
-TEST(Histogram, BinsEvenly) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bins(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-}
-
-TEST(Histogram, CountsLandInRightBin) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);
-  h.add(3.0);
-  h.add(3.5);
-  h.add(9.9);
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(4), 1.0);
-  EXPECT_DOUBLE_EQ(h.total(), 4.0);
-}
-
-TEST(Histogram, OutOfRangeClamps) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(1e9);
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(4), 1.0);
-  EXPECT_DOUBLE_EQ(h.total(), 2.0);
-}
-
-TEST(Histogram, WeightedCounts) {
-  Histogram h(0.0, 4.0, 2);
-  h.add(1.0, 2.5);
-  h.add(3.0, 0.5);
-  EXPECT_DOUBLE_EQ(h.count(0), 2.5);
-  EXPECT_DOUBLE_EQ(h.count(1), 0.5);
-}
-
-TEST(Histogram, CdfMonotoneEndsAtOne) {
-  Histogram h(0.0, 10.0, 10);
-  for (double x = 0.5; x < 10.0; x += 1.0) h.add(x);
-  const auto cdf = h.cdf();
-  double prev = 0.0;
-  for (const auto& [edge, frac] : cdf) {
-    EXPECT_GE(frac, prev);
-    prev = frac;
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-}
-
-TEST(Histogram, EmptyCdfIsZero) {
-  Histogram h(0.0, 1.0, 4);
-  for (const auto& [edge, frac] : h.cdf()) EXPECT_DOUBLE_EQ(frac, 0.0);
-}
-
-TEST(Histogram, RejectsDegenerateConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
-  EXPECT_THROW(Histogram(1.0, 1.0, 3), PreconditionError);
-  EXPECT_THROW(Histogram(2.0, 1.0, 3), PreconditionError);
-}
 
 TEST(Log2Histogram, PowersLandOnBoundaries) {
   Log2Histogram h;

@@ -1,13 +1,15 @@
 // Observability layer semantics (see DESIGN.md §5.5): metric value cells,
 // registry owned-vs-bound directory behaviour and its sorted deterministic
-// snapshot, trace ring-buffer wraparound (oldest overwritten, dropped
-// counted), and TraceSpan begin/end edges with nesting depth.
+// snapshot, the phase profiler's export names, trace ring-buffer
+// wraparound (oldest overwritten, dropped counted), and TraceSpan
+// begin/end edges with nesting depth.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 
@@ -128,6 +130,29 @@ TEST(MetricsRegistryTest, SnapshotSortedByNameNotRegistration) {
   EXPECT_DOUBLE_EQ(samples[0].value, 2.0);
   EXPECT_EQ(samples[1].kind, MetricsRegistry::Kind::kCounter);
   EXPECT_DOUBLE_EQ(samples[1].value, 2.0);
+}
+
+// --- PhaseProfiler ---------------------------------------------------------
+
+TEST(PhaseProfilerTest, PublishesPhaseSecondsAndCalls) {
+  PhaseProfiler profiler;
+  for (const char* phase : {"simulate", "simulate", "analyze"}) {
+    const auto scope = profiler.measure(phase);
+  }
+  MetricsRegistry reg;
+  profiler.publish(reg);
+  const std::vector<MetricsRegistry::Sample> samples = reg.snapshot();
+  ASSERT_EQ(samples.size(), 4u);
+  EXPECT_EQ(samples[0].name, "phase.analyze.calls");
+  EXPECT_EQ(samples[0].kind, MetricsRegistry::Kind::kCounter);
+  EXPECT_DOUBLE_EQ(samples[0].value, 1.0);
+  EXPECT_EQ(samples[1].name, "phase.analyze.seconds");
+  EXPECT_EQ(samples[1].kind, MetricsRegistry::Kind::kGauge);
+  EXPECT_GE(samples[1].value, 0.0);
+  EXPECT_EQ(samples[2].name, "phase.simulate.calls");
+  EXPECT_DOUBLE_EQ(samples[2].value, 2.0);
+  EXPECT_EQ(samples[3].name, "phase.simulate.seconds");
+  EXPECT_EQ(samples[3].kind, MetricsRegistry::Kind::kGauge);
 }
 
 // --- TraceBuffer ring ------------------------------------------------------

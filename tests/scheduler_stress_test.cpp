@@ -202,21 +202,26 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Plan-cache equivalence: the incremental planner must be outcome-
 // identical to the from-scratch reference planner. Same randomized churn
-// (submissions, cancels, outages with requeues, advisor probes) run twice —
-// plan_cache on and off — and the full lifecycle + estimate log compared
-// entry by entry.
+// (submissions, cancels, outages with requeues, advisor probes and, in the
+// reserving mixes, advance reservations) run twice — plan_cache on and
+// off — and the full lifecycle + estimate log compared entry by entry.
 
 struct EquivParams {
   SchedPolicy policy;
   Duration drain_period;
   bool faulty;
   std::uint64_t seed;
+  /// Also places reservations, attaches a job to most of them and cancels
+  /// some before they start. Only these mixes draw that branch, so the
+  /// other mixes keep their action schedules.
+  bool reserving = false;
 };
 
 void PrintTo(const EquivParams& p, std::ostream* os) {
   *os << to_string(p.policy);
   if (p.drain_period > 0) *os << " drain=" << p.drain_period / kHour << "h";
   if (p.faulty) *os << " faulty";
+  if (p.reserving) *os << " reserving";
   *os << " seed=" << p.seed;
 }
 
@@ -224,8 +229,9 @@ class PlanCacheEquivalence : public ::testing::TestWithParam<EquivParams> {};
 
 TEST_P(PlanCacheEquivalence, MatchesReferencePlannerExactly) {
   const EquivParams params = GetParam();
-  // (tag, id/nodes, state/start, end/estimate) — one entry per job start,
-  // job end, and advisor probe, in simulation order.
+  // (tag, id/nodes, state/start, end/estimate/reservation) — one entry per
+  // job start, job end, advisor probe and reservation request, in
+  // simulation order.
   using Record = std::tuple<int, std::int64_t, std::int64_t, std::int64_t>;
 
   const auto run_once = [&](bool cache) -> std::vector<Record> {
@@ -265,7 +271,34 @@ TEST_P(PlanCacheEquivalence, MatchesReferencePlannerExactly) {
     for (int i = 0; i < 300; ++i) {
       const SimTime at = rng.uniform_int(0, 15 * kDay);
       const double dice = rng.uniform();
-      if (dice < 0.60 || (dice >= 0.85 && !params.faulty)) {
+      if (params.reserving && dice < 0.12) {
+        const int nodes = static_cast<int>(rng.uniform_int(1, 32));
+        const Duration lead = rng.uniform_int(kHour, 2 * kDay);
+        const Duration length = rng.uniform_int(kHour, 12 * kHour);
+        JobRequest req;
+        req.user = UserId{0};
+        req.project = ProjectId{0};
+        req.nodes = static_cast<int>(rng.uniform_int(1, nodes));
+        req.requested_walltime = length;
+        req.actual_runtime = rng.uniform_int(kMinute, length);
+        const bool attach = rng.bernoulli(0.8);
+        const Duration cancel_after =
+            rng.bernoulli(0.3) ? rng.uniform_int(0, lead - 1) : -1;
+        engine.schedule_at(at, [&, nodes, lead, length, req, attach,
+                                cancel_after] {
+          const SimTime start = engine.now() + lead;
+          const ReservationId id = sched.reserve(start, length, nodes);
+          log.emplace_back(3, nodes, start, id.valid() ? id.value() : -1);
+          if (!id.valid()) return;
+          if (attach) {
+            cancellable.push_back(sched.attach_to_reservation(id, req));
+          }
+          if (cancel_after >= 0) {
+            engine.schedule_in(cancel_after,
+                               [&sched, id] { sched.cancel_reservation(id); });
+          }
+        });
+      } else if (dice < 0.60 || (dice >= 0.85 && !params.faulty)) {
         JobRequest req;
         req.user = UserId{0};
         req.project = ProjectId{0};
@@ -313,6 +346,7 @@ TEST_P(PlanCacheEquivalence, MatchesReferencePlannerExactly) {
     engine.run();
     EXPECT_EQ(sched.queue_length(), 0u);
     EXPECT_EQ(sched.running_jobs(), 0u);
+    EXPECT_EQ(sched.free_nodes(), res.nodes);  // no reservation left holding
     return log;
   };
 
@@ -332,7 +366,13 @@ INSTANTIATE_TEST_SUITE_P(
         EquivParams{SchedPolicy::kEasyBackfill, 0, true, 12},
         EquivParams{SchedPolicy::kFcfs, 0, true, 13},
         EquivParams{SchedPolicy::kConservativeBackfill, 0, true, 14},
-        EquivParams{SchedPolicy::kEasyBackfill, 2 * kDay, true, 15}));
+        EquivParams{SchedPolicy::kEasyBackfill, 2 * kDay, true, 15},
+        EquivParams{SchedPolicy::kConservativeBackfill, 0, false, 16, true},
+        EquivParams{SchedPolicy::kConservativeBackfill, 0, true, 17, true},
+        EquivParams{SchedPolicy::kEasyBackfill, 0, false, 18, true},
+        EquivParams{SchedPolicy::kEasyBackfill, 0, true, 19, true},
+        EquivParams{SchedPolicy::kFcfs, 0, true, 20, true},
+        EquivParams{SchedPolicy::kEasyBackfill, 2 * kDay, true, 21, true}));
 
 }  // namespace
 }  // namespace tg

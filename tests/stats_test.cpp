@@ -94,33 +94,6 @@ TEST(Percentile, RejectsBadQ) {
   EXPECT_THROW((void)percentile({1.0}, 1.1), PreconditionError);
 }
 
-TEST(WeightedMean, Basic) {
-  EXPECT_DOUBLE_EQ(weighted_mean({1.0, 3.0}, {1.0, 1.0}), 2.0);
-  EXPECT_DOUBLE_EQ(weighted_mean({1.0, 3.0}, {3.0, 1.0}), 1.5);
-}
-
-TEST(WeightedMean, ZeroWeightsYieldZero) {
-  EXPECT_DOUBLE_EQ(weighted_mean({1.0, 2.0}, {0.0, 0.0}), 0.0);
-}
-
-TEST(WeightedMean, SizeMismatchThrows) {
-  EXPECT_THROW((void)weighted_mean({1.0}, {1.0, 2.0}), PreconditionError);
-}
-
-TEST(JainFairness, PerfectlyFair) {
-  EXPECT_DOUBLE_EQ(jain_fairness({5.0, 5.0, 5.0}), 1.0);
-}
-
-TEST(JainFairness, MaximallyUnfair) {
-  // One user gets everything out of n -> index = 1/n.
-  EXPECT_NEAR(jain_fairness({10.0, 0.0, 0.0, 0.0}), 0.25, 1e-12);
-}
-
-TEST(JainFairness, EmptyAndZeros) {
-  EXPECT_DOUBLE_EQ(jain_fairness({}), 1.0);
-  EXPECT_DOUBLE_EQ(jain_fairness({0.0, 0.0}), 1.0);
-}
-
 TEST(Summarize, KnownQuantiles) {
   std::vector<double> v;
   for (int i = 1; i <= 100; ++i) v.push_back(i);

@@ -254,51 +254,17 @@ TEST(Replay, WideJobsClampedOrSkipped) {
   big.requested_seconds = 60;
   big.status = 1;
 
-  {
-    Engine engine;
-    ResourceScheduler sched(engine, res);
-    ReplayOptions opt;
-    opt.clamp_width = false;
-    const auto stats = replay_trace(engine, sched, {big}, opt);
-    EXPECT_EQ(stats.skipped, 1u);
-  }
-  {
-    Engine engine;
-    ResourceScheduler sched(engine, res);
-    int done = 0;
-    sched.add_on_end([&](const Job& j) {
-      EXPECT_EQ(j.req.nodes, 2);
-      ++done;
-    });
-    const auto stats = replay_trace(engine, sched, {big});
-    EXPECT_EQ(stats.submitted, 1u);
-    engine.run();
-    EXPECT_EQ(done, 1);
-  }
-}
-
-TEST(Replay, LimitRespected) {
-  ComputeResource res;
-  res.id = ResourceId{0};
-  res.site = SiteId{0};
-  res.name = "m";
-  res.nodes = 16;
-  res.cores_per_node = 8;
-
-  std::vector<SwfJob> trace(10);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    trace[i].submit_seconds = static_cast<long>(i);
-    trace[i].requested_procs = 8;
-    trace[i].run_seconds = 10;
-    trace[i].requested_seconds = 20;
-    trace[i].status = 1;
-  }
   Engine engine;
   ResourceScheduler sched(engine, res);
-  ReplayOptions opt;
-  opt.limit = 3;
-  const auto stats = replay_trace(engine, sched, trace, opt);
-  EXPECT_EQ(stats.submitted, 3u);
+  int done = 0;
+  sched.add_on_end([&](const Job& j) {
+    EXPECT_EQ(j.req.nodes, 2);
+    ++done;
+  });
+  const auto stats = replay_trace(engine, sched, {big});
+  EXPECT_EQ(stats.submitted, 1u);
+  engine.run();
+  EXPECT_EQ(done, 1);
 }
 
 }  // namespace

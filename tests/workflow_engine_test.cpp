@@ -54,7 +54,12 @@ TEST_F(WfFixture, EnsembleRunsAllTasks) {
 
 TEST_F(WfFixture, ChainRespectsOrder) {
   WorkflowEngine wf(engine, pool, flows);
-  wf.submit(make_chain(4, task(kHour)), UserId{1}, ProjectId{1});
+  Dag chain;
+  for (int i = 0; i < 4; ++i) {
+    chain.add_task(task(kHour));
+    if (i > 0) chain.add_edge(i - 1, i);
+  }
+  wf.submit(std::move(chain), UserId{1}, ProjectId{1});
   engine.run();
   ASSERT_EQ(db.jobs().size(), 4u);
   // Sequential chain of 1h tasks: ends at 1h, 2h, 3h, 4h.
