@@ -62,7 +62,7 @@ enum OptionFlag : unsigned {
 /// --help, so a typo or an unsupported flag can no longer silently run the
 /// default configuration, and a bad path fails before the run, not after.
 struct Options {
-  /// --jobs=N: worker count for replication/analytics fan-out. 0 = one
+  /// --jobs=N: worker count for the replication fan-out. 0 = one
   /// worker per hardware thread; 1 = inline, no threads. Output is
   /// byte-identical at every level (Replicator determinism contract).
   std::size_t jobs = 0;
@@ -155,7 +155,7 @@ struct Options {
       } else if (has(kExactReplan) && arg == "--exact-replan") {
         out.exact_replan = true;
       } else if (has(kAuditEvery) && arg.rfind("--audit-every=", 0) == 0) {
-        out.audit_every = require(non_negative_number(value));
+        out.audit_every = require(audit_days(value));
       } else if (has(kMcRandom) && arg.rfind("--mc-random=", 0) == 0) {
         out.mc_random = require(whole_number<std::size_t>(value));
       } else if (has(kMcRandom) && arg.rfind("--mc-seed=", 0) == 0) {
@@ -239,14 +239,22 @@ struct Options {
     return static_cast<T>(v);
   }
 
-  /// A finite number >= 0, written without a sign.
-  [[nodiscard]] static std::optional<double> non_negative_number(
+  /// A finite number of days >= 0, written without a sign, whose period
+  /// is 0 or at least 1 ms and fits Duration, so no audit asked for is
+  /// dropped by audit_period()'s conversion.
+  [[nodiscard]] static std::optional<double> audit_days(
       std::string_view text) {
     double v = 0.0;
     const char* end = text.data() + text.size();
     const auto [ptr, ec] = std::from_chars(text.data(), end, v);
     if (ec != std::errc{} || ptr != end || text.front() == '-' ||
         !std::isfinite(v)) {
+      return std::nullopt;
+    }
+    const double ms = v * static_cast<double>(kDay);
+    if (v > 0.0 &&
+        (ms < 1.0 ||
+         ms >= static_cast<double>(std::numeric_limits<Duration>::max()))) {
       return std::nullopt;
     }
     return v;

@@ -12,9 +12,9 @@ int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_modality_timeseries",
-                          exp::kJobs | exp::kCsv | exp::kTrace |
-                          exp::kCheckInvariants | exp::kExactReplan |
-                          exp::kStreaming | exp::kSegments);
+                          exp::kCsv | exp::kTrace | exp::kCheckInvariants |
+                          exp::kExactReplan | exp::kStreaming |
+                          exp::kSegments);
   exp::Observability obsv(options);
   exp::banner("F1", "Quarterly active users per modality (2 years)");
 
@@ -51,18 +51,15 @@ int main(int argc, char** argv) {
   scenario.run();
 
   const RuleClassifier classifier;
-  // Whole quarters only; the drain tail past 8 x 91 days is excluded. The
-  // eight windows classify in parallel (index-ordered fan-in keeps the
-  // series byte-identical at every --jobs level). Under --streaming the
-  // subscribed series was already produced during the run, window by
-  // window.
-  Replicator workers(options.jobs);
+  // Whole quarters only; the drain tail past 8 x 91 days is excluded. Under
+  // --streaming the subscribed series was already produced during the run,
+  // window by window.
   const ModalityTimeSeries series =
       options.streaming
           ? std::move(streamed)
           : quarterly_series(scenario.platform(), scenario.db(), classifier,
                              0, 8 * kQuarter, scenario.config().features,
-                             workers.pool(), obsv.trace());
+                             obsv.trace());
 
   std::vector<std::string> header{"Quarter"};
   for (std::size_t m = 0; m < kModalityCount; ++m) {

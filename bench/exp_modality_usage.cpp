@@ -12,9 +12,8 @@ int main(int argc, char** argv) {
   using namespace tg;
   const exp::Options options =
       exp::Options::parse(argc, argv, "exp_modality_usage",
-                          exp::kJobs | exp::kCsv | exp::kTrace |
-                          exp::kCheckInvariants | exp::kExactReplan |
-                          exp::kAuditEvery);
+                          exp::kCsv | exp::kTrace | exp::kCheckInvariants |
+                          exp::kExactReplan | exp::kAuditEvery);
   exp::Observability obsv(options);
   exp::banner("T2", "Usage modalities on the simulated TeraGrid, 1 year");
 
@@ -29,14 +28,10 @@ int main(int argc, char** argv) {
     scenario.run();
   }
 
-  // The replication pool doubles as the analytics pool: per-user feature
-  // extraction fans out across it with index-ordered fan-in, so the report
-  // is byte-identical at every --jobs level.
-  Replicator workers(options.jobs);
   const RuleClassifier classifier;
   const ModalityReport report = [&] {
     const auto phase = obsv.profiler().measure("analyze");
-    return scenario.report(classifier, workers.pool());
+    return scenario.report(classifier);
   }();
 
   std::cout << "Platform: 11 sites, "

@@ -44,9 +44,6 @@ struct SegmentLogConfig {
   /// Directory for spilled segment files; empty = sealed segments stay in
   /// memory. The directory must exist and outlive the log.
   std::string spill_dir;
-  /// Sealed segments kept resident (heap-backed) before the oldest spills.
-  /// The open segment is always resident on top of this budget.
-  std::size_t resident_segments = 2;
 };
 
 struct SegmentLogStats {
@@ -334,6 +331,10 @@ class SegmentLog {
   }
 
  private:
+  /// Sealed segments kept resident (heap-backed) before the oldest spills.
+  /// The open segment is always resident on top of this budget.
+  static constexpr std::size_t kResidentSegments = 2;
+
   /// Immutable pointer view over one sealed segment; targets either the
   /// segment's heap vectors or its file mapping.
   struct View {
@@ -559,7 +560,7 @@ class SegmentLog {
       if (!s.spilled() && !s.spill_failed) ++resident;
     }
     for (std::size_t i = 0;
-         i < sealed_.size() && resident > config_.resident_segments; ++i) {
+         i < sealed_.size() && resident > kResidentSegments; ++i) {
       Sealed& s = sealed_[i];
       if (s.spilled() || s.spill_failed) continue;
       if (spill(s, i)) {

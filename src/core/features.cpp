@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -148,8 +147,7 @@ namespace {
 
 /// One stream's window records bucketed by user (CSR): user u's records
 /// are items[off[u], off[u + 1]) in append order. Two visitor passes —
-/// count per user, prefix-sum, fill — with no per-user allocation. Built
-/// sequentially, then only read, so every worker shares it.
+/// count per user, prefix-sum, fill — with no per-user allocation.
 template <class Record>
 struct UserBuckets {
   std::vector<std::uint32_t> off;
@@ -179,10 +177,10 @@ struct UserBuckets {
 }  // namespace
 
 std::vector<UserFeatures> FeatureExtractor::extract(const UsageDatabase& db,
-                                                    SimTime from, SimTime to,
-                                                    ThreadPool* pool) const {
-  // Bucket each stream's window once (sequential), then walk users in id
-  // order over the dense buckets.
+                                                    SimTime from,
+                                                    SimTime to) const {
+  // Bucket each stream's window once, then walk users in id order over the
+  // dense buckets.
   const auto limit = static_cast<std::size_t>(db.user_id_limit());
   const UserBuckets<JobRecord> jobs(db, from, to, limit);
   const UserBuckets<TransferRecord> transfers(db, from, to, limit);
@@ -196,24 +194,11 @@ std::vector<UserFeatures> FeatureExtractor::extract(const UsageDatabase& db,
     }
   }
   std::vector<UserFeatures> out(active.size());
-  const auto run_range = [&](std::size_t lo, std::size_t hi) {
-    FeatureAccumulator acc;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto u = static_cast<std::size_t>(active[i]);
-      out[i] = compute(UserId{static_cast<UserId::rep>(u)}, jobs.of(u),
-                       transfers.of(u), sessions.of(u), acc);
-    }
-  };
-  if (pool == nullptr || pool->size() <= 1 || active.size() < 2) {
-    run_range(0, active.size());
-  } else {
-    // Contiguous id-ordered chunks; each worker fills disjoint output rows
-    // with its own accumulator, so the result is byte-identical to the
-    // sequential pass. More chunks than workers evens out skewed users.
-    const std::size_t chunks = std::min(active.size(), pool->size() * 4);
-    parallel_for(*pool, chunks, [&](std::size_t c) {
-      run_range(active.size() * c / chunks, active.size() * (c + 1) / chunks);
-    });
+  FeatureAccumulator acc;
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    const auto u = static_cast<std::size_t>(active[i]);
+    out[i] = compute(UserId{static_cast<UserId::rep>(u)}, jobs.of(u),
+                     transfers.of(u), sessions.of(u), acc);
   }
   return out;
 }

@@ -138,8 +138,6 @@ class FeatureAccumulator {
   std::uint32_t resource_stamp_ = 1;
 };
 
-class ThreadPool;
-
 class FeatureExtractor {
  public:
   FeatureExtractor(const Platform& platform, FeatureConfig config = {});
@@ -147,15 +145,9 @@ class FeatureExtractor {
   /// Features for every user with at least one record whose end time falls
   /// in [from, to). Sorted by user id. One visitor pass per stream buckets
   /// the window's records by user (CSR); no per-user map/set allocation.
-  ///
-  /// With a non-null `pool`, per-user computation fans out over the pool in
-  /// contiguous id-ordered chunks and the results land by index, so the
-  /// output is byte-identical to the sequential pass at any worker count.
-  /// Must not be called from a task already running on `pool` (the wait
-  /// would occupy a worker the chunks need).
-  [[nodiscard]] std::vector<UserFeatures> extract(
-      const UsageDatabase& db, SimTime from, SimTime to,
-      ThreadPool* pool = nullptr) const;
+  [[nodiscard]] std::vector<UserFeatures> extract(const UsageDatabase& db,
+                                                  SimTime from,
+                                                  SimTime to) const;
 
   /// Features for one user (empty-record users yield a zeroed entry).
   [[nodiscard]] UserFeatures extract_user(const UsageDatabase& db, UserId user,

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
-
-#include "parallel/thread_pool.hpp"
 
 namespace tg {
 
@@ -30,7 +27,6 @@ ModalityReport ModalityReport::build(const Platform& platform,
                                      const RuleClassifier& classifier,
                                      SimTime from, SimTime to,
                                      FeatureConfig feature_config,
-                                     ThreadPool* pool,
                                      obs::TraceBuffer* trace) {
   // Spans are stamped with the window end: analytics run post-horizon,
   // where the simulated clock no longer advances.
@@ -39,7 +35,7 @@ ModalityReport ModalityReport::build(const Platform& platform,
   {
     obs::TraceSpan span(trace, to, obs::TraceCategory::kAnalytics,
                         obs::TracePoint::kFeatureExtract);
-    features = extractor.extract(db, from, to, pool);
+    features = extractor.extract(db, from, to);
     span.set_payload(static_cast<std::int64_t>(features.size()));
   }
   std::vector<ModalitySet> sets;
@@ -105,49 +101,23 @@ ModalityTimeSeries quarterly_series(const Platform& platform,
                                     const RuleClassifier& classifier,
                                     SimTime from, SimTime to,
                                     FeatureConfig feature_config,
-                                    ThreadPool* pool,
                                     obs::TraceBuffer* trace) {
   obs::TraceSpan span(trace, to, obs::TraceCategory::kAnalytics,
                       obs::TracePoint::kClassifySeries);
   ModalityTimeSeries series;
   const FeatureExtractor extractor(platform, feature_config);
-  std::vector<std::pair<SimTime, SimTime>> windows;
   for (SimTime q = from; q < to; q += series.bucket) {
-    windows.emplace_back(q, std::min(q + series.bucket, to));
-  }
-  struct WindowCounts {
+    const SimTime end = std::min(q + series.bucket, to);
     std::array<int, kModalityCount> primary{};
-    int gateway_end_users = 0;
-  };
-  const auto one = [&](std::size_t i) {
-    const auto [ws, we] = windows[i];
-    // Sequential extraction inside: the fan-out here is across windows.
-    const auto features = extractor.extract(db, ws, we);
-    const auto sets = classifier.classify(features);
-    WindowCounts counts;
-    for (const auto& s : sets) {
+    for (const ModalitySet& s :
+         classifier.classify(extractor.extract(db, q, end))) {
       if (s.members.none()) continue;
-      ++counts.primary[static_cast<std::size_t>(s.primary)];
+      ++primary[static_cast<std::size_t>(s.primary)];
     }
-    counts.gateway_end_users = count_gateway_end_users(db, ws, we);
-    return counts;
-  };
-  std::vector<WindowCounts> counted;
-  if (pool != nullptr && pool->size() > 1 && windows.size() > 1) {
-    // Each window only reads the database. Results land in index
-    // (chronological) order.
-    counted = parallel_map<WindowCounts>(*pool, windows.size(), one);
-  } else {
-    counted.reserve(windows.size());
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-      counted.push_back(one(i));
-    }
+    series.primary_users.push_back(primary);
+    series.gateway_end_users.push_back(count_gateway_end_users(db, q, end));
   }
-  for (const WindowCounts& c : counted) {
-    series.primary_users.push_back(c.primary);
-    series.gateway_end_users.push_back(c.gateway_end_users);
-  }
-  span.set_payload(static_cast<std::int64_t>(windows.size()));
+  span.set_payload(static_cast<std::int64_t>(series.primary_users.size()));
   return series;
 }
 

@@ -21,21 +21,14 @@ struct ModalityRow {
   double nu_share = 0.0;
 };
 
-class ThreadPool;
-
 class ModalityReport {
  public:
   /// Builds the modality usage report over the window [from, to). A
-  /// non-null `pool` parallelizes the per-user feature extraction
-  /// (deterministic: byte-identical output at any worker count). A
-  /// non-null `trace` records extract/classify/aggregate spans — emitted
-  /// from the coordinating thread only, so the trace stays deterministic
-  /// at any worker count.
+  /// non-null `trace` records extract/classify/aggregate spans.
   static ModalityReport build(const Platform& platform,
                               const UsageDatabase& db,
                               const RuleClassifier& classifier, SimTime from,
                               SimTime to, FeatureConfig feature_config = {},
-                              ThreadPool* pool = nullptr,
                               obs::TraceBuffer* trace = nullptr);
 
   [[nodiscard]] const std::array<ModalityRow, kModalityCount>& rows() const {
@@ -72,15 +65,12 @@ struct ModalityTimeSeries {
   Duration bucket = kQuarter;
 };
 
-/// A non-null `pool` fans the (independent) quarterly windows out across
-/// its workers and collects them in index order — byte-identical to the
-/// sequential pass at any worker count. Must not be called from a task
-/// already running on `pool`.
+/// The series over [from, to) in whole quarters, the last one clipped at
+/// `to`, chronological.
 [[nodiscard]] ModalityTimeSeries quarterly_series(
     const Platform& platform, const UsageDatabase& db,
     const RuleClassifier& classifier, SimTime from, SimTime to,
-    FeatureConfig feature_config = {}, ThreadPool* pool = nullptr,
-    obs::TraceBuffer* trace = nullptr);
+    FeatureConfig feature_config = {}, obs::TraceBuffer* trace = nullptr);
 
 /// Distinct gateway end-user attributes in job records ending in [from,to).
 /// One visitor pass over the window into a dense seen-bitmap sized by the

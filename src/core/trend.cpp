@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/features.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace tg {
 
@@ -30,25 +29,17 @@ WindowModalities classify_window(const Platform& platform,
 std::vector<WindowModalities> classify_series(
     const Platform& platform, const UsageDatabase& db,
     const RuleClassifier& classifier, SimTime from, SimTime to,
-    Duration bucket, const FeatureConfig& features, ThreadPool* pool,
+    Duration bucket, const FeatureConfig& features,
     obs::TraceBuffer* trace) {
-  // Stamped with the series end; emitted from the coordinating thread
-  // only, so the span is identical at any worker count.
+  // Stamped with the series end: analytics run after the horizon.
   obs::TraceSpan span(trace, to, obs::TraceCategory::kAnalytics,
                       obs::TracePoint::kClassifySeries);
-  std::vector<SimTime> starts;
-  for (SimTime q = from; q + bucket <= to; q += bucket) starts.push_back(q);
-  span.set_payload(static_cast<std::int64_t>(starts.size()));
-  const auto one = [&](std::size_t i) {
-    return classify_window(platform, db, classifier, starts[i],
-                           starts[i] + bucket, features);
-  };
-  if (pool != nullptr && pool->size() > 1 && starts.size() > 1) {
-    return parallel_map<WindowModalities>(*pool, starts.size(), one);
-  }
   std::vector<WindowModalities> series;
-  series.reserve(starts.size());
-  for (std::size_t i = 0; i < starts.size(); ++i) series.push_back(one(i));
+  for (SimTime q = from; q + bucket <= to; q += bucket) {
+    series.push_back(
+        classify_window(platform, db, classifier, q, q + bucket, features));
+  }
+  span.set_payload(static_cast<std::int64_t>(series.size()));
   return series;
 }
 

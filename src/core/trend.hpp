@@ -20,8 +20,6 @@
 
 namespace tg {
 
-class ThreadPool;
-
 /// One classified window, densely indexed by user id: entry u is the
 /// modality ordinal of user u's primary classification, or kInactiveUser
 /// when u had no classified activity in the window. Every window drawn
@@ -38,16 +36,13 @@ inline constexpr std::int8_t kInactiveUser = -1;
     const RuleClassifier& classifier, SimTime from, SimTime to,
     const FeatureConfig& features = {});
 
-/// The window series for [from, to) in `bucket` steps, chronological. With
-/// a non-null `pool` the (independent, read-only) windows fan out across
-/// its workers and land in index order — byte-identical to the sequential
-/// pass at any worker count. Must not be called from a task already
-/// running on `pool`.
+/// The window series for [from, to) in whole `bucket` steps,
+/// chronological.
 [[nodiscard]] std::vector<WindowModalities> classify_series(
     const Platform& platform, const UsageDatabase& db,
     const RuleClassifier& classifier, SimTime from, SimTime to,
     Duration bucket = kQuarter, const FeatureConfig& features = {},
-    ThreadPool* pool = nullptr, obs::TraceBuffer* trace = nullptr);
+    obs::TraceBuffer* trace = nullptr);
 
 /// Transition counts between consecutive reporting quarters.
 struct ModalityChurn {

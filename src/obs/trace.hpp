@@ -5,11 +5,11 @@
 // the *simulated* clock and stable integer ids (job ids, resource ids,
 // interned end-user ids), never by wall time or addresses, so the trace of
 // a given seed is byte-identical across runs, hosts and worker counts:
-// analytics spans are emitted from the coordinating thread only, and
-// parallel fan-outs never write here.
+// analytics run on the caller's thread, and replication workers never
+// write here.
 //
 // Determinism contract (DESIGN.md §5.5): with tracing enabled, the JSONL
-// export of `exp_modality_usage --trace=F` is byte-identical at --jobs=1
+// export of `exp_modality_churn --trace=F` is byte-identical at --jobs=1
 // and --jobs=4; with tracing disabled (null buffer everywhere), the
 // instrumented build's stdout is byte-identical to an uninstrumented one.
 //

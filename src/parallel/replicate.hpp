@@ -1,6 +1,7 @@
-// Deterministic replication driver: fans independent simulation
-// replications (different seeds, different sweep points) out over a thread
-// pool and aggregates results in index order.
+// Deterministic replication harness, the library's one fan-out: runs
+// independent simulation replications (different seeds, different sweep
+// points) or analyses of independent windows over a thread pool and
+// aggregates results in index order.
 //
 // Determinism contract: `run(n, fn)` returns exactly the vector a plain
 // `for (i in [0, n)) out.push_back(fn(i))` loop would produce, regardless
@@ -11,6 +12,8 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
+#include <future>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -32,26 +35,36 @@ class Replicator {
     return pool_ ? pool_->size() : 1;
   }
 
-  /// The underlying pool, or nullptr when running inline (--jobs=1).
-  /// Lets callers hand the same workers to pool-aware analytics stages
-  /// (ModalityReport::build, classify_series) between replication waves.
-  [[nodiscard]] ThreadPool* pool() const { return pool_.get(); }
-
   /// Runs fn(i) for i in [0, n) and returns the results in index order.
-  /// Error contract matches parallel_map: every task settles before the
-  /// first exception (in index order) is rethrown.
+  /// On the pool every task settles before the first exception (in index
+  /// order) is rethrown; inline, the loop stops at the first throw.
   template <class Fn>
   auto run(std::size_t n, Fn fn)
       -> std::vector<std::invoke_result_t<Fn, std::size_t>> {
     using R = std::invoke_result_t<Fn, std::size_t>;
+    std::vector<R> out;
+    out.reserve(n);
     if (!pool_) {
-      std::vector<R> out;
-      out.reserve(n);
       for (std::size_t i = 0; i < n; ++i) out.push_back(fn(i));
       return out;
     }
-    return parallel_map<R>(*pool_, n,
-                           [&fn](std::size_t i) { return fn(i); });
+    std::vector<std::future<R>> futures;
+    futures.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      futures.push_back(pool_->submit([&fn, i] { return fn(i); }));
+    }
+    // Drain every future before rethrowing: bailing out on the first error
+    // would destroy futures whose tasks still reference fn.
+    std::exception_ptr first_error;
+    for (auto& f : futures) {
+      try {
+        out.push_back(f.get());
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
+    return out;
   }
 
  private:

@@ -1,7 +1,6 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
-#include <exception>
 
 namespace tg {
 
@@ -36,27 +35,6 @@ void ThreadPool::worker_loop() {
     }
     task();
   }
-}
-
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([&fn, i] { fn(i); }));
-  }
-  // Drain every future before rethrowing: bailing out on the first error
-  // would destroy futures whose tasks still reference fn (and report only
-  // an arbitrary subset of failures as a bonus).
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace tg

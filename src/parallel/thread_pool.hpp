@@ -5,7 +5,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -49,35 +48,5 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
-
-/// Runs fn(i) for i in [0, n) across the pool and waits for every task to
-/// settle. If any task threw, the first exception (in index order) is
-/// rethrown — after all n tasks have completed or failed, never mid-batch.
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn);
-
-/// Maps fn(i) -> T for i in [0, n), preserving order. Same error contract
-/// as parallel_for: all tasks are drained before the first error rethrows.
-template <class T>
-std::vector<T> parallel_map(ThreadPool& pool, std::size_t n,
-                            const std::function<T(std::size_t)>& fn) {
-  std::vector<std::future<T>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([&fn, i] { return fn(i); }));
-  }
-  std::vector<T> out;
-  out.reserve(n);
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      out.push_back(f.get());
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return out;
-}
 
 }  // namespace tg

@@ -16,19 +16,14 @@ void Profile::reset(SimTime now, int free_nodes) {
   now_ = now;
   capacity_ = free_nodes;
   events_.clear();
-  built_ = false;
   fence_period_ = 0;
 }
 
 void Profile::add_hold(SimTime release, int nodes) {
   if (nodes == 0) return;
   release = std::max(release, now_ + 1);
-  if (events_.empty()) {
-    events_.push_back({now_, 0});
-    built_ = true;
-  }
-  TG_CHECK(built_ && events_.front().time == now_ &&
-               release >= events_.back().time,
+  if (events_.empty()) events_.push_back({now_, 0});
+  TG_CHECK(events_.front().time == now_ && release >= events_.back().time,
            "add_hold out of order or after a subtract");
   events_.front().delta -= nodes;
   if (events_.back().time == release) {
@@ -42,11 +37,6 @@ void Profile::subtract(SimTime from, SimTime to, int nodes) {
   if (nodes == 0 || to <= from) return;
   from = std::max(from, now_);
   if (to <= from) return;
-  if (!built_) {
-    events_.push_back({from, -nodes});
-    events_.push_back({to, nodes});
-    return;
-  }
   apply(from, -nodes);
   apply(to, nodes);
 }
@@ -62,35 +52,12 @@ void Profile::apply(SimTime t, int delta) {
   events_.insert(it, Event{t, delta});
 }
 
-void Profile::ensure_built() const {
-  if (built_) return;
-  std::sort(events_.begin(), events_.end(),
-            [](const Event& a, const Event& b) { return a.time < b.time; });
-  // Merge runs of equal times in place; summation makes the result
-  // independent of the (unspecified) tie order after the sort.
-  std::size_t out = 0;
-  std::size_t i = 0;
-  while (i < events_.size()) {
-    Event merged = events_[i];
-    std::size_t j = i + 1;
-    while (j < events_.size() && events_[j].time == merged.time) {
-      merged.delta += events_[j].delta;
-      ++j;
-    }
-    events_[out++] = merged;
-    i = j;
-  }
-  events_.resize(out);
-  built_ = true;
-}
-
 void Profile::set_fence_period(Duration period) {
   TG_REQUIRE(period >= 0, "negative fence period");
   fence_period_ = period;
 }
 
 int Profile::free_at(SimTime t) const {
-  ensure_built();
   int free = capacity_;
   for (const Event& e : events_) {
     if (e.time > t) break;
@@ -102,7 +69,6 @@ int Profile::free_at(SimTime t) const {
 SimTime Profile::earliest_fit(int nodes, Duration duration,
                               SimTime earliest) const {
   TG_REQUIRE(nodes >= 0 && duration >= 0, "bad fit query");
-  ensure_built();
   earliest = std::max(earliest, now_);
   if (nodes > capacity_) return -1;
   // Every window between consecutive fences is one period long; a longer
@@ -136,7 +102,7 @@ SimTime Profile::earliest_fit(int nodes, Duration duration,
     // The run [s, t) is feasible; done if the job fits before this event.
     if (s >= 0 && s + duration <= t) return s;
     if (take_delta) {
-      // Times are unique after the merge, so one delta per step.
+      // Times are unique, so one delta per step.
       free += d->delta;
       ++d;
     }
@@ -160,7 +126,6 @@ SimTime Profile::earliest_fit(int nodes, Duration duration,
 
 bool Profile::fits_at(SimTime t, int nodes, Duration duration) const {
   TG_REQUIRE(nodes >= 0 && duration >= 0, "bad fit query");
-  ensure_built();
   t = std::max(t, now_);
   if (nodes > capacity_) return false;
   if (duration > 0) {

@@ -1,16 +1,14 @@
 // Node-availability profile: piecewise-constant free-node count over future
 // time, used by all scheduling policies to find feasible start times.
 //
-// Representation: a flat vector of (time, delta) breakpoints instead of a
-// std::map. Profiles are built in bulk and then swept repeatedly by
-// earliest_fit. Two bulk builds exist: plain subtracts accumulate unsorted
-// and are sorted + merged once on first query, while add_hold appends
-// releases that arrive already sorted (a scheduler's running jobs ordered
-// by planned end), so that build needs no sort. The occasional subtract
-// *after* either build (a job started or reserved mid-pass) splices into
-// the sorted vector in place. The sweep itself is a linear scan over
-// contiguous memory — no per-node pointer chases, no tree rebalancing, no
-// per-breakpoint allocation; reset() keeps the buffers for the next build.
+// Representation: a flat vector of (time, delta) breakpoints, sorted with
+// unique times, instead of a std::map. A scheduler's base profile loads its
+// running jobs with add_hold, whose releases arrive already sorted (ordered
+// by planned end), so they append; every subtract (a reservation, an
+// outage, a job started mid-pass) splices into the sorted vector in place.
+// The sweep itself is a linear scan over contiguous memory — no per-node
+// pointer chases, no tree rebalancing, no per-breakpoint allocation;
+// reset() keeps the buffers for the next build.
 #pragma once
 
 #include <vector>
@@ -31,10 +29,10 @@ class Profile {
   /// Removes `nodes` of capacity during [from, to). `to` may be far future.
   void subtract(SimTime from, SimTime to, int nodes);
 
-  /// Presorted bulk build: `nodes` are held from origin() until `release`,
+  /// Presorted bulk load: `nodes` are held from origin() until `release`,
   /// clamped to origin() + 1 (a hold always covers the current tick). All
   /// calls must come before any other subtract, in nondecreasing `release`
-  /// order; the profile then counts as built, so no sort runs.
+  /// order, so each release appends.
   void add_hold(SimTime release, int nodes);
 
   /// Declares a fence at every positive multiple of `period`: no job
@@ -71,16 +69,12 @@ class Profile {
     int delta;
   };
 
-  /// Sorts the accumulated events and merges equal times (delta summation
-  /// is commutative, so the result is independent of insertion order).
-  void ensure_built() const;
-  /// Post-build insertion keeping events_ sorted with unique times.
+  /// Insertion keeping events_ sorted with unique times.
   void apply(SimTime t, int delta);
 
   SimTime now_;
   int capacity_;
-  mutable std::vector<Event> events_;
-  mutable bool built_ = false;
+  std::vector<Event> events_;
   Duration fence_period_ = 0;  // 0 = no fences
 };
 

@@ -130,18 +130,16 @@ void Scenario::schedule_audit(SimTime at) {
       EventPriority::kReporting, EventBinding{0, EventClass::kBarrier});
 }
 
-ModalityReport Scenario::report(const RuleClassifier& classifier,
-                                ThreadPool* analysis_pool) const {
+ModalityReport Scenario::report(const RuleClassifier& classifier) const {
   return ModalityReport::build(platform_, db_, classifier, 0,
                                engine_.now() + 1, config_.features,
-                               analysis_pool, config_.trace);
+                               config_.trace);
 }
 
 Scenario::LabelledPredictions Scenario::predictions(
-    const RuleClassifier& classifier, ThreadPool* analysis_pool) const {
+    const RuleClassifier& classifier) const {
   const FeatureExtractor extractor(platform_, config_.features);
-  const auto features =
-      extractor.extract(db_, 0, engine_.now() + 1, analysis_pool);
+  const auto features = extractor.extract(db_, 0, engine_.now() + 1);
   const auto sets = classifier.classify(features);
   LabelledPredictions out;
   for (std::size_t i = 0; i < features.size(); ++i) {

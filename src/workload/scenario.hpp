@@ -20,7 +20,6 @@
 #include "net/flow.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sched/pool.hpp"
 #include "util/error.hpp"
 #include "workflow/engine.hpp"
@@ -229,13 +228,8 @@ class Scenario {
     db_.add_observer(observer);
   }
 
-  /// Convenience: the headline modality report over the full horizon. A
-  /// non-null `analysis_pool` fans the per-user feature extraction across
-  /// its workers (deterministic index-ordered fan-in; byte-identical to the
-  /// sequential pass).
-  [[nodiscard]] ModalityReport report(
-      const RuleClassifier& classifier,
-      ThreadPool* analysis_pool = nullptr) const;
+  /// Convenience: the headline modality report over the full horizon.
+  [[nodiscard]] ModalityReport report(const RuleClassifier& classifier) const;
 
   /// Aligned (truth, predicted-primary) vectors over active account users,
   /// for classifier scoring. Users with no recorded activity are skipped.
@@ -245,8 +239,7 @@ class Scenario {
     std::vector<UserId> users;
   };
   [[nodiscard]] LabelledPredictions predictions(
-      const RuleClassifier& classifier,
-      ThreadPool* analysis_pool = nullptr) const;
+      const RuleClassifier& classifier) const;
 
   /// Registers every component's counters with `registry` — engine event
   /// core, per-resource scheduler tallies, gateways, fault model — plus

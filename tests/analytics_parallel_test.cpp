@@ -1,18 +1,17 @@
-// The parallel analytics pipeline must be a pure speedup: every pooled
-// stage (per-user feature extraction, the modality report, window
-// classification series) returns results byte-identical to the sequential
-// pass, on fault-free and faulty scenarios alike, over a resident store and
-// over one whose segments seal and spill.
+// Many workers reading one record store: window classifications fanned out
+// through a Replicator, as exp_modality_churn ships them, must equal the
+// inline run, on fault-free and faulty scenarios alike, over a resident
+// store and over one whose segments seal and spill (mmap-backed reads).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "core/report.hpp"
 #include "core/trend.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/replicate.hpp"
 #include "workload/scenario.hpp"
 
 namespace tg {
@@ -46,7 +45,7 @@ class AnalyticsParallelTest : public ::testing::TestWithParam<StoreParams> {
   static ScenarioConfig base_config() {
     ScenarioConfig config;
     config.seed = 1234;
-    config.horizon = 120 * kDay;
+    config.horizon = 240 * kDay;
     if (GetParam().faulty) {
       config.faults.outage.mtbf_hours = 400.0;
       config.faults.job_failure_rate_per_hour = 0.0005;
@@ -63,64 +62,30 @@ class AnalyticsParallelTest : public ::testing::TestWithParam<StoreParams> {
   }
 };
 
-TEST_P(AnalyticsParallelTest, ReportMatchesSequentialByteForByte) {
-  Scenario scenario(base_config());
-  scenario.run();
-  const RuleClassifier classifier;
-  const ModalityReport sequential = scenario.report(classifier);
-  ThreadPool pool(4);
-  const ModalityReport parallel = scenario.report(classifier, &pool);
-  EXPECT_EQ(sequential.to_table().to_string(),
-            parallel.to_table().to_string());
-  EXPECT_EQ(sequential.gateway_end_users(), parallel.gateway_end_users());
-  EXPECT_EQ(sequential.total_users(), parallel.total_users());
-  EXPECT_DOUBLE_EQ(sequential.total_nu(), parallel.total_nu());
-}
-
-TEST_P(AnalyticsParallelTest, PredictionsMatchSequential) {
-  Scenario scenario(base_config());
-  scenario.run();
-  const RuleClassifier classifier;
-  const auto sequential = scenario.predictions(classifier);
-  ThreadPool pool(4);
-  const auto parallel = scenario.predictions(classifier, &pool);
-  ASSERT_EQ(sequential.users.size(), parallel.users.size());
-  EXPECT_EQ(sequential.users, parallel.users);
-  EXPECT_EQ(sequential.truth, parallel.truth);
-  EXPECT_EQ(sequential.predicted, parallel.predicted);
-}
-
 TEST_P(AnalyticsParallelTest, ClassifySeriesMatchesSequential) {
   Scenario scenario(base_config());
   scenario.run();
-  const RuleClassifier classifier;
-  const SimTime to = 4 * (30 * kDay);
-  const auto sequential =
-      classify_series(scenario.platform(), scenario.db(), classifier, 0, to,
-                      30 * kDay, scenario.config().features);
-  ThreadPool pool(4);
-  const auto parallel =
-      classify_series(scenario.platform(), scenario.db(), classifier, 0, to,
-                      30 * kDay, scenario.config().features, &pool);
-  ASSERT_EQ(sequential.size(), parallel.size());
-  for (std::size_t q = 0; q < sequential.size(); ++q) {
-    EXPECT_EQ(sequential[q], parallel[q]) << "window " << q;
+  if (GetParam().spilled) {
+    ASSERT_GT(scenario.db().segment_stats().spilled, 0u);
   }
-}
-
-TEST_P(AnalyticsParallelTest, QuarterlySeriesMatchesSequential) {
-  Scenario scenario(base_config());
-  scenario.run();
   const RuleClassifier classifier;
-  const auto sequential =
-      quarterly_series(scenario.platform(), scenario.db(), classifier, 0,
-                       kQuarter, scenario.config().features);
-  ThreadPool pool(4);
-  const auto parallel =
-      quarterly_series(scenario.platform(), scenario.db(), classifier, 0,
-                       kQuarter, scenario.config().features, &pool);
-  EXPECT_EQ(sequential.primary_users, parallel.primary_users);
-  EXPECT_EQ(sequential.gateway_end_users, parallel.gateway_end_users);
+  constexpr std::size_t kWindows = 8;
+  const auto window = [&](std::size_t w) {
+    return classify_window(scenario.platform(), scenario.db(), classifier,
+                           static_cast<SimTime>(w) * 30 * kDay,
+                           static_cast<SimTime>(w + 1) * 30 * kDay,
+                           scenario.config().features);
+  };
+  const auto sequential = Replicator(1).run(kWindows, window);
+  const auto parallel = Replicator(4).run(kWindows, window);
+  ASSERT_EQ(sequential.size(), kWindows);
+  ASSERT_EQ(parallel.size(), kWindows);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    EXPECT_TRUE(std::any_of(sequential[w].begin(), sequential[w].end(),
+                            [](std::int8_t m) { return m != kInactiveUser; }))
+        << "window " << w << " classified nobody";
+    EXPECT_EQ(sequential[w], parallel[w]) << "window " << w;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

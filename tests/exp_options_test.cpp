@@ -59,8 +59,10 @@ TEST(ExpOptions, ParsesNumericValues) {
   EXPECT_EQ(o.mc_seed, UINT64_MAX);
   EXPECT_EQ(o.segment_cap, 4096u);
   EXPECT_EQ(o.audit_every, 0.5);
+  EXPECT_EQ(o.audit_period(), 43'200'000);
   EXPECT_EQ(parse({"--audit-every=2"}).audit_every, 2.0);
   EXPECT_EQ(parse({"--audit-every=0"}).audit_every, 0.0);
+  EXPECT_EQ(parse({"--audit-every=0"}).audit_period(), 0);
 }
 
 TEST(ExpOptions, StringValuesPassThrough) {
@@ -198,6 +200,10 @@ TEST_F(ExpOptionsDeathTest, MalformedAuditPeriodExitsWithUsage) {
   for (const char* value : {"", "x", "-1", "-0", "+1", "1d", "nan", "inf"}) {
     expect_usage_exit(std::string("--audit-every=") + value);
   }
+  // A period that does not fit Duration, or that is under 1 ms, would
+  // convert to no audit at all.
+  expect_usage_exit("--audit-every=1e300");
+  expect_usage_exit("--audit-every=0.000000001");
 }
 
 }  // namespace

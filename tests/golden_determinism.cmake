@@ -1,6 +1,6 @@
 # Run an experiment binary at --jobs=1 and --jobs=4 and fail unless the
-# captures are byte-identical: replication/analytics fan-out must not change
-# a byte (DESIGN.md §5.5). Invoked by ctest as
+# captures are byte-identical: replication fan-out must not change a byte
+# (DESIGN.md §5.5). Invoked by ctest as
 #   cmake -DBIN=<exe> -DWORK_DIR=<dir> [-DTRACE=ON] -P golden_determinism.cmake
 #
 # With -DTRACE=ON each run also writes `--trace=<dir>/jobs<N>.trace.jsonl`

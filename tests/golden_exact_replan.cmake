@@ -13,9 +13,9 @@ endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 foreach(mode IN ITEMS cached exact)
-  set(run_args --jobs=1)
+  set(run_args)
   if(mode STREQUAL "exact")
-    list(APPEND run_args --exact-replan)
+    set(run_args --exact-replan)
   endif()
   execute_process(
     COMMAND "${BIN}" ${run_args}

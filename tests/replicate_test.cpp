@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "parallel/thread_pool.hpp"
-
 namespace tg {
 namespace {
 
@@ -105,21 +103,6 @@ TEST(Replicator, ZeroTasksIsANoOp) {
   const auto out = pool.run(0, [&calls](std::size_t) { return ++calls; });
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(calls, 0);
-}
-
-TEST(ParallelFor, DrainsAllTasksBeforeRethrow) {
-  ThreadPool pool(4);
-  std::atomic<int> settled{0};
-  try {
-    parallel_for(pool, 50, [&settled](std::size_t i) {
-      ++settled;
-      if (i == 7) throw std::logic_error("seven");
-    });
-    FAIL() << "expected parallel_for to throw";
-  } catch (const std::logic_error& e) {
-    EXPECT_STREQ(e.what(), "seven");
-  }
-  EXPECT_EQ(settled.load(), 50);
 }
 
 }  // namespace

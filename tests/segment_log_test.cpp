@@ -5,7 +5,8 @@
 // at every segment cap. Plus the UsageDatabase segmented-mode parity, the
 // SWF import path that streams through it, recovery's rejection of corrupt
 // spill files, and full-history consumers (audit, annual report, record
-// hash, SWF export) agreeing between resident and spilling stores.
+// hash, SWF export, predictions and window series) agreeing between
+// resident and spilling stores.
 #include "accounting/segment_log.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "accounting/swf.hpp"
 #include "accounting/usage_db.hpp"
 #include "core/annual_report.hpp"
+#include "core/trend.hpp"
 #include "mc/hash.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -164,7 +166,6 @@ TEST(SegmentLog, SpilledSegmentsAnswerFromMmap) {
     const std::vector<JobRecord> all = make_stream(sorted);
     SegmentLogConfig cfg;
     cfg.segment_records = 16;
-    cfg.resident_segments = 1;  // almost everything sealed must spill
     cfg.spill_dir = (dir / (sorted ? "sorted" : "shuffled")).string();
     std::filesystem::create_directories(cfg.spill_dir);
     SegmentLog<JobRecord> log(cfg, "jobs");
@@ -181,7 +182,6 @@ TEST(SegmentLog, SpillFailureKeepsSegmentResidentAndCorrect) {
   const std::vector<JobRecord> all = make_stream(/*sorted=*/true, 100);
   SegmentLogConfig cfg;
   cfg.segment_records = 16;
-  cfg.resident_segments = 0;
   cfg.spill_dir = "/nonexistent/tgsim/spill/dir";  // every write fails
   SegmentLog<JobRecord> log(cfg, "jobs");
   for (const JobRecord& r : all) log.append(r);
@@ -200,7 +200,6 @@ TEST(SegmentLog, DatabaseSegmentedModeParity) {
     UsageDatabase seg;
     SegmentLogConfig cfg;
     cfg.segment_records = 32;
-    cfg.resident_segments = 1;
     cfg.spill_dir = (dir / (sorted ? "s" : "u")).string();
     std::filesystem::create_directories(cfg.spill_dir);
     seg.enable_segments(cfg);
@@ -605,6 +604,41 @@ TEST_F(StorageParity, SwfExportIsEqual) {
   const std::string resident = swf(*resident_);
   EXPECT_GT(resident.size(), 1000u);
   EXPECT_EQ(resident, swf(*spilled_));
+}
+
+TEST_F(StorageParity, PredictionsAreEqual) {
+  const RuleClassifier classifier;
+  const auto resident = resident_->predictions(classifier);
+  const auto spilled = spilled_->predictions(classifier);
+  EXPECT_FALSE(resident.users.empty());
+  EXPECT_EQ(resident.users, spilled.users);
+  EXPECT_EQ(resident.truth, spilled.truth);
+  EXPECT_EQ(resident.predicted, spilled.predicted);
+}
+
+TEST_F(StorageParity, ClassifySeriesIsEqual) {
+  const RuleClassifier classifier;
+  const auto series = [&](const Scenario& s) {
+    return classify_series(s.platform(), s.db(), classifier, 0, 30 * kDay,
+                           10 * kDay, s.config().features);
+  };
+  const std::vector<WindowModalities> resident = series(*resident_);
+  EXPECT_EQ(resident.size(), 3u);
+  EXPECT_EQ(resident, series(*spilled_));
+}
+
+TEST_F(StorageParity, QuarterlySeriesIsEqual) {
+  const RuleClassifier classifier;
+  const auto series = [&](const Scenario& s) {
+    return quarterly_series(s.platform(), s.db(), classifier, 0, 31 * kDay,
+                            s.config().features);
+  };
+  const ModalityTimeSeries resident = series(*resident_);
+  const ModalityTimeSeries spilled = series(*spilled_);
+  ASSERT_EQ(resident.primary_users.size(), 1u);
+  EXPECT_GT(resident.gateway_end_users[0], 0);
+  EXPECT_EQ(resident.primary_users, spilled.primary_users);
+  EXPECT_EQ(resident.gateway_end_users, spilled.gateway_end_users);
 }
 
 }  // namespace

@@ -3,9 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-
-#include "util/rng.hpp"
 
 namespace tg {
 namespace {
@@ -38,51 +35,6 @@ TEST(ThreadPool, ExceptionsPropagateThroughFuture) {
   EXPECT_THROW(fut.get(), std::runtime_error);
 }
 
-TEST(ParallelFor, MidBatchThrowDrainsAllTasks) {
-  // A task throwing mid-batch must neither deadlock parallel_for nor lose
-  // the completed results: every other task still runs to completion before
-  // the first error is rethrown.
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  EXPECT_THROW(
-      parallel_for(pool, 64,
-                   [&completed](std::size_t i) {
-                     if (i == 13 || i == 40) {
-                       throw std::runtime_error("task failed");
-                     }
-                     ++completed;
-                   }),
-      std::runtime_error);
-  EXPECT_EQ(completed.load(), 62);
-}
-
-TEST(ParallelMap, MidBatchThrowDrainsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  const std::function<int(std::size_t)> fn = [&completed](std::size_t i) {
-    if (i == 0) throw std::logic_error("first task fails");
-    ++completed;
-    return static_cast<int>(i);
-  };
-  // The *first* failure in index order is the one rethrown, even when later
-  // tasks also fail.
-  EXPECT_THROW(parallel_map<int>(pool, 32, fn), std::logic_error);
-  EXPECT_EQ(completed.load(), 31);
-}
-
-TEST(ParallelFor, FirstErrorInIndexOrderIsRethrown) {
-  ThreadPool pool(2);
-  try {
-    parallel_for(pool, 16, [](std::size_t i) {
-      if (i == 3) throw std::runtime_error("error-3");
-      if (i == 11) throw std::runtime_error("error-11");
-    });
-    FAIL() << "expected parallel_for to rethrow";
-  } catch (const std::runtime_error& err) {
-    EXPECT_STREQ(err.what(), "error-3");
-  }
-}
-
 TEST(ThreadPool, DestructionDrainsQueue) {
   std::atomic<int> counter{0};
   {
@@ -92,44 +44,6 @@ TEST(ThreadPool, DestructionDrainsQueue) {
     }
   }  // dtor joins
   EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ParallelFor, CoversAllIndices) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(100);
-  parallel_for(pool, 100, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, ZeroIterationsIsNoop) {
-  ThreadPool pool(2);
-  parallel_for(pool, 0, [](std::size_t) { FAIL(); });
-}
-
-TEST(ParallelMap, PreservesOrder) {
-  ThreadPool pool(4);
-  const auto out = parallel_map<int>(
-      pool, 50, [](std::size_t i) { return static_cast<int>(i * i); });
-  ASSERT_EQ(out.size(), 50u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i * i));
-  }
-}
-
-TEST(ParallelMap, IndependentSimulationsReproducible) {
-  // The intended use: replicated runs with per-index seeds must not
-  // interfere. Sum of per-seed streams equals the serial computation.
-  ThreadPool pool(4);
-  auto work = [](std::size_t i) {
-    std::uint64_t state = i;
-    std::uint64_t acc = 0;
-    for (int k = 0; k < 1000; ++k) acc ^= splitmix64(state);
-    return acc;
-  };
-  const auto par = parallel_map<std::uint64_t>(pool, 16, work);
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(par[i], work(i));
-  }
 }
 
 }  // namespace
