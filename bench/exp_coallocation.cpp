@@ -54,9 +54,8 @@ struct LoadResult {
 LoadResult run_load(double load) {
   const Platform platform = teragrid_2010();
   Engine engine;
-  const ShardPlan plan = make_shard_plan(platform);
-  engine.configure_partitions(plan.partitions);
-  SchedulerPool pool(engine, platform, {}, &plan);
+  engine.configure_partitions(partition_count(platform));
+  SchedulerPool pool(engine, platform);
   CoAllocator coalloc(engine, pool);
   const ResourceId a = platform.compute_by_name("Kraken").id;
   const ResourceId b = platform.compute_by_name("Ranger").id;

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -24,6 +25,8 @@
 #include <string_view>
 #include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "fault/invariants.hpp"
 #include "obs/export.hpp"
@@ -71,7 +74,7 @@ struct Options {
   /// --exact-replan: disable the incremental plan cache and replan every
   /// scheduling decision from scratch (the reference planner). Primary
   /// outputs must be byte-identical with or without this flag — CI diffs
-  /// the two (see tests/golden_determinism.cmake).
+  /// the two (see tests/golden_exact_replan.cmake).
   bool exact_replan = false;
   /// --audit-every=DAYS: run the mid-run invariant audit
   /// (AuditPhase::kMidRun — families 1-5 plus node-accounting bounds)
@@ -96,8 +99,9 @@ struct Options {
   /// segments seal and can spill (0 keeps one resident segment). Output
   /// stays byte-identical at every value.
   std::uint32_t segment_cap = 0;
-  /// --spill-dir=PATH: with --segment-cap, seal-and-spill cold segments to
-  /// PATH and read them back via mmap (bounded resident memory).
+  /// --spill-dir=PATH: with a positive --segment-cap, seal-and-spill cold
+  /// segments to PATH, an existing writable directory, and read them back
+  /// via mmap (bounded resident memory).
   std::string spill_dir;
   /// --csv[=path]: dump the table rows as CSV (default <name>.csv).
   std::optional<std::string> csv;
@@ -116,12 +120,14 @@ struct Options {
 
   /// Parses argv. `name` seeds the default output filenames and the usage
   /// text; `accepted` is the set of OptionFlags the binary honours.
-  /// Unknown or unaccepted flags, positional arguments, malformed values
-  /// and unwritable --csv/--trace/--metrics paths are fatal (exit 2 with
-  /// usage).
+  /// Unknown or unaccepted flags, positional arguments, malformed values,
+  /// unwritable --csv/--trace/--metrics paths and a --spill-dir that has
+  /// no positive --segment-cap or is not a writable directory are fatal
+  /// (exit 2 with usage).
   static Options parse(int argc, char** argv, const std::string& name,
                        unsigned accepted) {
     Options out;
+    bool spill = false;
     const auto has = [accepted](OptionFlag f) { return (accepted & f) != 0; };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -166,6 +172,7 @@ struct Options {
         out.segment_cap = require(whole_number<std::uint32_t>(value));
       } else if (has(kSegments) && arg.rfind("--spill-dir=", 0) == 0) {
         out.spill_dir = arg.substr(12);
+        spill = true;
       } else {
         reject(name, accepted, "unknown option '" + arg + "'");
       }
@@ -182,6 +189,17 @@ struct Options {
     writable("--csv", out.csv);
     writable("--trace", out.trace);
     writable("--metrics", out.metrics);
+    // A spill that cannot happen would otherwise surface only as failure
+    // counts after the run, or not at all.
+    if (spill && out.segment_cap == 0) {
+      reject(name, accepted, "--spill-dir needs a positive --segment-cap");
+    }
+    std::error_code ec;
+    if (spill && (!std::filesystem::is_directory(out.spill_dir, ec) ||
+                  ::access(out.spill_dir.c_str(), W_OK | X_OK) != 0)) {
+      reject(name, accepted,
+             "cannot write --spill-dir directory '" + out.spill_dir + "'");
+    }
     return out;
   }
 

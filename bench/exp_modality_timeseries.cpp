@@ -85,10 +85,19 @@ int main(int argc, char** argv) {
                              series.gateway_end_users.end());
   std::cout << "Gateway end-user growth: " << sparkline(growth) << "  ("
             << growth.front() << " -> " << growth.back() << ")\n";
+  int status = 0;
+  if (scenario.db().segmented() &&
+      scenario.db().segment_stats().spill_failures > 0) {
+    std::cerr << "exp_modality_timeseries: "
+              << scenario.db().segment_stats().spill_failures
+              << " segments failed to spill to '" << options.spill_dir
+              << "'\n";
+    status = 1;
+  }
   if (obsv.metrics_enabled()) scenario.publish_metrics(obsv.registry());
   obsv.finish();
   if (options.check_invariants) {
     exp::print_invariants(scenario.audit_now(AuditPhase::kFinal));
   }
-  return 0;
+  return status;
 }

@@ -64,9 +64,8 @@ int main(int argc, char** argv) {
   for (const double load : {0.3, 0.6, 0.85}) {
     const Platform platform = teragrid_2010();
     Engine engine;
-    const ShardPlan plan = make_shard_plan(platform);
-    engine.configure_partitions(plan.partitions);
-    SchedulerPool pool(engine, platform, {}, &plan);
+    engine.configure_partitions(partition_count(platform));
+    SchedulerPool pool(engine, platform);
     pool.set_trace_all(obsv.trace());
     const ResourceSelector selector;
     Rng rng(31337);

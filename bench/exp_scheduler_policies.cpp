@@ -8,7 +8,6 @@
 #include <map>
 
 #include "bench/exp_common.hpp"
-#include "des/shard.hpp"
 #include "sched/scheduler.hpp"
 #include "util/distributions.hpp"
 #include "util/stats.hpp"
@@ -85,12 +84,11 @@ PolicyResult run_policy(const SchedulerConfig& cfg, double load) {
   res.max_walltime = 24 * kHour;
 
   Engine engine;
-  // One hand-built machine, so the plan is coordinator + one site;
-  // partitioning keeps the canonical event order uniform with the
+  // One hand-built machine at one site: the coordinator plus that site's
+  // partition, which keeps the canonical event order uniform with the
   // multi-site binaries.
-  const ShardPlan plan = plan_shards(1);
-  engine.configure_partitions(plan.partitions);
-  ResourceScheduler sched(engine, res, cfg, plan.partition_of_site(0));
+  engine.configure_partitions(1 + site_partition(res.site));
+  ResourceScheduler sched(engine, res, cfg, site_partition(res.site));
   std::vector<double> slowdowns;
   RunningStats wait;
   RunningStats capability_wait;
@@ -151,12 +149,12 @@ int main(int argc, char** argv) {
     SchedulerConfig cfg;
   };
   std::vector<Row> rows;
-  rows.push_back({"FCFS", {SchedPolicy::kFcfs, 0, 0.5, 128}});
-  rows.push_back({"EASY", {SchedPolicy::kEasyBackfill, 0, 0.5, 128}});
+  rows.push_back({"FCFS", {SchedPolicy::kFcfs, 0, 128}});
+  rows.push_back({"EASY", {SchedPolicy::kEasyBackfill, 0, 128}});
   rows.push_back(
-      {"Conservative", {SchedPolicy::kConservativeBackfill, 0, 0.5, 128}});
+      {"Conservative", {SchedPolicy::kConservativeBackfill, 0, 128}});
   rows.push_back(
-      {"EASY + weekly drain", {SchedPolicy::kEasyBackfill, kWeek, 0.5, 128}});
+      {"EASY + weekly drain", {SchedPolicy::kEasyBackfill, kWeek, 128}});
   SchedulerConfig fair;
   fair.policy = SchedPolicy::kEasyBackfill;
   fair.fair_share = true;

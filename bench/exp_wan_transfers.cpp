@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     // Flow machinery is coordinator-resident (every event is a partition-0
     // wall); partitioning just keeps the canonical order uniform with the
     // scheduler binaries.
-    engine.configure_partitions(make_shard_plan(p).partitions);
+    engine.configure_partitions(partition_count(p));
     FlowManager flows(engine, p, /*host_gbps=*/40.0);
     std::vector<TransferId> ids;
     for (int i = 0; i < n; ++i) {
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   for (const int per_hour : {0, 10, 40, 160}) {
     const Platform p = teragrid_2010();
     Engine engine;
-    engine.configure_partitions(make_shard_plan(p).partitions);
+    engine.configure_partitions(partition_count(p));
     FlowManager flows(engine, p, 10.0);
     Rng rng(5);
     const auto nsites = static_cast<std::int64_t>(p.sites().size());

@@ -38,7 +38,6 @@ Outcome run(Duration drain_period) {
   SchedulerConfig config;
   config.policy = SchedPolicy::kEasyBackfill;
   config.drain_period = drain_period;
-  config.capability_fraction = 0.5;
   ResourceScheduler sched(engine, kraken, config);
 
   RunningStats capability_wait;

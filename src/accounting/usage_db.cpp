@@ -58,10 +58,6 @@ void Recorder::attach(SchedulerPool& pool) {
   pool.add_on_end_all([this](const Job& job) { on_job_end(job); });
 }
 
-void Recorder::attach(ResourceScheduler& scheduler) {
-  scheduler.add_on_end([this](const Job& job) { on_job_end(job); });
-}
-
 void Recorder::attach(FlowManager& flows) {
   flows.set_transfer_observer([this](const Flow& flow) {
     TransferRecord r;

@@ -313,8 +313,6 @@ class Recorder {
 
   /// Observes every scheduler in the pool.
   void attach(SchedulerPool& pool);
-  /// Observes one scheduler.
-  void attach(ResourceScheduler& scheduler);
   /// Observes completed WAN transfers.
   void attach(FlowManager& flows);
 

@@ -9,18 +9,16 @@ namespace tg {
 StreamingExtractor::StreamingExtractor(const Platform& platform,
                                        StreamingConfig config)
     : platform_(platform), config_(config) {
-  TG_REQUIRE(config_.series_end > config_.series_start,
-             "streaming series range is empty");
+  TG_REQUIRE(config_.series_end > 0, "streaming series range is empty");
   TG_REQUIRE(config_.bucket > 0, "streaming bucket must be positive");
   TG_REQUIRE(config_.features.burst_window > 0 &&
                  config_.features.burst_min_jobs >= 2,
              "invalid burst parameters");
-  window_from_ = config_.series_start;
-  window_to_ = std::min(window_from_ + config_.bucket, config_.series_end);
+  window_to_ = std::min(config_.bucket, config_.series_end);
 }
 
 bool StreamingExtractor::admit(SimTime t) {
-  if (t < config_.series_start || t >= config_.series_end) {
+  if (t < 0 || t >= config_.series_end) {
     stats_.records_dropped.inc();
     return false;
   }

@@ -19,8 +19,8 @@
 //
 // The live Recorder appends in completion-time order, so windows close in
 // order; a record that regresses before the open window is a contract
-// violation (TG_CHECK). Records ending before the series start or at/after
-// the series end are outside every window and are dropped (counted).
+// violation (TG_CHECK). Records ending outside [0, series end) are in no
+// window and are dropped (counted).
 #pragma once
 
 #include <array>
@@ -39,10 +39,9 @@
 namespace tg {
 
 struct StreamingConfig {
-  /// Half-open measurement range [series_start, series_end), split into
+  /// Half-open measurement range [0, series_end), split into
   /// `bucket`-sized tumbling windows (the last window may be partial),
-  /// exactly like quarterly_series(from, to).
-  SimTime series_start = 0;
+  /// exactly like quarterly_series(0, series_end).
   SimTime series_end = 0;
   Duration bucket = kQuarter;
   FeatureConfig features;
@@ -77,11 +76,13 @@ class StreamingExtractor final : public UsageDatabase::RecordObserver {
   void finish();
   [[nodiscard]] bool finished() const { return finished_; }
 
-  /// Per-window primary modalities, densely indexed by user id — the
-  /// streaming equivalent of classify_series. Available after finish().
-  /// Entries are sized by the streaming user id horizon (users that only
-  /// appear in dropped records don't widen it); pad against
-  /// `db.user_id_limit()` when comparing with the batch path.
+  /// Per-window primary modalities, densely indexed by user id. Available
+  /// after finish(). Like quarterly_series, the last window may be
+  /// partial; classify_series keeps whole buckets only, so the two series
+  /// match when series_end is a whole number of buckets. Entries are sized
+  /// by the streaming user id horizon (users that only appear in dropped
+  /// records don't widen it); pad against `db.user_id_limit()` when
+  /// comparing with the batch path.
   [[nodiscard]] const std::vector<WindowModalities>& series() const;
 
   /// The F1 quarterly series — the streaming equivalent of
@@ -102,7 +103,7 @@ class StreamingExtractor final : public UsageDatabase::RecordObserver {
     obs::Counter jobs_ingested;
     obs::Counter transfers_ingested;
     obs::Counter sessions_ingested;
-    /// Records outside [series_start, series_end) — never classified.
+    /// Records outside [0, series_end) — never classified.
     obs::Counter records_dropped;
     obs::Counter windows_closed;
     obs::Counter users_classified;  ///< summed over closed windows

@@ -29,17 +29,12 @@ WindowModalities classify_window(const Platform& platform,
 std::vector<WindowModalities> classify_series(
     const Platform& platform, const UsageDatabase& db,
     const RuleClassifier& classifier, SimTime from, SimTime to,
-    Duration bucket, const FeatureConfig& features,
-    obs::TraceBuffer* trace) {
-  // Stamped with the series end: analytics run after the horizon.
-  obs::TraceSpan span(trace, to, obs::TraceCategory::kAnalytics,
-                      obs::TracePoint::kClassifySeries);
+    Duration bucket, const FeatureConfig& features) {
   std::vector<WindowModalities> series;
   for (SimTime q = from; q + bucket <= to; q += bucket) {
     series.push_back(
         classify_window(platform, db, classifier, q, q + bucket, features));
   }
-  span.set_payload(static_cast<std::int64_t>(series.size()));
   return series;
 }
 

@@ -15,7 +15,6 @@
 
 #include "core/classifier.hpp"
 #include "core/modality.hpp"
-#include "obs/trace.hpp"
 #include "util/table.hpp"
 
 namespace tg {
@@ -41,8 +40,7 @@ inline constexpr std::int8_t kInactiveUser = -1;
 [[nodiscard]] std::vector<WindowModalities> classify_series(
     const Platform& platform, const UsageDatabase& db,
     const RuleClassifier& classifier, SimTime from, SimTime to,
-    Duration bucket = kQuarter, const FeatureConfig& features = {},
-    obs::TraceBuffer* trace = nullptr);
+    Duration bucket = kQuarter, const FeatureConfig& features = {});
 
 /// Transition counts between consecutive reporting quarters.
 struct ModalityChurn {

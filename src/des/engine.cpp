@@ -45,28 +45,6 @@ EventId Engine::commit_slot(std::uint32_t slot, SimTime t,
   return make_id(binding.shard, slot, s.generation);
 }
 
-EventId Engine::schedule_at(SimTime t, Callback cb, EventPriority priority) {
-  return schedule_at(t, std::move(cb), priority, default_binding());
-}
-
-EventId Engine::schedule_at(SimTime t, Callback cb, EventPriority priority,
-                            EventBinding binding) {
-  TG_REQUIRE(static_cast<bool>(cb), "event callback must not be null");
-  const std::uint32_t slot = acquire_slot(t, binding.shard);
-  slot_ref(slot).cb = std::move(cb);
-  return commit_slot(slot, t, priority, binding);
-}
-
-EventId Engine::schedule_in(Duration dt, Callback cb, EventPriority priority) {
-  return schedule_in(dt, std::move(cb), priority, default_binding());
-}
-
-EventId Engine::schedule_in(Duration dt, Callback cb, EventPriority priority,
-                            EventBinding binding) {
-  TG_REQUIRE(dt >= 0, "negative delay " << dt);
-  return schedule_at(now() + dt, std::move(cb), priority, binding);
-}
-
 bool Engine::cancel(EventId id) {
   const std::uint32_t slot = slot_of(id);
   if (slot >= slab_size_) return false;

@@ -121,8 +121,6 @@ class ChoiceHook {
 
 class Engine {
  public:
-  using Callback = EventCallback;
-
   /// Partition id fits in 6 EventId bits.
   static constexpr std::uint32_t kMaxPartitions = 64;
 
@@ -151,31 +149,20 @@ class Engine {
   /// Current simulation time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `t` (must be >= now()).
-  EventId schedule_at(SimTime t, Callback cb,
-                      EventPriority priority = EventPriority::kDefault);
-  EventId schedule_at(SimTime t, Callback cb, EventPriority priority,
-                      EventBinding binding);
-
-  /// Overload for plain callables: the callback is constructed directly in
-  /// its slab slot, skipping the move through a temporary EventCallback.
-  template <class F,
-            class D = std::decay_t<F>,
-            class = std::enable_if_t<!std::is_same_v<D, Callback> &&
-                                     !std::is_same_v<D, std::nullptr_t> &&
-                                     std::is_invocable_r_v<void, D&>>>
+  /// Schedules `f`, any void() callable, at absolute time `t` (must be
+  /// >= now()). The callback is constructed directly in its slab slot.
+  template <class F>
   EventId schedule_at(SimTime t, F&& f,
                       EventPriority priority = EventPriority::kDefault) {
     return schedule_at(t, std::forward<F>(f), priority, default_binding());
   }
 
-  template <class F,
-            class D = std::decay_t<F>,
-            class = std::enable_if_t<!std::is_same_v<D, Callback> &&
-                                     !std::is_same_v<D, std::nullptr_t> &&
-                                     std::is_invocable_r_v<void, D&>>>
+  template <class F>
   EventId schedule_at(SimTime t, F&& f, EventPriority priority,
                       EventBinding binding) {
+    using D = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, D&>,
+                  "an event callback is a void() callable");
     if constexpr (std::is_constructible_v<bool, const D&>) {
       TG_REQUIRE(static_cast<bool>(f), "event callback must not be null");
     }
@@ -184,27 +171,14 @@ class Engine {
     return commit_slot(slot, t, priority, binding);
   }
 
-  /// Schedules `cb` after `dt` ticks (must be >= 0).
-  EventId schedule_in(Duration dt, Callback cb,
-                      EventPriority priority = EventPriority::kDefault);
-  EventId schedule_in(Duration dt, Callback cb, EventPriority priority,
-                      EventBinding binding);
-
-  template <class F,
-            class D = std::decay_t<F>,
-            class = std::enable_if_t<!std::is_same_v<D, Callback> &&
-                                     !std::is_same_v<D, std::nullptr_t> &&
-                                     std::is_invocable_r_v<void, D&>>>
+  /// Schedules `f` after `dt` ticks (must be >= 0).
+  template <class F>
   EventId schedule_in(Duration dt, F&& f,
                       EventPriority priority = EventPriority::kDefault) {
     return schedule_in(dt, std::forward<F>(f), priority, default_binding());
   }
 
-  template <class F,
-            class D = std::decay_t<F>,
-            class = std::enable_if_t<!std::is_same_v<D, Callback> &&
-                                     !std::is_same_v<D, std::nullptr_t> &&
-                                     std::is_invocable_r_v<void, D&>>>
+  template <class F>
   EventId schedule_in(Duration dt, F&& f, EventPriority priority,
                       EventBinding binding) {
     TG_REQUIRE(dt >= 0, "negative delay " << dt);
@@ -274,7 +248,7 @@ class Engine {
   /// Slab cell backing one scheduled event. `armed` is the tombstone flag:
   /// cleared by cancel() (and on fire), checked when the heap entry pops.
   struct Slot {
-    Callback cb;
+    EventCallback cb;
     std::uint32_t generation = 1;
     bool armed = false;
     EventClass cls = EventClass::kBarrier;

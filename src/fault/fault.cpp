@@ -33,10 +33,6 @@ FaultModel::FaultModel(Engine& engine, SchedulerPool& pool, FaultConfig config,
   TG_REQUIRE(o.mtbf_hours >= 0.0, "MTBF must be non-negative");
   TG_REQUIRE(o.repair_mean_hours > 0.0, "mean repair time must be positive");
   TG_REQUIRE(o.repair_cv >= 0.0, "repair CV must be non-negative");
-  TG_REQUIRE(0.0 <= o.nodes_fraction_min &&
-                 o.nodes_fraction_min <= o.nodes_fraction_max &&
-                 o.nodes_fraction_max <= 1.0,
-             "outage node fractions must satisfy 0 <= min <= max <= 1");
   TG_REQUIRE(o.full_outage_prob >= 0.0 && o.full_outage_prob <= 1.0,
              "full-outage probability must be a probability");
   TG_REQUIRE(config_.job_failure_rate_per_hour >= 0.0,
@@ -98,8 +94,7 @@ void FaultModel::begin_outage(std::size_t i) {
   const ComputeResource& res = sched.resource();
   int nodes = res.nodes;
   if (!rng.bernoulli(config_.outage.full_outage_prob)) {
-    const double fraction = rng.uniform(config_.outage.nodes_fraction_min,
-                                        config_.outage.nodes_fraction_max);
+    const double fraction = rng.uniform(0.05, 0.5);
     nodes = std::clamp(
         static_cast<int>(std::ceil(fraction * static_cast<double>(res.nodes))),
         1, res.nodes);

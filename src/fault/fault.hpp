@@ -33,11 +33,8 @@ struct OutageProcess {
   /// Coefficient of variation of lognormal repairs; 0 makes every repair
   /// last exactly repair_mean_hours.
   double repair_cv = 1.0;
-  /// Partial outages take a uniform fraction of the machine in
-  /// [nodes_fraction_min, nodes_fraction_max] (rounded up, at least 1).
-  double nodes_fraction_min = 0.05;
-  double nodes_fraction_max = 0.5;
-  /// Probability an outage takes the whole machine down instead.
+  /// Probability an outage takes the whole machine down; otherwise it
+  /// takes a uniform 5-50% of the nodes (rounded up, at least 1).
   double full_outage_prob = 0.15;
 };
 

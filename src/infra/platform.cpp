@@ -192,8 +192,13 @@ Platform mini_platform() {
   return p;
 }
 
-ShardPlan make_shard_plan(const Platform& platform) {
-  return plan_shards(platform.sites().size());
+std::uint32_t partition_count(const Platform& platform) {
+  return static_cast<std::uint32_t>(1 + platform.sites().size());
+}
+
+std::uint32_t site_partition(SiteId site) {
+  TG_REQUIRE(site.valid(), "site partition of an invalid site");
+  return static_cast<std::uint32_t>(1 + site.value());
 }
 
 }  // namespace tg

@@ -6,10 +6,10 @@
 // reduced scale is provided by `teragrid_2010()`.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "des/shard.hpp"
 #include "des/time.hpp"
 #include "util/ids.hpp"
 
@@ -111,8 +111,16 @@ class Platform {
 /// A 2-site / 2-resource micro platform used by unit tests and quickstart.
 [[nodiscard]] Platform mini_platform();
 
-/// Derives the shard plan (coordinator + one partition per site) from a
-/// platform's topology.
-[[nodiscard]] ShardPlan make_shard_plan(const Platform& platform);
+// Engine partitions by topology (DESIGN.md §5.7): partition 0 is the
+// coordinator, which owns every cross-site mechanism (traffic, gateway
+// dispatch, WAN flows, faults, reporting); each site's scheduler events
+// live on a partition of their own. The partition id is part of the
+// canonical event order.
+
+/// 1 (the coordinator) + one partition per site.
+[[nodiscard]] std::uint32_t partition_count(const Platform& platform);
+
+/// The partition of `site`'s scheduler events: 1 + site index.
+[[nodiscard]] std::uint32_t site_partition(SiteId site);
 
 }  // namespace tg

@@ -20,15 +20,14 @@ namespace {
 /// their workload by hand so every event is accounted for.
 struct Sim {
   Platform platform = mini_platform();
-  ShardPlan plan = make_shard_plan(platform);
   Engine engine;
   UsageDatabase db;
   std::unique_ptr<SchedulerPool> pool;
   std::unique_ptr<Recorder> recorder;
 
   explicit Sim(const SchedulerConfig& cfg = {}) {
-    engine.configure_partitions(plan.partitions);
-    pool = std::make_unique<SchedulerPool>(engine, platform, cfg, &plan);
+    engine.configure_partitions(partition_count(platform));
+    pool = std::make_unique<SchedulerPool>(engine, platform, cfg);
     recorder = std::make_unique<Recorder>(platform, db);
     recorder->attach(*pool);
   }

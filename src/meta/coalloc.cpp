@@ -6,15 +6,8 @@
 
 namespace tg {
 
-CoAllocator::CoAllocator(Engine& engine, SchedulerPool& pool,
-                         Duration retry_step, int max_retries)
-    : engine_(engine),
-      pool_(pool),
-      retry_step_(retry_step),
-      max_retries_(max_retries) {
-  TG_REQUIRE(retry_step > 0, "retry step must be positive");
-  TG_REQUIRE(max_retries >= 1, "need at least one attempt");
-}
+CoAllocator::CoAllocator(Engine& engine, SchedulerPool& pool)
+    : engine_(engine), pool_(pool) {}
 
 SimTime CoAllocator::estimate_common_start(
     const CoAllocRequest& request) const {
@@ -33,8 +26,10 @@ std::optional<CoAllocation> CoAllocator::co_allocate(
   TG_REQUIRE(request.walltime > 0 && request.actual_runtime > 0,
              "co-allocation needs positive durations");
 
+  constexpr Duration kRetryStep = 30 * kMinute;
+  constexpr int kAttempts = 200;
   SimTime attempt = estimate_common_start(request);
-  for (int retry = 0; retry < max_retries_; ++retry) {
+  for (int retry = 0; retry < kAttempts; ++retry) {
     std::vector<ReservationId> booked;
     booked.reserve(request.members.size());
     bool ok = true;
@@ -52,7 +47,7 @@ std::optional<CoAllocation> CoAllocator::co_allocate(
       for (std::size_t i = 0; i < booked.size(); ++i) {
         pool_.at(request.members[i].resource).cancel_reservation(booked[i]);
       }
-      attempt += retry_step_;
+      attempt += kRetryStep;
       continue;
     }
 

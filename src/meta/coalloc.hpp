@@ -38,13 +38,11 @@ struct CoAllocation {
 
 class CoAllocator {
  public:
-  explicit CoAllocator(Engine& engine, SchedulerPool& pool,
-                       Duration retry_step = 30 * kMinute,
-                       int max_retries = 200);
+  CoAllocator(Engine& engine, SchedulerPool& pool);
 
-  /// Finds the earliest common start >= now and books it. Returns nullopt
-  /// only if no common window exists within max_retries * retry_step
-  /// (practically never on a feasible request).
+  /// Finds the earliest common start >= now and books it, trying a window
+  /// 30 minutes later after each failed booking. Returns nullopt only if
+  /// none of 200 attempts books (practically never on a feasible request).
   std::optional<CoAllocation> co_allocate(const CoAllocRequest& request);
 
   /// Start-time estimate for the same request without booking (used to
@@ -55,8 +53,6 @@ class CoAllocator {
  private:
   Engine& engine_;
   SchedulerPool& pool_;
-  Duration retry_step_;
-  int max_retries_;
 };
 
 }  // namespace tg

@@ -7,11 +7,9 @@
 namespace tg {
 
 bool ResourceSelector::eligible(const ComputeResource& res, int nodes,
-                                Duration walltime) const {
-  if (nodes > res.nodes) return false;
-  if (walltime > res.max_walltime) return false;
-  if (exclude_viz_ && res.interactive_viz) return false;
-  return true;
+                                Duration walltime) {
+  return nodes <= res.nodes && walltime <= res.max_walltime &&
+         !res.interactive_viz;
 }
 
 ResourceId ResourceSelector::select(

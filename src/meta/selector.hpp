@@ -14,14 +14,10 @@ namespace tg {
 
 class ResourceSelector {
  public:
-  /// If `exclude_viz` is set, visualization systems are never selected for
-  /// ordinary batch work.
-  explicit ResourceSelector(bool exclude_viz = true)
-      : exclude_viz_(exclude_viz) {}
-
   /// Picks from `candidates` (or from every compute resource when empty)
   /// the machine with the earliest estimated start for a (nodes, walltime)
-  /// job. Machines too small for the job are skipped. Ties break toward
+  /// job. Visualization systems are never selected for batch work, and
+  /// machines too small for the job are skipped. Ties break toward
   /// the lower resource id, which keeps runs deterministic. Machines whose
   /// in-service node count (after outages) cannot hold the job are avoided
   /// unless no eligible machine is available at all.
@@ -36,10 +32,8 @@ class ResourceSelector {
       const std::vector<ResourceId>& candidates) const;
 
  private:
-  [[nodiscard]] bool eligible(const ComputeResource& res, int nodes,
-                              Duration walltime) const;
-
-  bool exclude_viz_;
+  [[nodiscard]] static bool eligible(const ComputeResource& res, int nodes,
+                                     Duration walltime);
 };
 
 }  // namespace tg

@@ -15,7 +15,7 @@
 //
 // Single-writer: one TraceBuffer belongs to one simulation, whose events
 // all fire on one thread. Do not hand the same buffer to scenarios
-// replicated across a thread pool.
+// replicated on different threads.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,6 @@
 // Deterministic replication harness, the library's one fan-out: runs
 // independent simulation replications (different seeds, different sweep
-// points) or analyses of independent windows over a thread pool and
+// points) or analyses of independent windows on worker threads and
 // aggregates results in index order.
 //
 // Determinism contract: `run(n, fn)` returns exactly the vector a plain
@@ -11,64 +11,67 @@
 // output after run() returns is byte-identical at any --jobs level.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <exception>
-#include <future>
-#include <memory>
+#include <optional>
+#include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
-
-#include "parallel/thread_pool.hpp"
 
 namespace tg {
 
 class Replicator {
  public:
-  /// `jobs` worker threads; 0 means hardware_concurrency. With jobs == 1 no
-  /// pool is created and run() executes inline on the caller's thread.
-  explicit Replicator(std::size_t jobs = 0) {
-    if (jobs != 1) pool_ = std::make_unique<ThreadPool>(jobs);
-  }
+  /// `jobs` workers, the calling thread included; 0 means one per hardware
+  /// thread.
+  explicit Replicator(std::size_t jobs = 0)
+      : jobs_(jobs != 0 ? jobs
+                        : std::max<std::size_t>(
+                              1, std::thread::hardware_concurrency())) {}
 
-  /// Worker count (1 when running inline).
-  [[nodiscard]] std::size_t jobs() const {
-    return pool_ ? pool_->size() : 1;
-  }
+  [[nodiscard]] std::size_t jobs() const { return jobs_; }
 
   /// Runs fn(i) for i in [0, n) and returns the results in index order.
-  /// On the pool every task settles before the first exception (in index
-  /// order) is rethrown; inline, the loop stops at the first throw.
+  /// min(jobs, n) - 1 threads plus the caller take indices from one
+  /// counter; with jobs == 1 the caller runs the loop alone. Every task
+  /// runs before the first exception (in index order) is rethrown.
   template <class Fn>
   auto run(std::size_t n, Fn fn)
       -> std::vector<std::invoke_result_t<Fn, std::size_t>> {
     using R = std::invoke_result_t<Fn, std::size_t>;
+    std::vector<std::optional<R>> results(n);
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+      for (std::size_t i = next++; i < n; i = next++) {
+        try {
+          results[i].emplace(fn(i));
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+    };
+    {
+      std::vector<std::jthread> workers;
+      const std::size_t threads = std::min(jobs_, std::max<std::size_t>(n, 1));
+      workers.reserve(threads - 1);
+      for (std::size_t w = 1; w < threads; ++w) workers.emplace_back(work);
+      work();
+    }  // joins the workers
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
     std::vector<R> out;
     out.reserve(n);
-    if (!pool_) {
-      for (std::size_t i = 0; i < n; ++i) out.push_back(fn(i));
-      return out;
-    }
-    std::vector<std::future<R>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      futures.push_back(pool_->submit([&fn, i] { return fn(i); }));
-    }
-    // Drain every future before rethrowing: bailing out on the first error
-    // would destroy futures whose tasks still reference fn.
-    std::exception_ptr first_error;
-    for (auto& f : futures) {
-      try {
-        out.push_back(f.get());
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
+    for (std::optional<R>& r : results) out.push_back(std::move(*r));
     return out;
   }
 
  private:
-  std::unique_ptr<ThreadPool> pool_;
+  std::size_t jobs_;
 };
 
 }  // namespace tg

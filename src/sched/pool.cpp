@@ -5,14 +5,16 @@
 namespace tg {
 
 SchedulerPool::SchedulerPool(Engine& engine, const Platform& platform,
-                             SchedulerConfig config, const ShardPlan* plan)
+                             SchedulerConfig config)
     : platform_(platform) {
+  const bool by_site = engine.partitions() == partition_count(platform);
+  TG_REQUIRE(by_site || engine.partitions() == 1,
+             "engine has " << engine.partitions()
+                           << " partitions; a scheduler pool needs 1 or "
+                           << partition_count(platform));
   schedulers_.reserve(platform.compute().size());
   for (const ComputeResource& r : platform.compute()) {
-    const std::uint32_t shard =
-        plan != nullptr
-            ? plan->partition_of_site(static_cast<std::size_t>(r.site.value()))
-            : 0;
+    const std::uint32_t shard = by_site ? site_partition(r.site) : 0;
     schedulers_.push_back(
         std::make_unique<ResourceScheduler>(engine, r, config, shard));
   }

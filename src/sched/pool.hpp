@@ -15,13 +15,13 @@ namespace tg {
 
 class SchedulerPool {
  public:
-  /// Builds a scheduler per compute resource, all with `config`. When
-  /// `plan` is given, each scheduler binds its events to its site's engine
-  /// partition (the engine must have been configured with at least
-  /// plan->partitions partitions); otherwise everything lives on
-  /// partition 0.
+  /// Builds a scheduler per compute resource, all with `config`. On an
+  /// engine split into partition_count(platform) partitions each scheduler
+  /// binds its events to site_partition(its site); on an unpartitioned
+  /// engine every scheduler lives on partition 0. Any other partition
+  /// count is rejected.
   SchedulerPool(Engine& engine, const Platform& platform,
-                SchedulerConfig config = {}, const ShardPlan* plan = nullptr);
+                SchedulerConfig config = {});
 
   [[nodiscard]] ResourceScheduler& at(ResourceId id);
   [[nodiscard]] const ResourceScheduler& at(ResourceId id) const;

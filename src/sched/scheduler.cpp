@@ -45,39 +45,6 @@ ResourceScheduler::ResourceScheduler(Engine& engine,
       next_job_(job_id_base_),
       shard_(shard) {
   TG_REQUIRE(resource.nodes > 0, "resource has no nodes");
-  TG_REQUIRE(config.capability_fraction > 0.0 &&
-                 config.capability_fraction <= 1.0,
-             "capability_fraction must be in (0,1]");
-  TG_REQUIRE(!config.fair_share || config.fair_share_half_life > 0,
-             "fair-share half-life must be positive");
-}
-
-int ceil_fraction(double fraction, int n) {
-  TG_REQUIRE(fraction > 0.0 && fraction <= 1.0,
-             "fraction " << fraction << " outside (0,1]");
-  TG_REQUIRE(n > 0, "n must be positive");
-  // Decompose fraction = mant / 2^shift with integer mant, then take
-  // ceil(mant * n / 2^shift) in 128-bit integer arithmetic. This is the
-  // exact ceiling of the stored double times n; the old "+ 0.999" hack
-  // under-rounded fractional parts below 0.001 and made boundary products
-  // depend on FP noise.
-  int exp = 0;
-  const double mantissa = std::frexp(fraction, &exp);  // in [0.5, 1)
-  auto mant = static_cast<std::uint64_t>(std::ldexp(mantissa, 53));
-  int shift = 53 - exp;  // >= 52 since fraction <= 1
-  while (shift > 0 && (mant & 1u) == 0) {
-    mant >>= 1;
-    --shift;
-  }
-  if (shift > 126) return 1;  // fraction < 2^-73: ceil(fraction * n) == 1
-  __extension__ using u128 = unsigned __int128;
-  const u128 num = static_cast<u128>(mant) * static_cast<std::uint32_t>(n);
-  const u128 den = static_cast<u128>(1) << shift;
-  return static_cast<int>((num + den - 1) / den);
-}
-
-int ResourceScheduler::capability_threshold() const {
-  return ceil_fraction(config_.capability_fraction, resource_.nodes);
 }
 
 JobId ResourceScheduler::allocate_job_id() {
@@ -419,9 +386,9 @@ double ResourceScheduler::fair_share_usage(UserId user, SimTime now) const {
   if (idx >= usage_.size()) return 0.0;
   const auto [value, at] = usage_[idx];
   if (value == 0.0) return 0.0;  // never charged (or fully zero anyway)
-  const double decay = std::exp2(
-      -static_cast<double>(now - at) /
-      static_cast<double>(config_.fair_share_half_life));
+  constexpr Duration kHalfLife = 7 * kDay;
+  const double decay = std::exp2(-static_cast<double>(now - at) /
+                                 static_cast<double>(kHalfLife));
   return value * decay;
 }
 
@@ -451,7 +418,8 @@ std::vector<std::size_t> ResourceScheduler::ordered_queue() const {
                      });
   }
   if (config_.drain_period > 0) {
-    const int thresh = capability_threshold();
+    // Capability jobs take at least half the machine, rounded up.
+    const int thresh = (resource_.nodes + 1) / 2;
     std::stable_partition(order.begin(), order.end(), [&](std::size_t pos) {
       return queue_[pos].nodes >= thresh;
     });

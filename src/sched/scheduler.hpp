@@ -31,12 +31,6 @@ enum class SchedPolicy : std::uint8_t {
 
 [[nodiscard]] const char* to_string(SchedPolicy p);
 
-/// Smallest integer k with k >= fraction * n, computed exactly in integer
-/// arithmetic on the binary representation of `fraction` (no "+ epsilon"
-/// rounding hacks, no dependence on FP noise in the product). Requires
-/// fraction in (0, 1] and n > 0; the result is in [1, n].
-[[nodiscard]] int ceil_fraction(double fraction, int n);
-
 // --- Job id space -----------------------------------------------------------
 // Job ids are globally unique across schedulers: (resource.id + 1) is folded
 // into the bits above kJobIdResourceShift and a per-resource counter fills
@@ -53,19 +47,16 @@ inline constexpr std::int32_t kMaxResourceId = (std::int32_t{1} << 23) - 2;
 struct SchedulerConfig {
   SchedPolicy policy = SchedPolicy::kEasyBackfill;
   /// If > 0, the machine is fully drained every `drain_period` (no job may
-  /// run across a fence), and capability jobs get queue priority.
+  /// run across a fence), and capability jobs — at least half the machine's
+  /// nodes, rounded up — get queue priority.
   Duration drain_period = 0;
-  /// Jobs with nodes >= capability_fraction * machine nodes are
-  /// "capability" jobs for drain prioritization.
-  double capability_fraction = 0.5;
   /// Backfill policies examine at most this many queued jobs per pass
   /// (production schedulers cap their lookahead the same way).
   int backfill_depth = 128;
-  /// Fair-share queue ordering: users with less recent (exponentially
-  /// decayed) usage go first. FIFO among equal users.
+  /// Fair-share queue ordering: users with less recent usage, decayed
+  /// exponentially with a 7-day half-life, go first. FIFO among equal
+  /// users.
   bool fair_share = false;
-  /// Half-life of the fair-share usage decay.
-  Duration fair_share_half_life = 7 * kDay;
   /// Outage handling: a job preempted by an outage is requeued (after a
   /// backoff) at most this many times; the next preemption kills it with
   /// state kKilledByOutage.
@@ -103,8 +94,8 @@ class ResourceScheduler {
  public:
   using JobCallback = std::function<void(const Job&)>;
 
-  /// `shard` is the engine partition this scheduler's events live on (the
-  /// site partition under a ShardPlan; 0 when the engine is unpartitioned).
+  /// `shard` is the engine partition this scheduler's events live on (its
+  /// site_partition on a partitioned engine; 0 when unpartitioned).
   ResourceScheduler(Engine& engine, const ComputeResource& resource,
                     SchedulerConfig config = {}, std::uint32_t shard = 0);
 
@@ -320,7 +311,6 @@ class ResourceScheduler {
   /// Adds / removes a running non-reservation job in running_.
   void track_running(const Job& job);
   void untrack_running(const Job& job);
-  [[nodiscard]] int capability_threshold() const;
   /// Next id from this resource's band; throws once the band is exhausted.
   [[nodiscard]] JobId allocate_job_id();
   [[nodiscard]] Duration planned_duration(const Job& job) const;

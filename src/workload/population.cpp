@@ -1,6 +1,7 @@
 #include "workload/population.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/distributions.hpp"
 #include "util/error.hpp"
@@ -44,6 +45,10 @@ std::vector<ResourceId> pick_preferred(const Platform& platform, Rng& rng,
   return out;
 }
 
+/// The paper's three science gateways, in gateway-id order.
+constexpr std::array<const char*, 3> kGatewayNames = {"nanoHUB", "CIPRES",
+                                                      "GridChem"};
+
 FieldOfScience random_field(Rng& rng) {
   // Rough 2010 TeraGrid discipline mix by allocation share.
   static const Discrete dist({22, 14, 13, 12, 9, 8, 7, 4, 11});
@@ -54,7 +59,6 @@ FieldOfScience random_field(Rng& rng) {
 
 Population build_population(const Platform& platform,
                             const PopulationConfig& config, Rng& rng) {
-  TG_REQUIRE(config.gateways >= 1, "need at least one gateway");
   Population pop;
   Rng prefs = rng.fork("population.preferred");
   Rng scales = rng.fork("population.scales");
@@ -118,11 +122,7 @@ Population build_population(const Platform& platform,
   const int gw_preferred = gateway_spec ? gateway_spec->preferred_count : 3;
   const bool gw_viz = gateway_spec ? gateway_spec->prefer_viz : false;
   const int gw_min_nodes = gateway_spec ? gateway_spec->min_nodes : 96;
-  static const char* kGatewayNames[] = {"nanoHUB", "CIPRES", "GridChem",
-                                        "LEAD",    "SIDGrid", "RENCI-Sci"};
-  for (int g = 0; g < config.gateways; ++g) {
-    const std::string name =
-        g < 6 ? kGatewayNames[g] : "gateway-" + std::to_string(g);
+  for (const std::string name : kGatewayNames) {
     const ProjectId proj = pop.community.add_project(
         name + "-community", FieldOfScience::kOther, 5e6);
     const UserId account = pop.community.add_user(name + "-account", proj);
@@ -141,7 +141,7 @@ Population build_population(const Platform& platform,
   // Gateway end users: labels with a Zipf-skew over gateways and an
   // adoption ramp for the growth figure.
   const int gateway_end_users = gateway_spec ? gateway_spec->count : 0;
-  const Zipf gateway_pick(static_cast<std::size_t>(config.gateways), 1.1);
+  const Zipf gateway_pick(kGatewayNames.size(), 1.1);
   for (int i = 0; i < gateway_end_users; ++i) {
     GatewayEndUser eu;
     eu.gateway_index = gateway_pick.sample(scales) - 1;

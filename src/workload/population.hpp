@@ -46,7 +46,6 @@ struct PopulationConfig {
   /// Which archetypes exist and how many actors each gets. Empty means the
   /// canonical builtin registry.
   ArchetypeRegistry registry;
-  int gateways = 3;
   double gateway_attribute_coverage = 0.9;
   /// Fraction of gateway end users that adopt over the horizon (uniformly
   /// spread activation) instead of being active from t=0. Drives the
@@ -72,8 +71,9 @@ struct Population {
                       ///< accounts are labelled kGateway)
 };
 
-/// Builds accounts, projects, gateway configs and ground truth. Gateways
-/// target the large batch machines; viz users prefer the viz systems.
+/// Builds accounts, projects, gateway configs and ground truth. The
+/// gateways are the paper's three (nanoHUB, CIPRES, GridChem) and target
+/// the large batch machines; viz users prefer the viz systems.
 [[nodiscard]] Population build_population(const Platform& platform,
                                           const PopulationConfig& config,
                                           Rng& rng);

@@ -11,7 +11,6 @@ Scenario::Scenario(ScenarioConfig config)
         Rng rng(config_.seed);
         PopulationConfig pc;
         pc.registry = config_.registry;
-        pc.gateways = config_.gateways;
         pc.gateway_attribute_coverage = config_.gateway_attribute_coverage;
         pc.gateway_adoption_ramp = config_.gateway_adoption_ramp;
         pc.horizon = config_.horizon;
@@ -21,12 +20,10 @@ Scenario::Scenario(ScenarioConfig config)
       ledger_(population_.community) {
   // Partition the engine by topology before anything is scheduled: the
   // partition ids are part of the canonical event order.
-  shard_plan_ = make_shard_plan(platform_);
-  engine_.configure_partitions(shard_plan_.partitions);
+  engine_.configure_partitions(partition_count(platform_));
   // Lets report/label stages resolve interned end-user ids back to labels.
   db_.set_end_user_pool(&population_.end_user_pool);
-  pool_ = std::make_unique<SchedulerPool>(engine_, platform_, config_.sched,
-                                          &shard_plan_);
+  pool_ = std::make_unique<SchedulerPool>(engine_, platform_, config_.sched);
   recorder_ = std::make_unique<Recorder>(platform_, db_, &ledger_);
   recorder_->attach(*pool_);
   recorder_->attach(flows_);
@@ -75,7 +72,6 @@ Scenario::Scenario(ScenarioConfig config)
   }
   if (config_.streaming.enabled) {
     StreamingConfig sc;
-    sc.series_start = 0;
     sc.bucket = config_.streaming.bucket;
     sc.series_end = config_.streaming.series_end;
     if (sc.series_end == 0) {

@@ -39,7 +39,6 @@ struct ScenarioConfig {
   /// output is byte-identical to a build without the subsystem.
   DataGridConfig data_grid;
   SchedulerConfig sched;
-  int gateways = 3;
   double gateway_attribute_coverage = 0.9;
   double gateway_adoption_ramp = 0.6;
   FeatureConfig features;
@@ -58,7 +57,7 @@ struct ScenarioConfig {
   Duration audit_every = 0;
   /// Optional flight recorder, attached to every scheduler, gateway and
   /// the fault model (see obs/trace.hpp). Single-writer: never share one
-  /// buffer between scenarios replicated across a thread pool.
+  /// buffer between scenarios replicated on different threads.
   obs::TraceBuffer* trace = nullptr;
   /// Streaming modality measurement (DESIGN.md §5.9): when enabled, a
   /// StreamingExtractor subscribes to the database's append stream and the
@@ -267,7 +266,6 @@ class Scenario {
   std::unique_ptr<TrafficGenerator> generator_;
   std::unique_ptr<FaultModel> faults_;
   std::unique_ptr<StreamingExtractor> streaming_;
-  ShardPlan shard_plan_;
   bool ran_ = false;
 };
 

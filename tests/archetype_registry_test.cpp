@@ -95,7 +95,6 @@ TEST(ArchetypeRegistry, AppendedSpecJoinsThePopulation) {
   }
   cfg.registry.set_count("capacity", 5);
   cfg.registry.add(ArchetypeSpec::data_intensive("hep", 12));
-  cfg.gateways = 1;
   Rng rng(3);
   const Platform platform = teragrid_2010();
   const Population pop = build_population(platform, cfg, rng);

@@ -71,7 +71,7 @@ TEST(Engine, RejectsPastScheduling) {
 
 TEST(Engine, RejectsNullCallback) {
   Engine e;
-  EXPECT_THROW(e.schedule_at(1, nullptr), PreconditionError);
+  EXPECT_THROW(e.schedule_at(1, std::function<void()>()), PreconditionError);
 }
 
 TEST(Engine, CancelPreventsFiring) {

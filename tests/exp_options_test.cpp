@@ -3,11 +3,12 @@
 // a well-formed value exits 2 with usage, like an unknown flag, one the
 // binary does not accept, or an output path that cannot be written. A
 // write that fails after the run exits 1. Only the parser and the export
-// writers run here — no Replicator or thread pool is ever built.
+// writers run here — no Replicator or worker thread is ever started.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -66,14 +67,17 @@ TEST(ExpOptions, ParsesNumericValues) {
 }
 
 TEST(ExpOptions, StringValuesPassThrough) {
+  const std::string spill = ::testing::TempDir() + "exp_options_x=y";
+  std::filesystem::create_directory(spill);
   const Options o = parse({"--csv=a.csv", "--trace", "--metrics=m.jsonl",
-                           "--spill-dir=/tmp/x=y"});
+                           "--segment-cap=4096", "--spill-dir=" + spill});
   EXPECT_EQ(o.csv, "a.csv");
   EXPECT_EQ(o.trace, "exp_test.trace.jsonl");
   EXPECT_EQ(o.metrics, "m.jsonl");
-  EXPECT_EQ(o.spill_dir, "/tmp/x=y");
-  // The path check created the missing files; the run would fill them.
-  for (const std::string& path : {*o.csv, *o.trace, *o.metrics}) {
+  EXPECT_EQ(o.spill_dir, spill);
+  // The path check created the missing files (the run would fill them);
+  // the spill directory is this test's own.
+  for (const std::string& path : {*o.csv, *o.trace, *o.metrics, spill}) {
     std::remove(path.c_str());
   }
 }
@@ -167,6 +171,30 @@ TEST_F(ExpOptionsDeathTest, UnwritableMetricsPathExitsBeforeTheRun) {
   EXPECT_EXIT(parse({"--metrics=/nonexistent/dir/m.jsonl"}),
               ::testing::ExitedWithCode(2),
               "cannot write --metrics path '/nonexistent/dir/m.jsonl'");
+}
+
+TEST_F(ExpOptionsDeathTest, SpillDirWithoutSegmentCapExitsWithUsage) {
+  // Without a positive cap no segment ever seals, so nothing would spill.
+  const std::string dir = ::testing::TempDir();
+  EXPECT_EXIT(parse({"--spill-dir=" + dir}), ::testing::ExitedWithCode(2),
+              "--spill-dir needs a positive --segment-cap");
+  EXPECT_EXIT(parse({"--segment-cap=0", "--spill-dir=" + dir}),
+              ::testing::ExitedWithCode(2), "usage: exp_test");
+}
+
+TEST_F(ExpOptionsDeathTest, UnwritableSpillDirExitsBeforeTheRun) {
+  EXPECT_EXIT(parse({"--segment-cap=4096", "--spill-dir=/nonexistent/dir"}),
+              ::testing::ExitedWithCode(2),
+              "cannot write --spill-dir directory '/nonexistent/dir'");
+  EXPECT_EXIT(parse({"--segment-cap=4096", "--spill-dir="}),
+              ::testing::ExitedWithCode(2),
+              "cannot write --spill-dir directory ''");
+  // A regular file is not a directory.
+  const std::string file = ::testing::TempDir() + "exp_options_not_a_dir";
+  std::ofstream(file) << "x\n";
+  EXPECT_EXIT(parse({"--segment-cap=4096", "--spill-dir=" + file}),
+              ::testing::ExitedWithCode(2), "usage: exp_test");
+  std::remove(file.c_str());
 }
 
 TEST_F(ExpOptionsDeathTest, FailedExportWriteExitsOne) {

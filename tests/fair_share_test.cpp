@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "sched/scheduler.hpp"
-#include "util/error.hpp"
 
 namespace tg {
 namespace {
@@ -31,7 +30,6 @@ SchedulerConfig fair_cfg() {
   SchedulerConfig cfg;
   cfg.policy = SchedPolicy::kFcfs;
   cfg.fair_share = true;
-  cfg.fair_share_half_life = 7 * kDay;
   return cfg;
 }
 
@@ -125,14 +123,6 @@ TEST(FairShare, DecayRestoresPriority) {
   ASSERT_GE(n, 2u);
   EXPECT_EQ(start_order[n - 2], UserId{2});
   EXPECT_EQ(start_order[n - 1], UserId{1});
-}
-
-TEST(FairShare, ConfigValidation) {
-  Engine engine;
-  SchedulerConfig cfg;
-  cfg.fair_share = true;
-  cfg.fair_share_half_life = 0;
-  EXPECT_THROW(ResourceScheduler(engine, machine(), cfg), PreconditionError);
 }
 
 }  // namespace

@@ -275,8 +275,7 @@ TEST(FaultModel, RejectsBadConfig) {
   SchedulerPool pool(engine, platform);
   FaultConfig bad;
   bad.outage.mtbf_hours = 100.0;
-  bad.outage.nodes_fraction_min = 0.9;
-  bad.outage.nodes_fraction_max = 0.1;
+  bad.outage.full_outage_prob = 1.5;
   EXPECT_THROW(FaultModel(engine, pool, bad, kDay, Rng(1)), PreconditionError);
 }
 

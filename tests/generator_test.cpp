@@ -67,8 +67,7 @@ TEST(Generator, GatewayEndUsersDriveCommunityAccounts) {
     accounts.insert(r.user);
   }
   // All jobs flow through the (few) community accounts.
-  EXPECT_LE(accounts.size(),
-            static_cast<std::size_t>(s.config().gateways));
+  EXPECT_LE(accounts.size(), s.population().gateway_configs.size());
 }
 
 TEST(Generator, WorkflowUsersMixTaggedAndBursty) {

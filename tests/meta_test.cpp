@@ -45,13 +45,6 @@ TEST_F(MetaFixture, SelectorExcludesVizByDefault) {
   }
 }
 
-TEST_F(MetaFixture, SelectorCanIncludeViz) {
-  const ResourceSelector sel(/*exclude_viz=*/false);
-  const ResourceId longhorn = by_name("Longhorn");
-  const ResourceId pick = sel.select(pool, 1, kHour, {longhorn});
-  EXPECT_EQ(pick, longhorn);
-}
-
 TEST_F(MetaFixture, SelectorSkipsTooSmallMachines) {
   const ResourceSelector sel;
   // 600 nodes only fits Kraken (1032).
@@ -129,8 +122,6 @@ TEST_F(MetaFixture, CoAllocValidation) {
   req.members = {{by_name("Kraken"), 8}};
   req.walltime = 0;
   EXPECT_THROW(ca.co_allocate(req), PreconditionError);
-  EXPECT_THROW(CoAllocator(engine, pool, 0), PreconditionError);
-  EXPECT_THROW(CoAllocator(engine, pool, kHour, 0), PreconditionError);
 }
 
 TEST_F(MetaFixture, CoAllocThreeSites) {

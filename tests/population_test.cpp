@@ -18,7 +18,6 @@ PopulationConfig small_config() {
                    .set_count("viz", 6)
                    .set_count("data", 6)
                    .set_count("exploratory", 9);
-  c.gateways = 2;
   return c;
 }
 
@@ -30,9 +29,8 @@ TEST(Population, AccountCountsMatchMix) {
   EXPECT_EQ(pop.users.size(),
             static_cast<std::size_t>(cfg.registry.account_users()));
   // Community holds account users + one community account per gateway.
-  EXPECT_EQ(pop.community.user_count(),
-            pop.users.size() + static_cast<std::size_t>(cfg.gateways));
-  EXPECT_EQ(pop.gateway_configs.size(), 2u);
+  EXPECT_EQ(pop.community.user_count(), pop.users.size() + 3);
+  EXPECT_EQ(pop.gateway_configs.size(), 3u);
   EXPECT_EQ(pop.gateway_end_users.size(), 30u);
 }
 

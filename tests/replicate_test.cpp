@@ -1,8 +1,8 @@
 // Error-path and determinism coverage for the replication driver: the
-// contract is that run(n, fn) behaves exactly like the sequential loop —
+// contract is that run(n, fn) returns what the sequential loop would —
 // results in index order, the first error (by index, not by arrival)
-// rethrown, and every task settled before the throw so no future is
-// abandoned and no worker deadlocks.
+// rethrown — and that every task runs before the throw, at every jobs
+// level, so no worker is left behind.
 #include "parallel/replicate.hpp"
 
 #include <gtest/gtest.h>
@@ -48,9 +48,8 @@ TEST(Replicator, FirstErrorByIndexIsRethrown) {
 }
 
 TEST(Replicator, AllTasksSettleBeforeTheThrow) {
-  // Every future is drained before the rethrow: by the time run() throws,
-  // all n tasks have executed (succeeded or failed), so no packaged task
-  // outlives the call and no worker is left blocked.
+  // The workers are joined before the rethrow: by the time run() throws,
+  // all n tasks have executed (succeeded or failed).
   Replicator pool(4);
   std::atomic<int> settled{0};
   const auto fn = [&settled](std::size_t i) -> int {
@@ -62,14 +61,16 @@ TEST(Replicator, AllTasksSettleBeforeTheThrow) {
   EXPECT_EQ(settled.load(), 64);
 }
 
-TEST(Replicator, InlineRunStopsAtTheFirstThrow) {
-  // jobs == 1 runs on the caller's thread with plain-loop semantics: tasks
-  // after the throwing index never start.
+TEST(Replicator, InlineRunSettlesEveryTaskBeforeTheThrow) {
+  // jobs == 1 runs the same loop on the caller's thread: tasks after a
+  // throwing index still run, and the first error by index is rethrown.
   Replicator inline_runner(1);
   std::atomic<int> started{0};
   const auto fn = [&started](std::size_t i) -> int {
     ++started;
-    if (i == 2) throw std::runtime_error("boom 2");
+    if (i == 2 || i == 5) {
+      throw std::runtime_error("boom " + std::to_string(i));
+    }
     return static_cast<int>(i);
   };
   try {
@@ -78,7 +79,34 @@ TEST(Replicator, InlineRunStopsAtTheFirstThrow) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom 2");
   }
-  EXPECT_EQ(started.load(), 3);
+  EXPECT_EQ(started.load(), 8);
+}
+
+TEST(Replicator, ResultTypeNeedsNoDefaultConstructor) {
+  struct Tagged {
+    explicit Tagged(std::size_t v) : value(v) {}
+    std::size_t value;
+  };
+  const auto out =
+      Replicator(4).run(16, [](std::size_t i) { return Tagged(i * 3); });
+  ASSERT_EQ(out.size(), 16u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].value, i * 3);
+  }
+}
+
+TEST(Replicator, MoreWorkersThanTasks) {
+  std::atomic<int> calls{0};
+  const auto out = Replicator(8).run(3, [&calls](std::size_t i) {
+    ++calls;
+    return i + 10;
+  });
+  EXPECT_EQ(out, (std::vector<std::size_t>{10, 11, 12}));
+  EXPECT_EQ(calls.load(), 3);
+}
+
+TEST(Replicator, ZeroJobsMeansAtLeastOneWorker) {
+  EXPECT_GE(Replicator(0).jobs(), 1u);
 }
 
 TEST(Replicator, EveryTaskThrowingDoesNotDeadlock) {
@@ -92,7 +120,7 @@ TEST(Replicator, EveryTaskThrowingDoesNotDeadlock) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom 0");
   }
-  // The pool is still serviceable after a fully-failed batch.
+  // The replicator is still serviceable after a fully-failed batch.
   EXPECT_EQ(pool.run(4, [](std::size_t i) { return i + 1; }),
             (std::vector<std::size_t>{1, 2, 3, 4}));
 }

@@ -25,7 +25,6 @@ ScenarioConfig small_config(std::uint64_t seed = 42) {
                    .set_count("viz", 5)
                    .set_count("data", 5)
                    .set_count("exploratory", 10);
-  c.gateways = 2;
   return c;
 }
 

@@ -425,7 +425,6 @@ TEST(Drain, CapabilityJobGetsPriorityAfterFence) {
   SchedulerConfig cfg;
   cfg.policy = SchedPolicy::kEasyBackfill;
   cfg.drain_period = 6 * kHour;
-  cfg.capability_fraction = 0.5;
   Harness h(cfg);
   // Fill the machine until 5h.
   h.sched.submit(simple_job(16, 5 * kHour));
@@ -444,6 +443,27 @@ TEST(Drain, CapabilityJobGetsPriorityAfterFence) {
   // it also waits, but the capability job goes first.
   EXPECT_EQ(start_by_width[16], 6 * kHour);
   EXPECT_GE(start_by_width[2], 8 * kHour);
+}
+
+TEST(Drain, CapabilityThresholdRoundsHalfTheMachineUp) {
+  // On 5 nodes a capability job takes at least 3 (half, rounded up): after
+  // the fence the 3-node job jumps the two 2-node jobs queued before it,
+  // and the 2-node jobs keep their FIFO order.
+  SchedulerConfig cfg;
+  cfg.policy = SchedPolicy::kEasyBackfill;
+  cfg.drain_period = 6 * kHour;
+  Harness h(cfg, 5);
+  h.sched.submit(simple_job(5, 5 * kHour));  // filler until 5h
+  // 2h jobs cannot start at 5h without crossing the 6h fence.
+  const JobId small_a = h.sched.submit(simple_job(2, 2 * kHour));
+  const JobId small_b = h.sched.submit(simple_job(2, 2 * kHour));
+  const JobId capability = h.sched.submit(simple_job(3, 2 * kHour));
+  h.engine.run();
+  std::map<JobId, SimTime> start;
+  for (const Job& j : h.finished) start[j.id] = j.start_time;
+  EXPECT_EQ(start.at(capability), 6 * kHour);
+  EXPECT_EQ(start.at(small_a), 6 * kHour);
+  EXPECT_EQ(start.at(small_b), 8 * kHour);
 }
 
 TEST(Drain, UtilizationLossVsNoDrain) {
@@ -534,53 +554,6 @@ INSTANTIATE_TEST_SUITE_P(Policies, PolicySweep,
                          ::testing::Values(SchedPolicy::kFcfs,
                                            SchedPolicy::kEasyBackfill,
                                            SchedPolicy::kConservativeBackfill));
-
-// --- capability_threshold regression: exact ceiling over boundary fractions.
-
-TEST(CeilFraction, ExactAtIntegerProducts) {
-  // Products that land exactly on an integer must not round up a step.
-  EXPECT_EQ(ceil_fraction(0.5, 16), 8);
-  EXPECT_EQ(ceil_fraction(0.25, 16), 4);
-  EXPECT_EQ(ceil_fraction(1.0, 1024), 1024);
-  EXPECT_EQ(ceil_fraction(0.5, 1), 1);
-}
-
-TEST(CeilFraction, RoundsUpFractionalProducts) {
-  EXPECT_EQ(ceil_fraction(0.5, 5), 3);     // 2.5 -> 3
-  EXPECT_EQ(ceil_fraction(0.75, 5), 4);    // 3.75 -> 4
-  EXPECT_EQ(ceil_fraction(0.5, 1023), 512);  // 511.5 -> 512
-}
-
-TEST(CeilFraction, TinyFractionalPartStillCeils) {
-  // The old "+ 0.999" hack floor()ed any product whose fractional part was
-  // below 0.001 — e.g. 1000 * 0.0040005 = 4.0005 came out as 4, not 5.
-  EXPECT_EQ(ceil_fraction(0.0040005, 1000), 5);
-  // And a fractional part of exactly 0.999 could double-bump under noise;
-  // the exact path is immune: 3.999 -> 4.
-  EXPECT_EQ(ceil_fraction(0.003999, 1000), 4);
-}
-
-TEST(CeilFraction, ExtremeFractions) {
-  EXPECT_EQ(ceil_fraction(1e-12, 4096), 1);  // any positive fraction needs 1
-  EXPECT_EQ(ceil_fraction(1.0, 1), 1);
-  EXPECT_THROW((void)ceil_fraction(0.0, 16), PreconditionError);
-  EXPECT_THROW((void)ceil_fraction(1.5, 16), PreconditionError);
-  EXPECT_THROW((void)ceil_fraction(0.5, 0), PreconditionError);
-}
-
-TEST(CeilFraction, AgreesWithRationalCeilingAcrossSweep) {
-  // For fractions k/64 (exactly representable) the result must equal the
-  // rational ceiling for every machine size, with no FP-noise dependence.
-  for (int k = 1; k <= 64; ++k) {
-    const double fraction = static_cast<double>(k) / 64.0;
-    for (int nodes : {1, 7, 16, 63, 64, 100, 1023, 4096}) {
-      const long long expect =
-          (static_cast<long long>(k) * nodes + 63) / 64;  // ceil(k*n/64)
-      ASSERT_EQ(ceil_fraction(fraction, nodes), expect)
-          << "fraction=" << k << "/64 nodes=" << nodes;
-    }
-  }
-}
 
 // --- job-id folding contract: resource band width and overflow guards.
 

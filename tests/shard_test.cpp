@@ -1,8 +1,7 @@
-// The partitioned DES core (DESIGN.md §5.7): shard-plan derivation, the
-// canonical tie order across partitions, partition serialization, and the
-// locality check on kLocal events.
-#include "des/shard.hpp"
-
+// The partitioned DES core (DESIGN.md §5.7): partitions by topology and
+// the scheduler pool's binding rule, the canonical tie order across
+// partitions, partition serialization, and the locality check on kLocal
+// events.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -10,20 +9,46 @@
 #include <vector>
 
 #include "des/engine.hpp"
+#include "infra/platform.hpp"
+#include "sched/pool.hpp"
 #include "util/error.hpp"
 
 namespace tg {
 namespace {
 
-// --- Shard plan ------------------------------------------------------------
+// --- Partitions by topology ------------------------------------------------
 
-TEST(ShardPlan, CoordinatorPlusOnePartitionPerSite) {
-  const ShardPlan plan = plan_shards(3);
-  EXPECT_EQ(plan.partitions, 4u);
-  ASSERT_EQ(plan.site_partition.size(), 3u);
-  EXPECT_EQ(plan.partition_of_site(0), 1u);
-  EXPECT_EQ(plan.partition_of_site(1), 2u);
-  EXPECT_EQ(plan.partition_of_site(2), 3u);
+TEST(Partitions, CoordinatorPlusOnePartitionPerSite) {
+  EXPECT_EQ(partition_count(mini_platform()), 3u);
+  EXPECT_EQ(partition_count(teragrid_2010()), 12u);
+  EXPECT_EQ(site_partition(SiteId{0}), 1u);
+  EXPECT_EQ(site_partition(SiteId{1}), 2u);
+  EXPECT_EQ(site_partition(SiteId{10}), 11u);
+}
+
+TEST(Partitions, SchedulerPoolBindsByTheEnginesPartitionCount) {
+  const Platform platform = teragrid_2010();
+  {
+    Engine unpartitioned;
+    const SchedulerPool pool(unpartitioned, platform);
+    for (const ResourceId id : pool.resource_ids()) {
+      EXPECT_EQ(pool.at(id).shard(), 0u) << id;
+    }
+  }
+  {
+    Engine by_site;
+    by_site.configure_partitions(partition_count(platform));
+    const SchedulerPool pool(by_site, platform);
+    for (const ResourceId id : pool.resource_ids()) {
+      EXPECT_EQ(pool.at(id).shard(),
+                1u + static_cast<std::uint32_t>(
+                         platform.compute_at(id).site.value()))
+          << id;
+    }
+  }
+  Engine two;
+  two.configure_partitions(2);
+  EXPECT_THROW(SchedulerPool(two, platform), PreconditionError);
 }
 
 // --- Canonical order -------------------------------------------------------
