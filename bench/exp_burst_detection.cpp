@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
   Scenario scenario = make_scenario(0.5, !options.exact_replan);
   scenario.run();
   for (const int min_jobs : {4, 8, 16, 32, 64}) {
-    ScenarioConfig probe_cfg;  // only FeatureConfig matters below
     FeatureConfig fc;
     fc.burst_min_jobs = min_jobs;
     const FeatureExtractor extractor(scenario.platform(), fc);
@@ -98,7 +97,6 @@ int main(int argc, char** argv) {
       if (sets[i].members.none()) continue;
       cm.add(scenario.truth().of(features[i].user), sets[i].primary);
     }
-    (void)probe_cfg;
     b.add_row({Table::num(std::int64_t{min_jobs}),
                Table::num(cm.recall(Modality::kWorkflowEnsemble), 3),
                Table::pct(cm.accuracy())});

@@ -3,21 +3,21 @@
 //
 // Records append into an open segment whose per-user posting lists are
 // kept up to date on append. With a positive segment cap the open segment
-// seals when it fills: its postings compact into an immutable CSR index
-// (sorted user keys, offsets, rows, plus an end-time permutation when the
-// segment is not end-sorted). Sealed segments past a small residency
-// budget spill to disk as one flat file (raw record array + CSR posting
-// index) and are mapped back read-only with mmap, so the page cache — not
-// the heap — holds cold history and the database scales past RSS. Hot
-// recent segments and the open segment stay resident. With cap 0 (the
-// default) the open segment never seals: one resident, contiguous array.
+// seals when it fills: it is written straight into its file image (header,
+// raw record array, then a CSR posting index of sorted user keys, offsets
+// and rows) in one heap buffer. Sealed segments past a small residency
+// budget spill that image to disk as one flat file and are mapped back
+// read-only with mmap, so the page cache — not the heap — holds cold
+// history and the database scales past RSS. Hot recent segments and the
+// open segment stay resident. With cap 0 (the default) the open segment
+// never seals: one resident, contiguous array.
 //
 // Per-user window gathers are O(log k + hits) per touched segment when the
 // segment is end-sorted (segments outside [min_end, max_end) are skipped
 // entirely), and results are emitted in append order. Record references
 // handed out by a query stay valid until the next append (a seal may spill
-// an older segment and unmap nothing — spilling replaces heap vectors with
-// a file mapping that lives until the log is destroyed — but the open
+// an older segment and unmap nothing — spilling replaces the heap image
+// with a file mapping that lives until the log is destroyed — but the open
 // segment's buffer is reused across seals).
 #pragma once
 
@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -113,7 +112,6 @@ struct SegmentFileHeader {
   std::uint64_t off_keys = 0;
   std::uint64_t off_offsets = 0;
   std::uint64_t off_rows = 0;
-  std::uint64_t off_by_end = 0;     ///< 0 when end-sorted (section absent)
 };
 
 [[nodiscard]] constexpr std::uint64_t align64(std::uint64_t n) {
@@ -129,6 +127,8 @@ template <class Record>
 class SegmentLog {
   static_assert(std::is_trivially_copyable_v<Record>,
                 "spilled segments are raw byte images of the record array");
+  static_assert(alignof(Record) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "a resident image is a heap byte buffer holding the records");
 
  public:
   SegmentLog() : SegmentLog(SegmentLogConfig{}, "records") {}
@@ -215,7 +215,7 @@ class SegmentLog {
   /// files written by an earlier process (checkpoint() or regular
   /// spilling), starting at seq 0 and stopping at the first gap. Each file
   /// is mapped read-only and validated (see validate()) before its
-  /// immutable view is rebuilt — the recovered log answers the same
+  /// immutable view is bound — the recovered log answers the same
   /// queries over the spilled history and accepts new appends after it.
   /// Must be called on a fresh, empty log. Returns the number of segments
   /// recovered. Throws PreconditionError on a corrupt file.
@@ -224,30 +224,21 @@ class SegmentLog {
                "recover_from_spill requires a fresh, empty log");
     TG_REQUIRE(!config_.spill_dir.empty(),
                "recover_from_spill needs config.spill_dir");
-    using seg_detail::SegmentFileHeader;
     for (std::size_t seq = 0;; ++seq) {
       const std::string path = spill_path(seq);
       seg_detail::MappedFile map;
       if (!map.open(path)) break;  // first gap ends the sealed prefix
-      TG_REQUIRE(map.size() >= sizeof(SegmentFileHeader),
-                 "truncated segment file " << path);
-      SegmentFileHeader h;
-      std::memcpy(&h, map.data(), sizeof(h));
-      validate(h, map.data(), map.size(), path);
+      validate(map.data(), map.size(), path);
       Sealed s;
-      s.view.count = h.count;
-      s.view.user_count = h.user_count;
-      s.view.end_sorted = (h.flags & 1u) != 0;
-      s.view.min_end = h.min_end;
-      s.view.max_end = h.max_end;
-      bind_view(s.view, h, map.data());
+      s.view = bind_view(map.data());
       s.map = std::move(map);
-      if (h.user_count > 0) {
+      const View& v = s.view;
+      if (v.user_count > 0) {
         user_limit_ = std::max<UserId::rep>(
             user_limit_,
-            static_cast<UserId::rep>(s.view.keys[h.user_count - 1] + 1));
+            static_cast<UserId::rep>(v.keys[v.user_count - 1] + 1));
       }
-      stats_.appended += h.count;
+      stats_.appended += v.count;
       ++stats_.sealed;
       ++stats_.spilled;
       stats_.spilled_bytes += s.map.size();
@@ -293,26 +284,10 @@ class SegmentLog {
   template <class Fn>
   void for_each_ending_in(SimTime from, SimTime to, Fn&& fn) const {
     if (from >= to) return;
-    std::vector<std::uint32_t> scratch;
     for (const Sealed& s : sealed_) {
       const View& v = s.view;
       if (v.max_end < from || v.min_end >= to) continue;
-      if (v.end_sorted || (from <= v.min_end && v.max_end < to)) {
-        emit_range(v.records, v.count, v.end_sorted, from, to, fn);
-        continue;
-      }
-      // Unsorted and cut by the window: binary-search the by-end
-      // permutation, then restore append order.
-      const auto end_less = [&v](std::uint32_t row, SimTime t) {
-        return v.records[row].end_time < t;
-      };
-      const std::uint32_t* first =
-          std::lower_bound(v.by_end, v.by_end + v.count, from, end_less);
-      const std::uint32_t* last =
-          std::lower_bound(first, v.by_end + v.count, to, end_less);
-      scratch.assign(first, last);
-      std::sort(scratch.begin(), scratch.end());
-      for (const std::uint32_t row : scratch) fn(v.records[row]);
+      emit_range(v.records, v.count, v.end_sorted, from, to, fn);
     }
     if (open_records_.empty() || open_max_end_ < from || open_min_end_ >= to) {
       return;
@@ -335,8 +310,8 @@ class SegmentLog {
   /// The open segment is always resident on top of this budget.
   static constexpr std::size_t kResidentSegments = 2;
 
-  /// Immutable pointer view over one sealed segment; targets either the
-  /// segment's heap vectors or its file mapping.
+  /// Immutable pointer view over one sealed segment's file image, resident
+  /// or mapped.
   struct View {
     const Record* records = nullptr;
     std::uint32_t count = 0;
@@ -344,7 +319,6 @@ class SegmentLog {
     std::uint32_t user_count = 0;
     const std::uint32_t* offsets = nullptr;  ///< CSR, [user_count + 1]
     const std::uint32_t* rows = nullptr;
-    const std::uint32_t* by_end = nullptr;  ///< null when end_sorted
     bool end_sorted = true;
     SimTime min_end = 0;
     SimTime max_end = 0;
@@ -352,12 +326,9 @@ class SegmentLog {
 
   struct Sealed {
     View view;
-    // Heap backing; swapped empty once the segment spills.
-    std::vector<Record> records;
-    std::vector<std::uint32_t> keys;
-    std::vector<std::uint32_t> offsets;
-    std::vector<std::uint32_t> rows;
-    std::vector<std::uint32_t> by_end;
+    /// The segment's file image while it is resident; released once it
+    /// spills and the view points into the mapping.
+    std::vector<std::byte> image;
     seg_detail::MappedFile map;
     bool spill_failed = false;
 
@@ -418,36 +389,49 @@ class SegmentLog {
            ".tgseg";
   }
 
-  /// Points `v`'s arrays at the sections of a segment file image.
-  static void bind_view(View& v, const seg_detail::SegmentFileHeader& h,
-                        const std::byte* base) {
+  /// A view of the segment file image at `base`, every field taken from
+  /// its header.
+  static View bind_view(const std::byte* base) {
+    seg_detail::SegmentFileHeader h;
+    std::memcpy(&h, base, sizeof(h));
     const auto words = [base](std::uint64_t off) {
       return reinterpret_cast<const std::uint32_t*>(base + off);
     };
+    View v;
     v.records = reinterpret_cast<const Record*>(base + h.off_records);
+    v.count = h.count;
     v.keys = words(h.off_keys);
+    v.user_count = h.user_count;
     v.offsets = words(h.off_offsets);
     v.rows = words(h.off_rows);
-    v.by_end = v.end_sorted ? nullptr : words(h.off_by_end);
+    v.end_sorted = (h.flags & 1u) != 0;
+    v.min_end = h.min_end;
+    v.max_end = h.max_end;
+    return v;
   }
 
-  /// Rejects a segment file that would make a query read outside it: bad
-  /// magic or record size, a section that is misaligned or does not lie
-  /// inside the file (64-bit arithmetic that cannot overflow), CSR offsets
-  /// that are not a monotone partition of the rows, keys that are not
-  /// strictly increasing user ids, a row or by-end entry past the record
-  /// count, or an inverted end-time range. Throws PreconditionError.
-  static void validate(const seg_detail::SegmentFileHeader& h,
-                       const std::byte* base, std::uint64_t size,
+  /// Rejects a segment file image that would make a query read outside it
+  /// or answer wrongly: a truncated header, bad magic or record size, a
+  /// section that is misaligned or does not lie inside the file (64-bit
+  /// arithmetic that cannot overflow), CSR offsets that are not a monotone
+  /// partition of the rows, keys that are not strictly increasing user
+  /// ids, a record whose end time lies outside [min_end, max_end] or breaks
+  /// the end-sorted flag, a posting whose rows do not strictly increase or
+  /// index another user's records, or postings that do not cover every
+  /// record with a valid user. Throws PreconditionError.
+  static void validate(const std::byte* base, std::uint64_t size,
                        const std::string& path) {
     using seg_detail::SegmentFileHeader;
+    TG_REQUIRE(size >= sizeof(SegmentFileHeader),
+               "truncated segment file " << path);
+    SegmentFileHeader h;
+    std::memcpy(&h, base, sizeof(h));
     TG_REQUIRE(h.magic == SegmentFileHeader::kMagic,
                "bad magic in segment file " << path);
     TG_REQUIRE(h.record_size == sizeof(Record),
                "segment file " << path << " holds records of "
                                << h.record_size << " bytes, expected "
                                << sizeof(Record));
-    const bool end_sorted = (h.flags & 1u) != 0;
     const auto section = [&](const char* name, std::uint64_t off,
                              std::uint64_t bytes) {
       TG_REQUIRE(off % 64 == 0 && off >= sizeof(SegmentFileHeader) &&
@@ -463,15 +447,7 @@ class SegmentLog {
     section("offsets", h.off_offsets,
             (std::uint64_t{h.user_count} + 1) * kWord);
     section("rows", h.off_rows, std::uint64_t{h.posting_rows} * kWord);
-    if (!end_sorted) {
-      section("by_end", h.off_by_end, std::uint64_t{h.count} * kWord);
-    }
-    TG_REQUIRE(h.count == 0 || h.min_end <= h.max_end,
-               "segment file " << path << ": min_end " << h.min_end
-                               << " > max_end " << h.max_end);
-    View v;
-    v.end_sorted = end_sorted;
-    bind_view(v, h, base);
+    const View v = bind_view(base);
     TG_REQUIRE(v.offsets[0] == 0 && v.offsets[h.user_count] == h.posting_rows,
                "segment file " << path
                                << ": posting offsets do not span the "
@@ -486,64 +462,85 @@ class SegmentLog {
                  "segment file " << path << ": user key " << u
                                  << " is out of order or not a user id");
     }
-    for (std::uint32_t i = 0; i < h.posting_rows; ++i) {
-      TG_REQUIRE(v.rows[i] < h.count, "segment file "
-                                          << path << ": posting row " << i
-                                          << " indexes past " << h.count
-                                          << " records");
+    std::uint32_t with_user = 0;
+    for (std::uint32_t i = 0; i < v.count; ++i) {
+      const SimTime end = v.records[i].end_time;
+      TG_REQUIRE(end >= v.min_end && end <= v.max_end &&
+                     (!v.end_sorted || i == 0 ||
+                      v.records[i - 1].end_time <= end),
+                 "segment file " << path << ": record " << i << " ends at "
+                                 << end << ", outside [" << v.min_end << ", "
+                                 << v.max_end
+                                 << "] or against the end-sorted flag");
+      if (v.records[i].user.valid()) ++with_user;
     }
-    for (std::uint32_t i = 0; v.by_end != nullptr && i < h.count; ++i) {
-      TG_REQUIRE(v.by_end[i] < h.count, "segment file "
-                                            << path << ": by-end entry " << i
-                                            << " indexes past " << h.count
-                                            << " records");
+    TG_REQUIRE(with_user == h.posting_rows,
+               "segment file " << path << ": " << h.posting_rows
+                               << " posting rows for " << with_user
+                               << " records with a user");
+    for (std::uint32_t u = 0; u < h.user_count; ++u) {
+      for (std::uint32_t i = v.offsets[u]; i < v.offsets[u + 1]; ++i) {
+        const std::uint32_t row = v.rows[i];
+        TG_REQUIRE(row < h.count && (i == v.offsets[u] || v.rows[i - 1] < row),
+                   "segment file " << path << ": posting row " << i
+                                   << " is past " << h.count
+                                   << " records or out of order");
+        const UserId owner = v.records[row].user;
+        TG_REQUIRE(owner.valid() &&
+                       static_cast<std::uint32_t>(owner.value()) == v.keys[u],
+                   "segment file " << path << ": posting row " << i
+                                   << " indexes a record of another user");
+      }
     }
   }
 
+  /// Writes the open segment's file image — header, records, then the CSR
+  /// index compacted from the dense open postings — into one heap buffer,
+  /// binds the view into it and empties the open segment, which keeps its
+  /// buffers.
   void seal() {
-    Sealed s;
-    s.records = std::move(open_records_);
-    s.view.count = static_cast<std::uint32_t>(s.records.size());
-    s.view.min_end = open_min_end_;
-    s.view.max_end = open_max_end_;
-    s.view.end_sorted = open_sorted_;
-    // Compact the dense open postings into the CSR (keys, offsets, rows)
-    // triple; dense slots iterate ascending, so keys come out sorted.
-    std::uint32_t total_rows = 0;
+    using seg_detail::align64;
+    constexpr std::uint64_t kWord = sizeof(std::uint32_t);
+    seg_detail::SegmentFileHeader h;
+    h.record_size = static_cast<std::uint32_t>(sizeof(Record));
+    h.count = static_cast<std::uint32_t>(open_records_.size());
     for (const auto& p : open_postings_) {
-      total_rows += static_cast<std::uint32_t>(p.size());
-      if (!p.empty()) ++s.view.user_count;
+      h.posting_rows += static_cast<std::uint32_t>(p.size());
+      if (!p.empty()) ++h.user_count;
     }
-    s.keys.reserve(s.view.user_count);
-    s.offsets.reserve(s.view.user_count + 1);
-    s.rows.reserve(total_rows);
-    s.offsets.push_back(0);
+    h.flags = open_sorted_ ? 1u : 0u;
+    h.min_end = open_min_end_;
+    h.max_end = open_max_end_;
+    h.off_records = align64(sizeof(h));
+    h.off_keys = align64(h.off_records + h.count * sizeof(Record));
+    h.off_offsets = align64(h.off_keys + h.user_count * kWord);
+    h.off_rows = align64(h.off_offsets + (h.user_count + 1) * kWord);
+    Sealed s;
+    s.image.resize(h.off_rows + h.posting_rows * kWord);
+    const auto put = [&s](std::uint64_t off, const void* src, std::size_t n) {
+      std::memcpy(s.image.data() + off, src, n);
+    };
+    put(0, &h, sizeof(h));
+    put(h.off_records, open_records_.data(), h.count * sizeof(Record));
+    // Dense slots iterate ascending, so keys come out sorted; offset 0 is
+    // the zero the buffer starts with.
+    std::uint32_t key = 0;
+    std::uint32_t row = 0;
     for (std::size_t u = 0; u < open_postings_.size(); ++u) {
       const auto& p = open_postings_[u];
       if (p.empty()) continue;
-      s.keys.push_back(static_cast<std::uint32_t>(u));
-      s.rows.insert(s.rows.end(), p.begin(), p.end());
-      s.offsets.push_back(static_cast<std::uint32_t>(s.rows.size()));
+      const auto id = static_cast<std::uint32_t>(u);
+      put(h.off_keys + key * kWord, &id, kWord);
+      put(h.off_rows + row * kWord, p.data(), p.size() * kWord);
+      row += static_cast<std::uint32_t>(p.size());
+      ++key;
+      put(h.off_offsets + key * kWord, &row, kWord);
     }
-    if (!s.view.end_sorted) {
-      s.by_end.resize(s.records.size());
-      std::iota(s.by_end.begin(), s.by_end.end(), 0u);
-      std::stable_sort(s.by_end.begin(), s.by_end.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return s.records[a].end_time < s.records[b].end_time;
-                       });
-    }
-    s.view.records = s.records.data();
-    s.view.keys = s.keys.data();
-    s.view.offsets = s.offsets.data();
-    s.view.rows = s.rows.data();
-    s.view.by_end = s.view.end_sorted ? nullptr : s.by_end.data();
+    s.view = bind_view(s.image.data());
     sealed_.push_back(std::move(s));
     ++stats_.sealed;
 
-    // Recycle the open segment's buffers.
     open_records_.clear();
-    open_records_.reserve(config_.segment_records);
     for (auto& p : open_postings_) p.clear();
     open_sorted_ = true;
     open_min_end_ = 0;
@@ -572,53 +569,21 @@ class SegmentLog {
     }
   }
 
+  /// Writes the segment's image to its file, maps the file and points the
+  /// view into the mapping, releasing the image. On failure the image
+  /// stays resident.
   [[nodiscard]] bool spill(Sealed& s, std::size_t seq) {
-    using seg_detail::align64;
-    seg_detail::SegmentFileHeader h;
-    h.record_size = static_cast<std::uint32_t>(sizeof(Record));
-    h.count = s.view.count;
-    h.user_count = s.view.user_count;
-    h.posting_rows = static_cast<std::uint32_t>(s.rows.size());
-    h.flags = s.view.end_sorted ? 1u : 0u;
-    h.min_end = s.view.min_end;
-    h.max_end = s.view.max_end;
-    h.off_records = align64(sizeof(h));
-    h.off_keys = align64(h.off_records + h.count * sizeof(Record));
-    h.off_offsets = align64(h.off_keys + h.user_count * sizeof(std::uint32_t));
-    h.off_rows =
-        align64(h.off_offsets + (h.user_count + 1) * sizeof(std::uint32_t));
-    std::uint64_t end = h.off_rows + h.posting_rows * sizeof(std::uint32_t);
-    if (!s.view.end_sorted) {
-      h.off_by_end = align64(end);
-      end = h.off_by_end + h.count * sizeof(std::uint32_t);
-    }
-    std::vector<std::byte> blob(static_cast<std::size_t>(end), std::byte{0});
-    const auto put = [&](std::uint64_t off, const void* src, std::size_t n) {
-      if (n > 0) std::memcpy(blob.data() + off, src, n);
-    };
-    put(0, &h, sizeof(h));
-    put(h.off_records, s.records.data(), h.count * sizeof(Record));
-    put(h.off_keys, s.keys.data(), h.user_count * sizeof(std::uint32_t));
-    put(h.off_offsets, s.offsets.data(),
-        (h.user_count + 1) * sizeof(std::uint32_t));
-    put(h.off_rows, s.rows.data(), h.posting_rows * sizeof(std::uint32_t));
-    if (!s.view.end_sorted) {
-      put(h.off_by_end, s.by_end.data(), h.count * sizeof(std::uint32_t));
-    }
     const std::string path = spill_path(seq);
-    if (!seg_detail::write_file(path, blob.data(), blob.size())) return false;
+    if (!seg_detail::write_file(path, s.image.data(), s.image.size())) {
+      return false;
+    }
     seg_detail::MappedFile map;
-    if (!map.open(path) || map.size() < blob.size()) return false;
-    // Rebind the view into the mapping, then release the heap backing.
-    bind_view(s.view, h, map.data());
+    if (!map.open(path) || map.size() < s.image.size()) return false;
+    s.view = bind_view(map.data());
     s.map = std::move(map);
-    std::vector<Record>().swap(s.records);
-    std::vector<std::uint32_t>().swap(s.keys);
-    std::vector<std::uint32_t>().swap(s.offsets);
-    std::vector<std::uint32_t>().swap(s.rows);
-    std::vector<std::uint32_t>().swap(s.by_end);
     ++stats_.spilled;
-    stats_.spilled_bytes += blob.size();
+    stats_.spilled_bytes += s.image.size();
+    std::vector<std::byte>().swap(s.image);
     return true;
   }
 

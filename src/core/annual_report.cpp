@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/classifier.hpp"
 #include "core/report.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -96,10 +97,8 @@ std::string generate_annual_report(const Platform& platform,
      << " (from attribute records)\n\n";
 
   // --- modalities ---
-  const RuleClassifier classifier(options.thresholds);
   const ModalityReport modality =
-      ModalityReport::build(platform, db, classifier, from, to,
-                            options.features);
+      ModalityReport::build(platform, db, RuleClassifier{}, from, to);
   os << "3. Usage modalities\n-------------------\n"
      << modality.to_table() << "\n";
 

@@ -8,17 +8,16 @@
 #include <string>
 
 #include "accounting/usage_db.hpp"
-#include "core/classifier.hpp"
 #include "infra/community.hpp"
 #include "infra/platform.hpp"
 
 namespace tg {
 
+/// The reporting period. The modality section classifies with the default
+/// features and thresholds.
 struct AnnualReportOptions {
   SimTime from = 0;
   SimTime to = kYear;
-  FeatureConfig features;
-  ClassifierThresholds thresholds;
 };
 
 /// Renders the full multi-section report as printable text.

@@ -10,12 +10,10 @@ namespace tg {
 FeatureExtractor::FeatureExtractor(const Platform& platform,
                                    FeatureConfig config)
     : platform_(platform), config_(config) {
-  TG_REQUIRE(config.burst_window > 0 && config.burst_min_jobs >= 2,
-             "invalid burst parameters");
+  TG_REQUIRE(config.burst_min_jobs >= 2, "invalid burst parameters");
 }
 
-int count_burst_jobs(std::vector<BurstGeometry>& arena, Duration window,
-                     int min_jobs) {
+int count_burst_jobs(std::vector<BurstGeometry>& arena, int min_jobs) {
   std::sort(arena.begin(), arena.end(), [](const auto& a, const auto& b) {
     if (a.nodes != b.nodes) return a.nodes < b.nodes;
     if (a.walltime != b.walltime) return a.walltime < b.walltime;
@@ -34,7 +32,7 @@ int count_burst_jobs(std::vector<BurstGeometry>& arena, Duration window,
     std::size_t lo = i;
     std::size_t marked_until = i;
     for (std::size_t hi = i; hi < j; ++hi) {
-      while (arena[hi].submit - arena[lo].submit > window) ++lo;
+      while (arena[hi].submit - arena[lo].submit > kBurstWindow) ++lo;
       if (hi - lo + 1 >= static_cast<std::size_t>(min_jobs)) {
         const std::size_t start = std::max(lo, marked_until);
         burst_jobs += static_cast<int>(hi + 1 - start);
@@ -135,10 +133,7 @@ UserFeatures FeatureAccumulator::finish(UserId user,
     f.mean_runtime_s = runtime_sum / n;
     std::sort(runtimes_.begin(), runtimes_.end());
     f.median_runtime_s = percentile_sorted(runtimes_, 0.5);
-    f.burst_fraction =
-        count_burst_jobs(geometry_, config.burst_window,
-                         config.burst_min_jobs) /
-        n;
+    f.burst_fraction = count_burst_jobs(geometry_, config.burst_min_jobs) / n;
   }
   return f;
 }

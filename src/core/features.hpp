@@ -69,9 +69,6 @@ struct UserFeatures {
 };
 
 struct FeatureConfig {
-  /// Jobs with identical (nodes, requested walltime) submitted within this
-  /// window of each other form a burst.
-  Duration burst_window = 2 * kHour;
   /// Minimum burst size for membership to count.
   int burst_min_jobs = 8;
 };
@@ -83,12 +80,16 @@ struct BurstGeometry {
   SimTime submit;
 };
 
+/// Jobs with identical (nodes, requested walltime) submitted within this
+/// window of each other form a burst.
+inline constexpr Duration kBurstWindow = 2 * kHour;
+
 /// Counts jobs that belong to a burst: >= min_jobs submissions with the
-/// same (nodes, walltime) geometry inside a sliding window. Sort-based
-/// grouping over the caller's arena (sorted in place, one entry per job).
-/// Called by FeatureAccumulator::finish.
+/// same (nodes, walltime) geometry inside a sliding kBurstWindow.
+/// Sort-based grouping over the caller's arena (sorted in place, one entry
+/// per job). Called by FeatureAccumulator::finish.
 [[nodiscard]] int count_burst_jobs(std::vector<BurstGeometry>& arena,
-                                   Duration window, int min_jobs);
+                                   int min_jobs);
 
 /// Running features of one user over one window, fed one record at a time
 /// in append order. This is the one copy of the per-record feature

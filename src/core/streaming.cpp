@@ -11,9 +11,7 @@ StreamingExtractor::StreamingExtractor(const Platform& platform,
     : platform_(platform), config_(config) {
   TG_REQUIRE(config_.series_end > 0, "streaming series range is empty");
   TG_REQUIRE(config_.bucket > 0, "streaming bucket must be positive");
-  TG_REQUIRE(config_.features.burst_window > 0 &&
-                 config_.features.burst_min_jobs >= 2,
-             "invalid burst parameters");
+  TG_REQUIRE(config_.features.burst_min_jobs >= 2, "invalid burst parameters");
   window_to_ = std::min(config_.bucket, config_.series_end);
 }
 

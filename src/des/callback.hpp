@@ -4,8 +4,8 @@
 // heap-allocates most of them and drags in RTTI machinery. EventCallback
 // stores any callable whose captures fit in kInlineSize bytes directly inside
 // the object (no allocation on schedule), falling back to the heap only for
-// oversized captures. It is move-only: an event callback has exactly one
-// owner (the engine slab) and is consumed when fired.
+// oversized captures. It is built in its engine slab slot with emplace(),
+// invoked there and reset: an event callback never moves or copies.
 #pragma once
 
 #include <cstddef>
@@ -21,18 +21,6 @@ class EventCallback {
   static constexpr std::size_t kInlineSize = 48;
 
   EventCallback() noexcept = default;
-  EventCallback(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
-
-  /// Wraps any void() callable. Intentionally implicit so call sites keep
-  /// passing plain lambdas, exactly as with std::function.
-  template <class F,
-            class D = std::decay_t<F>,
-            class = std::enable_if_t<!std::is_same_v<D, EventCallback> &&
-                                     !std::is_same_v<D, std::nullptr_t> &&
-                                     std::is_invocable_r_v<void, D&>>>
-  EventCallback(F&& f) {  // NOLINT(google-explicit-constructor)
-    emplace(std::forward<F>(f));
-  }
 
   /// Replaces the held callable, constructing the new one in place (the
   /// engine uses this to build callbacks directly inside slab slots).
@@ -48,14 +36,6 @@ class EventCallback {
     }
   }
 
-  EventCallback(EventCallback&& other) noexcept { move_from(other); }
-  EventCallback& operator=(EventCallback&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
   EventCallback(const EventCallback&) = delete;
   EventCallback& operator=(const EventCallback&) = delete;
   ~EventCallback() { reset(); }
@@ -85,36 +65,18 @@ class EventCallback {
  private:
   struct Ops {
     void (*invoke)(std::byte*);
-    void (*relocate)(std::byte* dst, std::byte* src);  // move + destroy src
     void (*destroy)(std::byte*);
   };
 
   template <class D>
   static constexpr Ops inline_ops = {
       [](std::byte* p) { (*std::launder(reinterpret_cast<D*>(p)))(); },
-      [](std::byte* dst, std::byte* src) {
-        D* s = std::launder(reinterpret_cast<D*>(src));
-        ::new (static_cast<void*>(dst)) D(std::move(*s));
-        s->~D();
-      },
       [](std::byte* p) { std::launder(reinterpret_cast<D*>(p))->~D(); }};
 
   template <class D>
   static constexpr Ops heap_ops = {
       [](std::byte* p) { (**std::launder(reinterpret_cast<D**>(p)))(); },
-      [](std::byte* dst, std::byte* src) {
-        ::new (static_cast<void*>(dst))
-            D*(*std::launder(reinterpret_cast<D**>(src)));
-      },
       [](std::byte* p) { delete *std::launder(reinterpret_cast<D**>(p)); }};
-
-  void move_from(EventCallback& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      ops_->relocate(storage_, other.storage_);
-      other.ops_ = nullptr;
-    }
-  }
 
   alignas(std::max_align_t) std::byte storage_[kInlineSize];
   const Ops* ops_ = nullptr;

@@ -11,6 +11,8 @@ namespace tg {
 namespace {
 
 constexpr double kBrownoutMeanHours = 2.0;
+/// Coefficient of variation of the lognormal repair times.
+constexpr double kRepairCv = 1.0;
 
 [[nodiscard]] Duration from_hours(double hours) {
   return static_cast<Duration>(
@@ -32,7 +34,6 @@ FaultModel::FaultModel(Engine& engine, SchedulerPool& pool, FaultConfig config,
   const OutageProcess& o = config_.outage;
   TG_REQUIRE(o.mtbf_hours >= 0.0, "MTBF must be non-negative");
   TG_REQUIRE(o.repair_mean_hours > 0.0, "mean repair time must be positive");
-  TG_REQUIRE(o.repair_cv >= 0.0, "repair CV must be non-negative");
   TG_REQUIRE(o.full_outage_prob >= 0.0 && o.full_outage_prob <= 1.0,
              "full-outage probability must be a probability");
   TG_REQUIRE(config_.job_failure_rate_per_hour >= 0.0,
@@ -69,15 +70,6 @@ void FaultModel::start() {
   }
 }
 
-double FaultModel::sample_repair_hours(Rng& rng) const {
-  const OutageProcess& o = config_.outage;
-  if (o.repair_cv > 0.0) {
-    return LogNormal::from_mean_cv(o.repair_mean_hours, o.repair_cv)
-        .sample(rng);
-  }
-  return o.repair_mean_hours;
-}
-
 void FaultModel::schedule_outage(std::size_t i) {
   Rng& rng = resource_rngs_[i];
   const double hours =
@@ -99,8 +91,10 @@ void FaultModel::begin_outage(std::size_t i) {
         static_cast<int>(std::ceil(fraction * static_cast<double>(res.nodes))),
         1, res.nodes);
   }
-  const Duration repair =
-      std::max<Duration>(kMinute, from_hours(sample_repair_hours(rng)));
+  const double repair_hours =
+      LogNormal::from_mean_cv(config_.outage.repair_mean_hours, kRepairCv)
+          .sample(rng);
+  const Duration repair = std::max<Duration>(kMinute, from_hours(repair_hours));
   const SimTime until = engine_.now() + repair;
   // Overlapping outages on one machine: take whatever is still up.
   const int taken =

@@ -5,11 +5,11 @@
 // (Grid'5000's operational studies put infrastructure failures among the
 // dominant trace features). FaultModel reproduces that noise as ordinary
 // DES events: per-resource outage processes (exponential interarrivals,
-// lognormal repairs, or fixed ones at repair_cv = 0), per-job failure
-// hazards, and gateway brownouts. Everything is driven by forked Rng
-// substreams, so a fault-enabled run is exactly as reproducible as a clean
-// one, and a disabled FaultModel (the default config) schedules nothing and
-// draws nothing — zero behaviour change.
+// lognormal repairs with CV 1), per-job failure hazards, and gateway
+// brownouts. Everything is driven by forked Rng substreams, so a
+// fault-enabled run is exactly as reproducible as a clean one, and a
+// disabled FaultModel (the default config) schedules nothing and draws
+// nothing — zero behaviour change.
 #pragma once
 
 #include <memory>
@@ -29,10 +29,8 @@ struct OutageProcess {
   /// Mean time between outages per resource, in hours; 0 disables
   /// resource outages entirely.
   double mtbf_hours = 0.0;
+  /// Mean of the lognormal repair time (coefficient of variation 1).
   double repair_mean_hours = 4.0;
-  /// Coefficient of variation of lognormal repairs; 0 makes every repair
-  /// last exactly repair_mean_hours.
-  double repair_cv = 1.0;
   /// Probability an outage takes the whole machine down; otherwise it
   /// takes a uniform 5-50% of the nodes (rounded up, at least 1).
   double full_outage_prob = 0.15;
@@ -98,7 +96,6 @@ class FaultModel {
   void on_job_start(const Job& job);
   void schedule_brownout(std::size_t g);
   void begin_brownout(std::size_t g);
-  [[nodiscard]] double sample_repair_hours(Rng& rng) const;
 
   Engine& engine_;
   SchedulerPool& pool_;

@@ -269,21 +269,26 @@ TEST(EventCallback, InlineVsHeapStorage) {
   static_assert(EventCallback::fits_inline<Small>());
   static_assert(!EventCallback::fits_inline<Big>());
 
-  // Both storage classes must invoke and move correctly.
+  // Both storage classes are built in place, invoke and reset correctly.
   int hits = 0;
   std::uint64_t big_sum = 0;
   Big big{};
   big.a[15] = 41;
-  EventCallback small_cb = [&hits] { ++hits; };
-  EventCallback big_cb = [&big_sum, big] { big_sum = big.a[15] + 1; };
-  EventCallback moved_small = std::move(small_cb);
-  EventCallback moved_big = std::move(big_cb);
+  EventCallback small_cb;
+  EventCallback big_cb;
   EXPECT_FALSE(static_cast<bool>(small_cb));
-  EXPECT_FALSE(static_cast<bool>(big_cb));
-  moved_small();
-  moved_big();
+  small_cb.emplace([&hits] { ++hits; });
+  big_cb.emplace([&big_sum, big] { big_sum = big.a[15] + 1; });
+  EXPECT_TRUE(static_cast<bool>(small_cb));
+  EXPECT_TRUE(static_cast<bool>(big_cb));
+  small_cb();
+  big_cb();
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(big_sum, 42u);
+  small_cb.reset();
+  big_cb.reset();
+  EXPECT_FALSE(static_cast<bool>(small_cb));
+  EXPECT_FALSE(static_cast<bool>(big_cb));
 }
 
 // Golden determinism trace. The hash below was captured by running this

@@ -216,7 +216,6 @@ TEST(FaultModel, OutageLoopTakesAndRepairsNodes) {
   SchedulerPool pool(engine, platform);
   FaultConfig config;
   config.outage.mtbf_hours = 24.0;
-  config.outage.repair_cv = 0.0;  // fixed repairs
   config.outage.repair_mean_hours = 2.0;
   FaultModel faults(engine, pool, config, 30 * kDay, Rng(7));
   faults.start();

@@ -163,9 +163,6 @@ TEST_F(FeaturesFixture, ConfigValidation) {
   FeatureConfig bad;
   bad.burst_min_jobs = 1;
   EXPECT_THROW(FeatureExtractor(platform, bad), PreconditionError);
-  bad = FeatureConfig{};
-  bad.burst_window = 0;
-  EXPECT_THROW(FeatureExtractor(platform, bad), PreconditionError);
 }
 
 class BurstThreshold : public ::testing::TestWithParam<int> {};

@@ -1,12 +1,13 @@
 // Spillable columnar record log (see DESIGN.md §5.9): every query answered
 // by the segment log — per-user windows on sealed and open segments, the
-// end-sorted fast path and the unsorted by_end permutation, mmap-backed
-// spilled segments — must match a brute-force append-order scan exactly,
-// at every segment cap. Plus the UsageDatabase segmented-mode parity, the
-// SWF import path that streams through it, recovery's rejection of corrupt
-// spill files, and full-history consumers (audit, annual report, record
-// hash, SWF export, predictions and window series) agreeing between
-// resident and spilling stores.
+// end-sorted binary search and the filtered scan of unsorted segments,
+// mmap-backed spilled segments — must match a brute-force append-order
+// scan exactly, at every segment cap. Plus the UsageDatabase segmented-mode
+// parity, the SWF import path that streams through it, recovery's rejection
+// of corrupt spill files (bounds, index and record contents), and
+// full-history consumers (audit, annual report, record hash, SWF export,
+// predictions and window series) agreeing between resident and spilling
+// stores.
 #include "accounting/segment_log.hpp"
 
 #include <gtest/gtest.h>
@@ -364,6 +365,17 @@ TEST(SegmentLog, CheckpointThenRecoverAcrossRestart) {
     EXPECT_EQ(got_win.transfers.size(), want_win.transfers.size());
     EXPECT_EQ(got_win.sessions.size(), want_win.sessions.size());
   }
+  // Windows that cut the recovered, unsorted segments scan them.
+  for (const auto& [from, to] :
+       {std::pair<SimTime, SimTime>{100 * kHour, 300 * kHour},
+        {250 * kHour, 250 * kHour + 1}}) {
+    const auto got = db.jobs_ending_in(from, to);
+    const auto want = reference.jobs_ending_in(from, to);
+    ASSERT_EQ(got.size(), want.size()) << "[" << from << ", " << to << ")";
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(key_of(*got[i]), key_of(*want[i]));
+    }
+  }
 
   // Recovery is a live log, not an archive: appends keep working and the
   // indexes cover old and new records alike.
@@ -506,6 +518,32 @@ TEST(SegmentLog, RecoveryRejectsRecordsSectionPastEndOfFile) {
   expect_recovery_rejects([](std::vector<char>& bytes,
                              seg_detail::SegmentFileHeader& h) {
     h.off_records = seg_detail::align64(bytes.size()) + 64;
+  });
+}
+
+TEST(SegmentLog, RecoveryRejectsAnEndRangeThatExcludesRecords) {
+  expect_recovery_rejects(
+      [](std::vector<char>&, seg_detail::SegmentFileHeader& h) {
+        h.max_end = h.min_end;
+      });
+}
+
+TEST(SegmentLog, RecoveryRejectsAPostingRowOfAnotherUser) {
+  // Row 0 opens user 0's posting; record 1 belongs to user 1.
+  expect_recovery_rejects([](std::vector<char>& bytes,
+                             seg_detail::SegmentFileHeader& h) {
+    put_word(bytes, h.off_rows, 0, 1);
+  });
+}
+
+TEST(SegmentLog, RecoveryRejectsASortedFlagOnUnsortedRecords) {
+  // The first record now ends last, but the segment still claims order.
+  expect_recovery_rejects([](std::vector<char>& bytes,
+                             seg_detail::SegmentFileHeader& h) {
+    JobRecord first;
+    std::memcpy(&first, bytes.data() + h.off_records, sizeof(first));
+    first.end_time = h.max_end;
+    std::memcpy(bytes.data() + h.off_records, &first, sizeof(first));
   });
 }
 
